@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro.attacks import run_workload_campaign
+from repro.attacks import CampaignConfig, run_workload_campaign
 
 ATTACKS = int(os.environ.get("REPRO_FIG7_ATTACKS", "30"))
 JOBS = int(os.environ.get("REPRO_FIG7_JOBS", "1"))
@@ -29,7 +29,10 @@ def test_attack_model(benchmark, compiled_workloads, name, model):
         # Compiles resolve through the content-addressed cache (warmed
         # by the session fixture); REPRO_FIG7_JOBS>1 shards the attacks.
         return run_workload_campaign(
-            workload, attacks=ATTACKS, attack_model=model, jobs=JOBS
+            workload,
+            attacks=ATTACKS,
+            config=CampaignConfig(attack_model=model),
+            jobs=JOBS,
         )
 
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)

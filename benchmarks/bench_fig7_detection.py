@@ -33,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks import CampaignSummary, run_workload_campaign
+from repro.attacks import CampaignConfig, CampaignSummary, run_workload_campaign
 from repro.observability import MetricsRegistry
 from repro.parallel import compile_cache_stats
 from repro.reporting import render_figure7
@@ -42,6 +42,7 @@ from repro.workloads import workload_names
 
 ATTACKS = int(os.environ.get("REPRO_FIG7_ATTACKS", "30"))
 JOBS = int(os.environ.get("REPRO_FIG7_JOBS", "1"))
+OPT3 = CampaignConfig(opt_level=3)
 
 BENCH_OUT = Path(__file__).resolve().parent.parent / "BENCH_fig7_detection.json"
 
@@ -104,7 +105,7 @@ def test_fig7_campaign_opt3(benchmark, compiled_workloads, name):
 
     def campaign():
         return run_workload_campaign(
-            workload, attacks=ATTACKS, jobs=JOBS, opt_level=3
+            workload, attacks=ATTACKS, config=OPT3, jobs=JOBS
         )
 
     result = benchmark.pedantic(campaign, rounds=1, iterations=1)
@@ -136,7 +137,7 @@ def test_fig7_summary_shape(benchmark, compiled_workloads):
         if name not in _OPT3_RESULTS:
             workload, _ = compiled_workloads[name]
             _OPT3_RESULTS[name] = run_workload_campaign(
-                workload, attacks=ATTACKS, opt_level=3
+                workload, attacks=ATTACKS, config=OPT3
             )
     opt3_summary = CampaignSummary(
         [_OPT3_RESULTS[n] for n in workload_names()]

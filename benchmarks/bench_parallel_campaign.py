@@ -13,8 +13,7 @@ Knobs: ``REPRO_PAR_ATTACKS`` (default 20 attacks/workload),
 import os
 import time
 
-from repro.attacks import run_campaign
-from repro.parallel import compile_cache_stats
+from repro.parallel import compile_cache_stats, run_campaign
 
 ATTACKS = int(os.environ.get("REPRO_PAR_ATTACKS", "20"))
 JOBS = int(os.environ.get("REPRO_PAR_JOBS", "4"))

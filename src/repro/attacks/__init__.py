@@ -2,6 +2,7 @@
 
 from .campaign import (
     AttackOutcome,
+    CampaignConfig,
     CampaignError,
     CampaignSummary,
     TAMPER_VALUES,
@@ -9,13 +10,12 @@ from .campaign import (
     attack_rng,
     attack_seed,
     run_attack,
-    run_campaign,
-    run_full_campaign,
     run_workload_campaign,
 )
 
 __all__ = [
     "AttackOutcome",
+    "CampaignConfig",
     "CampaignError",
     "CampaignSummary",
     "TAMPER_VALUES",
@@ -23,7 +23,5 @@ __all__ = [
     "attack_rng",
     "attack_seed",
     "run_attack",
-    "run_campaign",
-    "run_full_campaign",
     "run_workload_campaign",
 ]

@@ -7,15 +7,15 @@ overflows, an arbitrary data address (globals included) for format
 strings.  For each attack we record whether the tampering changed the
 program's control flow at all, and whether the IPDS detected it.
 
-Attack recipe (three deterministic runs per attack):
+Attack recipe (two deterministic runs per attack):
 
 1. **clean run** — capture the reference branch trace and how many
    inputs the session consumes;
-2. **probe run** — same inputs, recording the live attack surface at
-   the chosen trigger moment (the attacker casing the binary on their
-   own machine, as the paper assumes);
-3. **attack run** — same inputs plus the tampering, monitored by the
-   IPDS.
+2. **attack run** — same inputs plus the tampering, monitored by the
+   IPDS.  The target word is drawn when the trigger fires, from the
+   live attack surface at that moment (the attacker casing the binary
+   on their own machine, as the paper assumes); an attack whose
+   trigger never fires draws from the globals after the run.
 
 Zero false positives is *asserted*, not just measured: the clean run is
 also monitored, and any alarm there fails the campaign loudly.
@@ -28,12 +28,14 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..interp.interpreter import Interpreter, RunStatus, TamperSpec
+from ..interp.interpreter import LazyTamper, RunStatus, Slot
+from ..interp.state import MemoryMap
+from ..ir.function import IRModule
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
 from ..pipeline import ProtectedProgram, monitored_run
 from ..runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
-from ..workloads.registry import Workload, resolve_workloads
+from ..workloads.registry import Workload
 
 #: Values an attacker plausibly writes: flag flips, sign flips, and the
 #: large garbage real overflow payloads leave behind (0x41414141 is the
@@ -64,6 +66,41 @@ def attack_rng(
 
 class CampaignError(ReproError):
     """A campaign-level invariant broke (e.g. a false positive)."""
+
+
+@dataclass(frozen=True)
+class CampaignConfig:
+    """How every attack of a campaign runs — validated once, here.
+
+    Picklable, so pool shards receive it as is.  ``opt_level`` picks
+    the compiled program; the rest shape each attack:
+
+    * ``step_limit`` bounds both runs of an attack;
+    * ``attack_model`` selects the threat model (``"input"`` or
+      ``"process"``, see :func:`run_attack`);
+    * ``forensics`` flight-records the attack run and explains its
+      alarms, keeping ``flight_recorder_depth`` branches;
+    * ``timing_mode`` (``"exact"`` or ``"segment"``) attaches a timing
+      model to the attack run and records its cycle count.  It is a
+      passive bus consumer: detection results are identical with it on
+      or off.
+    """
+
+    step_limit: int = 500_000
+    attack_model: str = "input"
+    opt_level: int = 0
+    forensics: bool = False
+    flight_recorder_depth: int = DEFAULT_DEPTH
+    timing_mode: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.attack_model not in ("input", "process"):
+            raise ValueError(f"unknown attack model {self.attack_model!r}")
+        if self.timing_mode not in (None, "exact", "segment"):
+            raise ValueError(f"unknown timing mode {self.timing_mode!r}")
+
+
+DEFAULT_CONFIG = CampaignConfig()
 
 
 @dataclass(frozen=True)
@@ -207,9 +244,44 @@ class CampaignSummary:
         return 100.0 * self.avg_pct_detected / self.avg_pct_changed
 
 
+class TargetDraw:
+    """The tamper target of one attack, drawn when its trigger fires.
+
+    The ``choose`` hook of a :class:`LazyTamper`: it takes the live
+    stack words at the trigger, adds the globals segment when
+    ``widen`` (what a format string or a co-resident process reaches),
+    falls back to the globals alone when that leaves nothing, and draws
+    the word and then the payload from ``rng``.  :meth:`drawn` makes
+    the same draw from the globals after a run whose trigger never
+    fired, so every attack names a target.
+    """
+
+    def __init__(self, rng: random.Random, widen: bool) -> None:
+        self.rng = rng
+        self.widen = widen
+        #: ``(address, "<owner>.<var>", value)`` once drawn.
+        self.target: Optional[Tuple[int, str, int]] = None
+
+    def __call__(self, live: List[Slot], memory: MemoryMap) -> Tuple[int, int]:
+        candidates = list(live)
+        if self.widen:
+            candidates.extend(memory.global_slots())
+        if not candidates:
+            candidates = memory.global_slots()
+        address, owner, var_name = self.rng.choice(candidates)
+        value = self.rng.choice(TAMPER_VALUES)
+        self.target = (address, f"{owner}.{var_name}", value)
+        return address, value
+
+    def drawn(self, module: IRModule) -> Tuple[int, str, int]:
+        if self.target is None:
+            self([], MemoryMap(module))
+        return self.target
+
+
 @dataclass
 class AttackExecution:
-    """Every artifact of one attack-recipe execution.
+    """Every artifact of one attack-recipe execution (its two runs).
 
     :func:`run_attack` keeps returning the bare :class:`AttackOutcome`;
     session-scoped callers (the detection daemon's
@@ -235,17 +307,13 @@ def run_attack(
     workload: Workload,
     index: int,
     seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
+    config: CampaignConfig = DEFAULT_CONFIG,
     rng: Optional[random.Random] = None,
     metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
 ) -> AttackOutcome:
-    """Run one independent attack (clean + probe + attack runs).
+    """Run one independent attack (a clean run and an attack run).
 
-    ``attack_model`` selects the paper's §3 threat models:
+    ``config.attack_model`` selects the paper's §3 threat models:
 
     * ``"input"`` (model 1, the Figure 7 default) — tampering fires
       when a malicious *input* is consumed, and targets what that
@@ -261,24 +329,15 @@ def run_attack(
     ``metrics`` (optional) accumulates telemetry counters — event and
     step volumes, outcome tallies — without touching the outcome
     itself, so metrics-on and metrics-off campaigns stay bit-identical.
-
-    ``timing_mode`` (optional, ``"exact"`` or ``"segment"``) attaches a
-    timing model to the monitored attack run and records its cycle
-    count on the outcome.  The timing model is a passive bus consumer:
-    detection results are identical with it on or off.
     """
     return run_attack_detailed(
         program,
         workload,
         index,
         seed_prefix=seed_prefix,
-        step_limit=step_limit,
-        attack_model=attack_model,
+        config=config,
         rng=rng,
         metrics=metrics,
-        forensics=forensics,
-        flight_recorder_depth=flight_recorder_depth,
-        timing_mode=timing_mode,
     ).outcome
 
 
@@ -288,13 +347,9 @@ def run_attack_detailed(
     index: int,
     *,
     seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
+    config: CampaignConfig = DEFAULT_CONFIG,
     rng: Optional[random.Random] = None,
     metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
     extra_observers: Sequence[object] = (),
     alarm_sink=None,
 ) -> AttackExecution:
@@ -312,17 +367,13 @@ def run_attack_detailed(
       (the kill-session policy); the exception propagates to the
       caller.
     """
-    if attack_model not in ("input", "process"):
-        raise ValueError(f"unknown attack model {attack_model!r}")
-    if timing_mode not in (None, "exact", "segment"):
-        raise ValueError(f"unknown timing mode {timing_mode!r}")
     if rng is None:
         rng = attack_rng(seed_prefix, workload.name, index)
     inputs = workload.make_inputs(rng)
 
     # 1. Clean monitored run: reference trace + zero-FP assertion.
     clean, clean_ipds = monitored_run(
-        program, inputs=inputs, step_limit=step_limit
+        program, inputs=inputs, step_limit=config.step_limit
     )
     if clean_ipds.detected:
         raise CampaignError(
@@ -330,11 +381,10 @@ def run_attack_detailed(
             f"{clean_ipds.alarms[0]}"
         )
 
-    # 2. Choose the trigger and probe the attack surface there.
-    if attack_model == "process":
+    # 2. Choose the trigger; the target is drawn when it fires.
+    if config.attack_model == "process":
         trigger_kind = "step"
         trigger = rng.randint(1, max(2, clean.steps - 1))
-        probe_spec = ("step", trigger)
     else:
         trigger_kind = "read"
         max_trigger = max(clean.reads_consumed, workload.min_trigger_read)
@@ -342,35 +392,26 @@ def run_attack_detailed(
             workload.min_trigger_read,
             max(workload.min_trigger_read, max_trigger),
         )
-        probe_spec = ("read", trigger)
-    probe_interp = Interpreter(
-        program.module,
-        inputs=inputs,
-        probe=probe_spec,
-        step_limit=step_limit,
+    draw = TargetDraw(
+        rng,
+        widen=config.attack_model == "process" or workload.vuln_kind == "fmt",
     )
-    probe_interp.run()
-    candidates: List[Tuple[int, str, str]] = list(probe_interp.probe_slots)
-    if attack_model == "process" or workload.vuln_kind == "fmt":
-        candidates.extend(probe_interp.memory.global_slots())
-    if not candidates:
-        candidates = probe_interp.memory.global_slots()
-
-    address, owner, var_name = rng.choice(candidates)
-    value = rng.choice(TAMPER_VALUES)
 
     # 3. The attack run (flight-recorded when forensics is on, timed
     # when a timing mode is selected).
-    tamper = TamperSpec(trigger_kind, trigger, address, value)
-    recorder = FlightRecorder(flight_recorder_depth) if forensics else None
+    recorder = (
+        FlightRecorder(config.flight_recorder_depth)
+        if config.forensics
+        else None
+    )
     timing_model = None
-    if timing_mode is not None:
+    if config.timing_mode is not None:
         from ..cpu.ipds_hw import IPDSHardwareModel
         from ..cpu.pipeline import TimingModel
         from ..cpu.simulator import TimingObserver
 
         timing_model = TimingModel(
-            ipds=IPDSHardwareModel(program.tables), mode=timing_mode
+            ipds=IPDSHardwareModel(program.tables), mode=config.timing_mode
         )
         observers = (TimingObserver(timing_model), *extra_observers)
     else:
@@ -379,17 +420,18 @@ def run_attack_detailed(
     attacked, ipds = monitored_run(
         program,
         inputs=inputs,
-        tamper=tamper,
-        step_limit=step_limit,
+        tamper=LazyTamper(trigger_kind, trigger, draw),
+        step_limit=config.step_limit,
         flight_recorder=recorder,
         observers=observers,
         alarm_sink=alarm_sink,
     )
     attack_seconds = time.perf_counter() - attack_started
+    address, target_label, value = draw.drawn(program.module)
     reports: List[object] = []
     explanations: Tuple[str, ...] = ()
     proof_reasons: Tuple[str, ...] = ()
-    if forensics and ipds.detected:
+    if config.forensics and ipds.detected:
         from ..forensics import explain_ipds
 
         reports = explain_ipds(ipds)
@@ -407,7 +449,7 @@ def run_attack_detailed(
     )
     if metrics is not None:
         metrics.increment("campaign.attacks")
-        metrics.increment("campaign.executions", 3)  # clean + probe + attack
+        metrics.increment("campaign.executions", 2)  # clean + attack
         metrics.increment("interp.steps", clean.steps + attacked.steps)
         metrics.increment(
             "ipds.events", clean_ipds.stats.events + ipds.stats.events
@@ -427,7 +469,7 @@ def run_attack_detailed(
         index=index,
         trigger_read=trigger,
         address=address,
-        target_label=f"{owner}.{var_name}",
+        target_label=target_label,
         value=value,
         fired=attacked.tamper_fired,
         control_flow_changed=changed,
@@ -454,132 +496,32 @@ def run_workload_campaign(
     workload: Workload,
     attacks: int = 100,
     seed_prefix: str = "",
-    step_limit: int = 500_000,
+    config: CampaignConfig = DEFAULT_CONFIG,
+    *,
     program: Optional[ProtectedProgram] = None,
-    attack_model: str = "input",
-    opt_level: int = 0,
     jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
     tracer=None,
 ) -> WorkloadResult:
     """Attack one workload ``attacks`` times independently.
 
-    ``jobs > 1`` shards the attack indices across a process pool via
-    :mod:`repro.parallel.engine`; the merged result is identical to the
-    serial one for the same ``seed_prefix``.  The sharded path ignores
-    a pre-compiled ``program`` — workers recompile through the
-    content-addressed cache instead (same program, built once per
-    process).  ``metrics`` accumulates campaign telemetry (merged back
-    across shards when sharded).
+    A one-workload :func:`repro.parallel.engine.run_campaign`: the
+    merged result is identical at any ``jobs`` for the same
+    ``seed_prefix``.  ``program`` (a pre-compiled program) is what the
+    in-process ``jobs=1`` shard attacks; pool shards ignore it and
+    recompile through the content-addressed cache instead (same
+    program, built once per process).  ``metrics`` accumulates campaign
+    telemetry, merged back across shards.
     """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs > 1:
-        from ..parallel.engine import run_workload_sharded
+    from ..parallel.engine import run_campaign
 
-        return run_workload_sharded(
-            workload,
-            attacks,
-            seed_prefix=seed_prefix,
-            step_limit=step_limit,
-            attack_model=attack_model,
-            opt_level=opt_level,
-            jobs=jobs,
-            metrics=metrics,
-            forensics=forensics,
-            flight_recorder_depth=flight_recorder_depth,
-            timing_mode=timing_mode,
-            tracer=tracer,
-        )
-    from ..observability.tracing import maybe_span
-
-    with maybe_span(
-        tracer, "workload", workload=workload.name, attacks=attacks
-    ):
-        if program is None:
-            from ..pipeline import compile_program_cached
-
-            with maybe_span(tracer, "compile", workload=workload.name):
-                program = compile_program_cached(
-                    workload.source, workload.name, opt_level
-                )
-        if metrics is not None:
-            metrics.increment("campaign.workloads")
-            metrics.increment("campaign.jobs")
-        result = WorkloadResult(
-            workload=workload.name,
-            vuln_kind=workload.vuln_kind,
-            timing_mode=timing_mode,
-        )
-        for index in range(attacks):
-            result.attacks.append(
-                run_attack(
-                    program, workload, index,
-                    seed_prefix=seed_prefix, step_limit=step_limit,
-                    attack_model=attack_model, metrics=metrics,
-                    forensics=forensics,
-                    flight_recorder_depth=flight_recorder_depth,
-                    timing_mode=timing_mode,
-                )
-            )
-    return result
-
-
-def run_campaign(
-    workloads: Optional[Sequence[Workload]] = None,
-    attacks: int = 100,
-    *,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    opt_level: int = 0,
-    jobs: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-    tracer=None,
-) -> CampaignSummary:
-    """The Figure-7 experiment, optionally sharded across processes.
-
-    The canonical campaign entry point: ``jobs=1`` runs inline,
-    ``jobs=N`` fans shards out over a ``ProcessPoolExecutor`` and
-    merges outcomes back into index order.  Either way the zero-FP
-    invariant is asserted globally (any clean-run alarm raises
-    :class:`CampaignError`), and outcomes — hence rendered reports —
-    are byte-identical at any job count.  ``metrics`` accumulates
-    telemetry (per-workload spans, event/step counters); sharded runs
-    merge worker-side counters back into it at the join point.
-    """
-    from ..parallel.engine import run_campaign as _engine_run_campaign
-
-    return _engine_run_campaign(
-        workloads,
+    return run_campaign(
+        [workload],
         attacks,
         seed_prefix=seed_prefix,
-        step_limit=step_limit,
-        attack_model=attack_model,
-        opt_level=opt_level,
+        config=config,
         jobs=jobs,
         metrics=metrics,
-        forensics=forensics,
-        flight_recorder_depth=flight_recorder_depth,
-        timing_mode=timing_mode,
         tracer=tracer,
-    )
-
-
-def run_full_campaign(
-    attacks: int = 100,
-    seed_prefix: str = "",
-    workloads: Optional[Sequence[Workload]] = None,
-    jobs: int = 1,
-) -> CampaignSummary:
-    """The whole Figure-7 experiment: every workload × N attacks."""
-    chosen = resolve_workloads(workloads)
-    return run_campaign(
-        chosen, attacks, seed_prefix=seed_prefix, jobs=jobs
-    )
+        program=program,
+    ).results[0]

@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..attacks.campaign import TAMPER_VALUES
-from ..interp.interpreter import Interpreter, TamperSpec
+from ..attacks.campaign import CampaignError, TargetDraw
+from ..interp.interpreter import LazyTamper, Tamper
 from ..ir.instructions import Call, Instruction
 from ..pipeline import ProtectedProgram, compile_program, observed_run
 from ..runtime.observer import ExecutionObserver
@@ -63,7 +63,7 @@ class SyscallTraceObserver(ExecutionObserver):
 def capture_trace(
     program: ProtectedProgram,
     inputs: Sequence[int],
-    tamper: Optional[TamperSpec] = None,
+    tamper: Optional[Tamper] = None,
     step_limit: int = 500_000,
 ) -> Tuple[List[str], List[Tuple[int, bool]], bool]:
     """Run once; returns (syscall trace, branch trace, ipds detected).
@@ -121,7 +121,12 @@ def compare_detectors(
     program: Optional[ProtectedProgram] = None,
     step_limit: int = 500_000,
 ) -> ComparisonResult:
-    """Run the full head-to-head for one workload."""
+    """Run the full head-to-head for one workload.
+
+    Raises :class:`~repro.attacks.campaign.CampaignError` if the IPDS
+    alarms on a clean test session — the zero-false-positive guarantee
+    is checked, not assumed.
+    """
     from .ngram import NGramDetector
 
     if program is None:
@@ -141,7 +146,10 @@ def compare_detectors(
         trace, _, ipds_detected = capture_trace(
             program, workload.make_inputs(rng), step_limit=step_limit
         )
-        assert not ipds_detected, "IPDS false positive (impossible)"
+        if ipds_detected:
+            raise CampaignError(
+                f"false positive on clean session {index} of {workload.name}"
+            )
         if detector.detects(trace):
             false_positives += 1
 
@@ -156,20 +164,12 @@ def compare_detectors(
             workload.min_trigger_read,
             max(workload.min_trigger_read, len(inputs)),
         )
-        probe = Interpreter(
-            program.module, inputs=inputs,
-            probe=("read", trigger), step_limit=step_limit,
-        )
-        probe.run()
-        candidates = list(probe.probe_slots)
-        if workload.vuln_kind == "fmt" or not candidates:
-            candidates.extend(probe.memory.global_slots())
-        address, _, _ = rng.choice(candidates)
-        value = rng.choice(TAMPER_VALUES)
+        # The Figure-7 input-model target, drawn when the trigger fires.
+        draw = TargetDraw(rng, widen=workload.vuln_kind == "fmt")
         attacked_sys, attacked_branches, ipds_detected = capture_trace(
             program,
             inputs,
-            tamper=TamperSpec("read", trigger, address, value),
+            tamper=LazyTamper("read", trigger, draw),
             step_limit=step_limit,
         )
         if attacked_branches != clean_branches:

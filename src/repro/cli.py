@@ -61,7 +61,7 @@ import random
 import sys
 from typing import List, Optional, Sequence
 
-from .attacks.campaign import run_campaign, run_workload_campaign
+from .attacks.campaign import CampaignConfig, run_workload_campaign
 from .correlation.encoding import table_sizes
 from .cpu.simulator import normalized_performance
 from .interp.interpreter import TamperSpec
@@ -77,6 +77,7 @@ from .observability import (
     write_prometheus,
     write_spans,
 )
+from .parallel.engine import run_campaign
 from .pipeline import compile_program, compile_program_cached
 from .runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
 from .runtime.replay import TraceRecorder
@@ -679,19 +680,22 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         seed_prefix=args.seed_prefix,
         timing_mode=args.timing_mode,
     )
+    config = CampaignConfig(
+        attack_model=args.model,
+        opt_level=args.opt,
+        forensics=args.forensics,
+        flight_recorder_depth=args.flight_recorder_depth,
+        timing_mode=args.timing_mode,
+    )
     if args.workload == "all":
         from .reporting import render_figure7
 
         summary = run_campaign(
             attacks=args.attacks,
             seed_prefix=args.seed_prefix,
-            attack_model=args.model,
-            opt_level=args.opt,
+            config=config,
             jobs=args.jobs,
             metrics=metrics,
-            forensics=args.forensics,
-            flight_recorder_depth=args.flight_recorder_depth,
-            timing_mode=args.timing_mode,
             tracer=tracer,
         )
         print(render_figure7(summary))
@@ -707,13 +711,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
             workload,
             attacks=args.attacks,
             seed_prefix=args.seed_prefix,
-            attack_model=args.model,
-            opt_level=args.opt,
+            config=config,
             jobs=args.jobs,
             metrics=metrics,
-            forensics=args.forensics,
-            flight_recorder_depth=args.flight_recorder_depth,
-            timing_mode=args.timing_mode,
             tracer=tracer,
         )
         print(f"workload {workload.name} ({workload.vuln_kind}), "

@@ -4,6 +4,7 @@ from .interpreter import (
     EventListener,
     Interpreter,
     InterpreterError,
+    LazyTamper,
     RunResult,
     RunStatus,
     TamperSpec,
@@ -17,6 +18,7 @@ __all__ = [
     "GLOBAL_BASE",
     "Interpreter",
     "InterpreterError",
+    "LazyTamper",
     "MemoryMap",
     "RunResult",
     "RunStatus",

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.function import IRFunction, IRModule
 from ..ir.instructions import (
@@ -77,8 +77,39 @@ class TamperSpec:
     value: int
 
     def __post_init__(self) -> None:
-        if self.trigger_kind not in ("read", "step"):
-            raise ValueError(f"bad trigger kind {self.trigger_kind!r}")
+        _check_trigger_kind(self.trigger_kind)
+
+
+#: A live stack word: ``(address, function, variable)``.
+Slot = Tuple[int, str, str]
+
+
+@dataclass(frozen=True)
+class LazyTamper:
+    """A tampering whose target word is chosen when the trigger fires.
+
+    Same trigger as :class:`TamperSpec`; at the trigger moment the
+    interpreter calls ``choose(live_slots, memory)`` with the live
+    stack words of every active frame (outer→inner) and the memory
+    map, and writes the ``(address, value)`` it returns — the attacker
+    picking a target from the attack surface as it stands then.
+    """
+
+    trigger_kind: str
+    trigger_value: int
+    choose: Callable[[List[Slot], MemoryMap], Tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        _check_trigger_kind(self.trigger_kind)
+
+
+def _check_trigger_kind(kind: str) -> None:
+    if kind not in ("read", "step"):
+        raise ValueError(f"bad trigger kind {kind!r}")
+
+
+#: Either tampering shape: a fixed target or one chosen at the trigger.
+Tamper = Union[TamperSpec, LazyTamper]
 
 
 @dataclass
@@ -148,11 +179,10 @@ class Interpreter:
         entry: str = "main",
         step_limit: int = 2_000_000,
         call_depth_limit: int = 256,
-        tamper: Optional[TamperSpec] = None,
+        tamper: Optional[Tamper] = None,
         event_listeners: Sequence[EventListener] = (),
         instruction_listener: Optional[InstructionListener] = None,
         trace_branches: bool = True,
-        probe: Optional[Tuple[str, int]] = None,
         syscall_listener: Optional[Callable[[str, int], None]] = None,
         observers: Sequence[object] = (),
         batched_delivery: bool = True,
@@ -215,13 +245,6 @@ class Interpreter:
         self._outputs: List[int] = []
         self._branch_trace: List[Tuple[int, bool]] = []
         self._steps = 0
-        # Probe mode: like a tamper trigger, but instead of corrupting
-        # memory it records the attack surface (the attacker casing the
-        # program on their own machine).  (kind, value) as in TamperSpec.
-        self._probe = probe
-        self._probe_fired = False
-        #: Live stack words at the probe moment: (address, fn, var).
-        self.probe_slots: List[Tuple[int, str, str]] = []
 
     # -- public API -----------------------------------------------------
 
@@ -311,41 +334,27 @@ class Interpreter:
             return activation.regs[operand]
         return operand
 
-    def _maybe_probe(self, kind: str, count: int) -> None:
-        if (
-            self._probe is not None
-            and not self._probe_fired
-            and self._probe[0] == kind
-            and count >= self._probe[1]
-        ):
-            self.probe_slots = self.memory.live_stack_slots(
-                self.live_activations()
-            )
-            self._probe_fired = True
-
     def _maybe_tamper_after_read(self) -> None:
-        self._maybe_probe("read", self._input_cursor)
         if (
             self._tamper is not None
             and not self._tamper_fired
             and self._tamper.trigger_kind == "read"
             and self._input_cursor >= self._tamper.trigger_value
         ):
-            self.memory.write(self._tamper.address, self._tamper.value)
-            self._tamper_fired = True
-            self._record_tamper_site()
+            self._fire_tamper()
 
-    def _maybe_tamper_after_step(self) -> None:
-        self._maybe_probe("step", self._steps)
-        if (
-            self._tamper is not None
-            and not self._tamper_fired
-            and self._tamper.trigger_kind == "step"
-            and self._steps >= self._tamper.trigger_value
-        ):
-            self.memory.write(self._tamper.address, self._tamper.value)
-            self._tamper_fired = True
-            self._record_tamper_site()
+    def _fire_tamper(self) -> None:
+        tamper = self._tamper
+        if isinstance(tamper, LazyTamper):
+            address, value = tamper.choose(
+                self.memory.live_stack_slots(self.live_activations()),
+                self.memory,
+            )
+        else:
+            address, value = tamper.address, tamper.value
+        self.memory.write(address, value)
+        self._tamper_fired = True
+        self._record_tamper_site()
 
     def _record_tamper_site(self) -> None:
         """Snapshot the frame stack at the corruption moment.
@@ -383,7 +392,13 @@ class Interpreter:
         step_limit = self._step_limit
         depth_limit = self._call_depth_limit
         emit_instruction = self._emit_instruction
-        maybe_tamper = self._maybe_tamper_after_step
+        # Only a step trigger needs a check after every instruction.
+        tamper = self._tamper
+        step_trigger = (
+            tamper.trigger_value
+            if tamper is not None and tamper.trigger_kind == "step"
+            else None
+        )
         batching = self._batch_sink is not None
         buffer_instructions = self._buffer_instructions
         buffer_touched = self._buffer_touched
@@ -411,7 +426,12 @@ class Interpreter:
                     flush()
             elif emit_instruction is not None:
                 emit_instruction(instruction, outcome)
-            maybe_tamper()
+            if (
+                step_trigger is not None
+                and self._steps >= step_trigger
+                and not self._tamper_fired
+            ):
+                self._fire_tamper()
             if not stack:
                 # Entry function returned; final value captured below.
                 final_value = self._final_value
@@ -587,7 +607,7 @@ def run_program(
     module: IRModule,
     inputs: Sequence[int] = (),
     entry: str = "main",
-    tamper: Optional[TamperSpec] = None,
+    tamper: Optional[Tamper] = None,
     event_listeners: Sequence[EventListener] = (),
     step_limit: int = 2_000_000,
     observers: Sequence[object] = (),

@@ -2,11 +2,10 @@
 
 Public surface:
 
-* :func:`run_campaign` / :func:`run_workload_sharded` /
-  :func:`run_clean_sweep` — deterministic sharded campaigns (same
-  merged outcomes at any ``jobs``);
+* :func:`run_campaign` / :func:`run_clean_sweep` — deterministic
+  sharded campaigns (same merged outcomes at any ``jobs``);
 * :func:`cached_compile` and friends — the content-addressed compile
-  cache both the serial and sharded paths go through.
+  cache every campaign shard goes through.
 """
 
 from .cache import (
@@ -26,7 +25,6 @@ from .engine import (
     merge_outcomes,
     run_campaign,
     run_clean_sweep,
-    run_workload_sharded,
     shard_indices,
 )
 
@@ -45,6 +43,5 @@ __all__ = [
     "reset_compile_cache",
     "run_campaign",
     "run_clean_sweep",
-    "run_workload_sharded",
     "shard_indices",
 ]

@@ -8,11 +8,14 @@ any order, on any process, and still reproduce the serial campaign
 bit-for-bit.  This engine exploits that: it slices each workload's
 index range into contiguous shards, runs shards on a
 :class:`~concurrent.futures.ProcessPoolExecutor`, and merges outcomes
-back into index order.  ``jobs=1`` short-circuits to a plain serial
-loop, and the merged result is identical at any job count.
+back into index order.  :func:`_run_shard` is the one attack loop:
+``jobs=1`` runs a single in-process shard over every index through the
+same loop and the same merge, so the merged result is identical at any
+job count.
 
-Workers receive only primitives (workload *names* plus scalar knobs) —
-each worker resolves the workload from the registry and compiles it
+Workers receive only a picklable :class:`ShardTask` (workload *name*,
+indices, and the frozen :class:`~repro.attacks.campaign.CampaignConfig`)
+— each worker resolves the workload from the registry and compiles it
 through the content-addressed compile cache, so a workload's
 :class:`ProtectedProgram` is built at most once per process regardless
 of how many shards land there.
@@ -26,12 +29,15 @@ the remaining shards.
 from __future__ import annotations
 
 import random
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..attacks.campaign import (
+    DEFAULT_CONFIG,
     AttackOutcome,
+    CampaignConfig,
     CampaignError,
     CampaignSummary,
     WorkloadResult,
@@ -39,8 +45,7 @@ from ..attacks.campaign import (
 )
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import TraceContext, Tracer, maybe_span
-from ..pipeline import monitored_run
-from ..runtime.flight_recorder import DEFAULT_DEPTH
+from ..pipeline import ProtectedProgram, monitored_run
 from ..workloads.registry import Workload, get_workload, resolve_workloads
 from .cache import cached_compile
 
@@ -56,13 +61,8 @@ class ShardTask:
     workload: str
     indices: Tuple[int, ...]
     seed_prefix: str
-    step_limit: int
-    attack_model: str
-    opt_level: int
+    config: CampaignConfig
     collect_metrics: bool = False
-    forensics: bool = False
-    flight_recorder_depth: int = DEFAULT_DEPTH
-    timing_mode: Optional[str] = None
     #: Trace linkage for the worker's spans (two short strings — the
     #: only tracing state that crosses the pickle boundary).  None means
     #: tracing is off and the worker records no spans.
@@ -125,18 +125,21 @@ def _normalize_jobs(jobs: int) -> int:
     return min(jobs, MAX_JOBS)
 
 
-def _workload_name(workload: Union[Workload, str]) -> str:
-    name = workload if isinstance(workload, str) else workload.name
-    # Shards resolve workloads by name inside the worker; fail fast in
-    # the parent if the name is not registered (ad-hoc Workload objects
-    # outside the registry only support the serial path).
-    get_workload(name)
-    return name
+def _run_shard(
+    task: ShardTask,
+    workload: Optional[Workload] = None,
+    program: Optional[ProtectedProgram] = None,
+) -> ShardResult:
+    """The attack loop: one shard of one workload's campaign.
 
-
-def _run_shard(task: ShardTask) -> ShardResult:
-    """Worker entry point: one shard of one workload's campaign."""
-    workload = get_workload(task.workload)
+    Pool workers get only the task and resolve the workload and its
+    program themselves; the in-process shard of a ``jobs=1`` campaign
+    passes them in, so ad-hoc workloads and pre-compiled programs work
+    there.
+    """
+    if workload is None:
+        workload = get_workload(task.workload)
+    config = task.config
     tracer = (
         Tracer(context=task.trace_context)
         if task.trace_context is not None
@@ -149,10 +152,11 @@ def _run_shard(task: ShardTask) -> ShardResult:
         attacks=len(task.indices),
         first_index=task.indices[0] if task.indices else -1,
     ):
-        with maybe_span(tracer, "shard.compile", workload=task.workload):
-            program = cached_compile(
-                workload.source, workload.name, task.opt_level
-            )
+        if program is None:
+            with maybe_span(tracer, "shard.compile", workload=task.workload):
+                program = cached_compile(
+                    workload.source, workload.name, config.opt_level
+                )
         registry = MetricsRegistry() if task.collect_metrics else None
         outcomes = [
             run_attack(
@@ -160,19 +164,15 @@ def _run_shard(task: ShardTask) -> ShardResult:
                 workload,
                 index,
                 seed_prefix=task.seed_prefix,
-                step_limit=task.step_limit,
-                attack_model=task.attack_model,
+                config=config,
                 metrics=registry,
-                forensics=task.forensics,
-                flight_recorder_depth=task.flight_recorder_depth,
-                timing_mode=task.timing_mode,
             )
             for index in task.indices
         ]
     return ShardResult(
         outcomes=outcomes,
         metrics=registry.snapshot() if registry is not None else None,
-        timing_mode=task.timing_mode,
+        timing_mode=config.timing_mode,
         spans=tracer.span_dicts() if tracer is not None else [],
     )
 
@@ -246,73 +246,26 @@ def merge_shard_results(
     return result
 
 
-def _serial_workload(
-    workload: Workload,
-    attacks: int,
-    seed_prefix: str,
-    step_limit: int,
-    attack_model: str,
-    opt_level: int,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-) -> WorkloadResult:
-    program = cached_compile(workload.source, workload.name, opt_level)
-    result = WorkloadResult(
-        workload=workload.name,
-        vuln_kind=workload.vuln_kind,
-        timing_mode=timing_mode,
-    )
-    for index in range(attacks):
-        result.attacks.append(
-            run_attack(
-                program,
-                workload,
-                index,
-                seed_prefix=seed_prefix,
-                step_limit=step_limit,
-                attack_model=attack_model,
-                metrics=metrics,
-                forensics=forensics,
-                flight_recorder_depth=flight_recorder_depth,
-                timing_mode=timing_mode,
-            )
-        )
-    return result
-
-
-def run_workload_sharded(
-    workload: Union[Workload, str],
-    attacks: int = 100,
-    *,
-    seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    opt_level: int = 0,
-    jobs: int = 1,
-    metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
-    tracer: Optional[Tracer] = None,
-) -> WorkloadResult:
-    """One workload's campaign, sharded across ``jobs`` processes."""
-    summary = run_campaign(
-        workloads=[_workload_name(workload)],
-        attacks=attacks,
-        seed_prefix=seed_prefix,
-        step_limit=step_limit,
-        attack_model=attack_model,
-        opt_level=opt_level,
-        jobs=jobs,
-        metrics=metrics,
-        forensics=forensics,
-        flight_recorder_depth=flight_recorder_depth,
-        timing_mode=timing_mode,
-        tracer=tracer,
-    )
-    return summary.results[0]
+def _run_pooled(
+    tasks: Dict[str, List[ShardTask]], jobs: int
+) -> Dict[str, List[ShardResult]]:
+    """Every workload's shards on a process pool, results in task order."""
+    with ProcessPoolExecutor(max_workers=jobs) as executor:
+        try:
+            futures = {
+                name: [executor.submit(_run_shard, task) for task in shard_tasks]
+                for name, shard_tasks in tasks.items()
+            }
+            return {
+                name: [future.result() for future in pending]
+                for name, pending in futures.items()
+            }
+        except BaseException:
+            # Ctrl-C (KeyboardInterrupt) and shard failures alike:
+            # cancel queued shards and return immediately rather than
+            # draining the pool; the CLI maps the interrupt to exit 130.
+            executor.shutdown(wait=False, cancel_futures=True)
+            raise
 
 
 def run_campaign(
@@ -320,35 +273,39 @@ def run_campaign(
     attacks: int = 100,
     *,
     seed_prefix: str = "",
-    step_limit: int = 500_000,
-    attack_model: str = "input",
-    opt_level: int = 0,
+    config: CampaignConfig = DEFAULT_CONFIG,
     jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
-    forensics: bool = False,
-    flight_recorder_depth: int = DEFAULT_DEPTH,
-    timing_mode: Optional[str] = None,
     tracer: Optional[Tracer] = None,
+    program: Optional[ProtectedProgram] = None,
 ) -> CampaignSummary:
-    """The full campaign, sharded across a process pool.
+    """The Figure-7 experiment, optionally sharded across processes.
 
-    Identical merged outcomes (and therefore byte-identical reports) at
-    any ``jobs`` value; ``jobs=1`` runs inline without a pool.
+    The canonical campaign entry point.  Identical merged outcomes (and
+    therefore byte-identical reports) at any ``jobs`` value: ``jobs=1``
+    runs one in-process shard per workload, ``jobs=N`` fans shards out
+    over a process pool, and both go through :func:`_run_shard` and the
+    same merge.  Either way the zero-FP invariant is asserted globally
+    (any clean-run alarm raises :class:`CampaignError`).
 
-    ``metrics`` accumulates telemetry: per-workload wall-clock spans
-    plus the counters every attack records.  On the sharded path the
-    workers collect counters locally and return picklable snapshots
-    that are folded back into the parent registry at the merge point,
-    so the numbers are job-count-independent (spans, being wall-clock,
-    are not — they measure the actual schedule).
+    ``metrics`` accumulates telemetry: the counters every attack
+    records, plus per-workload wall-clock spans on the in-process path.
+    Each shard collects counters locally and returns a picklable
+    snapshot that is folded back into ``metrics`` at the merge point,
+    so the counters are job-count-independent.
 
     ``tracer`` (optional) records a hierarchical span tree: one
-    ``campaign`` root, per-workload child spans, and — on the sharded
-    path — per-shard worker spans linked back under the root via the
-    :class:`TraceContext` shipped in each :class:`ShardTask`.
+    ``campaign`` root with one ``shard`` span per shard, linked back
+    under the root via the :class:`TraceContext` shipped in each
+    :class:`ShardTask`.
+
+    ``program`` (one-workload campaigns only) is a pre-compiled program
+    for the in-process shard; pool shards compile through the cache.
     """
     jobs = _normalize_jobs(jobs)
     chosen = resolve_workloads(workloads)
+    if program is not None and len(chosen) != 1:
+        raise ValueError("a pre-compiled program needs exactly one workload")
     if metrics is not None:
         metrics.increment("campaign.workloads", len(chosen))
         metrics.increment("campaign.jobs", jobs)
@@ -358,102 +315,71 @@ def run_campaign(
         workloads=len(chosen),
         attacks=attacks,
         jobs=jobs,
-        attack_model=attack_model,
-        opt_level=opt_level,
+        attack_model=config.attack_model,
+        opt_level=config.opt_level,
     ):
-        if jobs == 1 or attacks <= 0 or not chosen:
-            results = []
-            for workload in chosen:
-                with maybe_span(
-                    tracer, "workload",
-                    workload=workload.name, attacks=attacks,
-                ):
-                    if metrics is not None:
-                        with metrics.span(f"workload.{workload.name}"):
-                            results.append(
-                                _serial_workload(
-                                    workload, attacks, seed_prefix,
-                                    step_limit, attack_model, opt_level,
-                                    metrics, forensics,
-                                    flight_recorder_depth, timing_mode,
-                                )
-                            )
-                    else:
-                        results.append(
-                            _serial_workload(
-                                workload, attacks, seed_prefix, step_limit,
-                                attack_model, opt_level,
-                                forensics=forensics,
-                                flight_recorder_depth=flight_recorder_depth,
-                                timing_mode=timing_mode,
-                            )
-                        )
-            return CampaignSummary(results)
-
-        # Warm the in-process cache before forking so fork-based workers
-        # inherit compiled programs for free; spawn-based workers fall
-        # back to compiling (through their own cache) once per process.
-        for workload in chosen:
-            cached_compile(workload.source, workload.name, opt_level)
-
-        collect_metrics = metrics is not None
         trace_context = (
             tracer.current_context() if tracer is not None else None
         )
-        futures: Dict[str, List[Future]] = {}
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            try:
-                for workload in chosen:
-                    futures[workload.name] = [
-                        executor.submit(
-                            _run_shard,
-                            ShardTask(
-                                workload=workload.name,
-                                indices=block,
-                                seed_prefix=seed_prefix,
-                                step_limit=step_limit,
-                                attack_model=attack_model,
-                                opt_level=opt_level,
-                                collect_metrics=collect_metrics,
-                                forensics=forensics,
-                                flight_recorder_depth=flight_recorder_depth,
-                                timing_mode=timing_mode,
-                                trace_context=trace_context,
-                            ),
+
+        def task(workload: Workload, indices: Tuple[int, ...]) -> ShardTask:
+            return ShardTask(
+                workload=workload.name,
+                indices=indices,
+                seed_prefix=seed_prefix,
+                config=config,
+                collect_metrics=metrics is not None,
+                trace_context=trace_context,
+            )
+
+        if jobs == 1 or attacks <= 0 or not chosen:
+            shards: Dict[str, List[ShardResult]] = {}
+            for workload in chosen:
+                timed = (
+                    metrics.span(f"workload.{workload.name}")
+                    if metrics is not None
+                    else nullcontext()
+                )
+                with timed:
+                    shards[workload.name] = [
+                        _run_shard(
+                            task(workload, tuple(range(attacks))),
+                            workload,
+                            program,
                         )
+                    ]
+        else:
+            for workload in chosen:
+                # Shards resolve workloads by name: fail fast here on an
+                # unregistered one.  Warming the in-process cache before
+                # forking lets fork-based workers inherit compiled
+                # programs; spawn-based ones compile once per process.
+                get_workload(workload.name)
+                cached_compile(workload.source, workload.name, config.opt_level)
+            shards = _run_pooled(
+                {
+                    workload.name: [
+                        task(workload, block)
                         for block in shard_indices(attacks, jobs)
                     ]
-                results = []
-                for workload in chosen:
-                    shard_results = [
-                        future.result() for future in futures[workload.name]
-                    ]
-                    if metrics is not None:
-                        with metrics.span(f"workload.{workload.name}.merge"):
-                            merged = merge_shard_results(
-                                workload, attacks, shard_results
-                            )
-                        metrics.increment(
-                            "campaign.shards", len(shard_results)
-                        )
-                        for shard in shard_results:
-                            metrics.merge_snapshot(shard.metrics)
-                    else:
-                        merged = merge_shard_results(
-                            workload, attacks, shard_results
-                        )
-                    if tracer is not None:
-                        for shard in shard_results:
-                            tracer.adopt(shard.spans)
-                    results.append(merged)
-            except BaseException:
-                # Ctrl-C (KeyboardInterrupt) and shard failures alike:
-                # cancel queued shards and return immediately rather
-                # than draining the pool; the CLI maps the interrupt to
-                # exit 130.
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-        return CampaignSummary(results)
+                    for workload in chosen
+                },
+                jobs,
+            )
+        results = []
+        for workload in chosen:
+            workload_shards = shards[workload.name]
+            results.append(
+                merge_shard_results(workload, attacks, workload_shards)
+            )
+            for shard in workload_shards:
+                if metrics is not None:
+                    metrics.merge_snapshot(shard.metrics)
+                if tracer is not None:
+                    tracer.adopt(shard.spans)
+            if metrics is not None:
+                metrics.increment("campaign.shards", len(workload_shards))
+    return CampaignSummary(results)
 
 
 def run_clean_sweep(

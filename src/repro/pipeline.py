@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .correlation.bat_builder import BuildStats, build_program_tables
 from .correlation.tables import ProgramTables
-from .interp.interpreter import Interpreter, RunResult, TamperSpec, run_program
+from .interp.interpreter import Interpreter, RunResult, Tamper, TamperSpec, run_program
 from .ir.function import IRModule
 from .ir.builder import lower_program
 from .ir.validate import verify_module
@@ -154,7 +154,7 @@ def observed_run(
     observers: Sequence[object] = (),
     inputs: Sequence[int] = (),
     entry: str = "main",
-    tamper: Optional[TamperSpec] = None,
+    tamper: Optional[Tamper] = None,
     step_limit: int = 2_000_000,
     trace_branches: bool = True,
 ) -> RunResult:
@@ -167,6 +167,10 @@ def observed_run(
         ipds = program.new_ipds()
         recorder = TraceRecorder()
         result = observed_run(program, [ipds, recorder], inputs=[...])
+
+    ``tamper`` is a fixed :class:`TamperSpec` or a
+    :class:`~repro.interp.interpreter.LazyTamper` whose target hook
+    picks the word when the trigger fires.
     """
     interpreter = Interpreter(
         program.module,
@@ -184,7 +188,7 @@ def monitored_run(
     program: ProtectedProgram,
     inputs: Sequence[int] = (),
     entry: str = "main",
-    tamper: Optional[TamperSpec] = None,
+    tamper: Optional[Tamper] = None,
     step_limit: int = 2_000_000,
     halt_on_alarm: bool = False,
     allow_unprotected: bool = False,

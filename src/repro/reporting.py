@@ -14,11 +14,12 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .attacks.campaign import CampaignSummary, run_campaign
+from .attacks.campaign import CampaignSummary
 from .correlation.encoding import SizeSummary, summarize_sizes
 from .cpu.params import IPDSHardwareParams, ProcessorParams
 from .cpu.simulator import PerformanceComparison, normalized_performance
 from .observability import MetricsRegistry, RunManifest, write_manifest
+from .parallel.engine import run_campaign
 from .pipeline import compile_program_cached
 from .workloads.registry import Workload, all_workloads
 

@@ -34,6 +34,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from ..attacks.campaign import CampaignConfig, run_attack_detailed
 from ..interp.interpreter import RunResult, TamperSpec
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
@@ -426,29 +427,34 @@ class DetectionSession:
         self._explain()
 
     def _execute_attack_indexed(self) -> None:
-        from ..attacks.campaign import run_attack_detailed
         from ..workloads.registry import get_workload
 
-        workload = get_workload(self.spec.workload)
+        spec = self.spec
+        workload = get_workload(spec.workload)
         program = self._compile()
         extra, recorder = self._session_observers()
         with maybe_span(
             self.tracer,
             "session.attack",
             workload=workload.name,
-            attack_index=self.spec.attack_index,
+            attack_index=spec.attack_index,
         ), self.metrics.span("attack"):
             execution = run_attack_detailed(
                 program,
                 workload,
-                self.spec.attack_index,
-                seed_prefix=self.spec.seed_prefix,
-                step_limit=self.spec.effective_step_limit,
-                attack_model=self.spec.attack_model,
+                spec.attack_index,
+                seed_prefix=spec.seed_prefix,
+                # Built from the spec's wire fields; raises ValueError
+                # on an unknown attack model or timing mode.
+                config=CampaignConfig(
+                    step_limit=spec.effective_step_limit,
+                    attack_model=spec.attack_model,
+                    opt_level=spec.opt_level,
+                    forensics=spec.forensics,
+                    flight_recorder_depth=spec.flight_recorder_depth,
+                    timing_mode=spec.timing_mode,
+                ),
                 metrics=self.metrics,
-                forensics=self.spec.forensics,
-                flight_recorder_depth=self.spec.flight_recorder_depth,
-                timing_mode=self.spec.timing_mode,
                 extra_observers=extra,
                 alarm_sink=self._on_alarm,
             )

@@ -31,7 +31,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.alias import analyze_aliases
 from ..analysis.purity import analyze_purity
-from ..attacks.campaign import AttackOutcome, WorkloadResult, run_workload_campaign
+from ..attacks.campaign import (
+    AttackOutcome,
+    CampaignConfig,
+    WorkloadResult,
+    run_workload_campaign,
+)
 from ..forensics.observatory import primary_reason
 from ..interp.state import STACK_BASE, MemoryMap
 from ..ir.instructions import Variable
@@ -337,10 +342,10 @@ def validate_workload(
             workload,
             attacks=attacks,
             seed_prefix=seed_prefix,
-            step_limit=step_limit,
-            opt_level=opt_level,
+            config=CampaignConfig(
+                step_limit=step_limit, opt_level=opt_level, forensics=forensics
+            ),
             jobs=jobs,
-            forensics=forensics,
         )
     return WorkloadSoundness(
         workload=workload.name,

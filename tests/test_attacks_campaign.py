@@ -4,11 +4,17 @@ import pytest
 
 from repro.attacks import (
     AttackOutcome,
+    CampaignConfig,
     CampaignSummary,
     WorkloadResult,
     run_attack,
     run_workload_campaign,
 )
+from repro.attacks import campaign
+from repro.attacks.campaign import run_attack_detailed
+from repro.interp import Interpreter
+from repro.observability import MetricsRegistry
+from repro.parallel import run_campaign
 from repro.pipeline import compile_program
 from repro.workloads import get_workload
 
@@ -93,3 +99,76 @@ def test_fmt_workload_can_target_globals():
     # At least one attack should have landed on a global (the fmt
     # surface includes them).
     assert any(o.target_label.startswith("<global>") for o in outcomes)
+
+
+def test_config_rejects_unknown_attack_model():
+    with pytest.raises(ValueError, match="unknown attack model"):
+        CampaignConfig(attack_model="telepathy")
+
+
+# ----------------------------------------------------------------------
+# Counters count real work
+# ----------------------------------------------------------------------
+
+WORK_COUNTERS = (
+    "campaign.attacks",
+    "campaign.executions",
+    "interp.steps",
+    "ipds.events",
+    "ipds.checks",
+)
+
+
+@pytest.mark.parametrize("model", ["input", "process"])
+def test_counters_count_every_execution(telnetd, model, monkeypatch):
+    """Each attack is exactly two executions, and ``interp.steps``
+    counts every step any interpreter ran — nothing runs unseen."""
+    workload, program = telnetd
+    executed = []
+    real_run = Interpreter.run
+
+    def counting_run(self):
+        result = real_run(self)
+        executed.append(result.steps)
+        return result
+
+    monkeypatch.setattr(Interpreter, "run", counting_run)
+    stats = []
+    real_monitored_run = campaign.monitored_run
+
+    def recording_monitored_run(*args, **kwargs):
+        result, ipds = real_monitored_run(*args, **kwargs)
+        stats.append(ipds.stats)
+        return result, ipds
+
+    monkeypatch.setattr(campaign, "monitored_run", recording_monitored_run)
+    config = CampaignConfig(attack_model=model)
+    for index in range(4):
+        executed.clear()
+        stats.clear()
+        metrics = MetricsRegistry()
+        execution = run_attack_detailed(
+            program, workload, index, config=config, metrics=metrics
+        )
+        assert metrics.value("campaign.executions") == 2 == len(executed)
+        assert metrics.value("interp.steps") == sum(executed)
+        assert sum(executed) == execution.clean.steps + execution.attacked.steps
+        assert metrics.value("ipds.events") == sum(s.events for s in stats)
+        assert metrics.value("ipds.checks") == sum(s.checks for s in stats)
+
+
+def test_sharded_work_counters_equal_serial():
+    def counters(jobs):
+        metrics = MetricsRegistry()
+        run_campaign(
+            ["telnetd", "sysklogd"],
+            attacks=4,
+            seed_prefix="count:",
+            jobs=jobs,
+            metrics=metrics,
+        )
+        return {name: metrics.value(name) for name in WORK_COUNTERS}
+
+    serial = counters(1)
+    assert serial["campaign.executions"] == 2 * serial["campaign.attacks"] == 16
+    assert counters(2) == serial

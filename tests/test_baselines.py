@@ -132,3 +132,23 @@ def test_comparison_deterministic():
         workload, attacks=8, train_sessions=8, test_sessions=8, program=program
     )
     assert a == b
+
+
+def test_clean_session_alarm_raises_campaign_error(monkeypatch):
+    """The zero-FP check is a raise, not an ``assert`` that ``python
+    -O`` would strip: an alarm on a clean test session aborts."""
+    from repro.attacks import CampaignError
+    from repro.baselines import compare
+
+    real_capture = compare.capture_trace
+
+    def alarming_on_clean(program, inputs, tamper=None, step_limit=500_000):
+        symbols, branches, _ = real_capture(
+            program, inputs, tamper=tamper, step_limit=step_limit
+        )
+        return symbols, branches, tamper is None
+
+    monkeypatch.setattr(compare, "capture_trace", alarming_on_clean)
+    workload = get_workload("telnetd")
+    with pytest.raises(CampaignError, match="false positive on clean session 0"):
+        compare_detectors(workload, attacks=1, train_sessions=2, test_sessions=2)

@@ -7,7 +7,12 @@ import dataclasses
 
 import pytest
 
-from repro.attacks import attack_rng, run_attack, run_workload_campaign
+from repro.attacks import (
+    CampaignConfig,
+    attack_rng,
+    run_attack,
+    run_workload_campaign,
+)
 from repro.correlation.binary_image import load_program
 from repro.forensics import explain_alarms
 from repro.interp.interpreter import TamperSpec
@@ -107,10 +112,16 @@ def test_forensics_does_not_perturb_campaigns(name):
     workload = get_workload(name)
     program = compile_program_cached(workload.source, name, 0)
     base = run_workload_campaign(
-        workload, attacks=10, program=program, forensics=False
+        workload,
+        attacks=10,
+        config=CampaignConfig(forensics=False),
+        program=program,
     )
     traced = run_workload_campaign(
-        workload, attacks=10, program=program, forensics=True
+        workload,
+        attacks=10,
+        config=CampaignConfig(forensics=True),
+        program=program,
     )
     for off, on in zip(base.attacks, traced.attacks):
         assert off.explanations == ()
@@ -129,9 +140,8 @@ def test_campaign_forensics_chains_name_the_correlation():
     result = run_workload_campaign(
         workload,
         attacks=12,
+        config=CampaignConfig(forensics=True, flight_recorder_depth=DEPTH),
         program=program,
-        forensics=True,
-        flight_recorder_depth=DEPTH,
     )
     chains = [c for o in result.attacks for c in o.explanations]
     assert chains

@@ -4,8 +4,17 @@ import pytest
 
 from repro.lang import parse_program
 from repro.ir import lower_program
-from repro.interp import GLOBAL_BASE, Interpreter, MemoryMap, RunStatus, TamperSpec, run_program
+from repro.interp import (
+    GLOBAL_BASE,
+    Interpreter,
+    LazyTamper,
+    MemoryMap,
+    RunStatus,
+    TamperSpec,
+    run_program,
+)
 from repro.runtime import BranchEvent, CallEvent, ReturnEvent
+from repro.runtime.observer import ExecutionObserver
 
 
 def lower(source):
@@ -315,18 +324,74 @@ def test_tamper_changes_control_flow():
     assert clean.branch_trace != attacked.branch_trace
 
 
-def test_probe_mode_records_stack_slots():
+def test_lazy_tamper_hook_sees_live_stack_slots():
     source = """
     void helper(int a) { int local = read_int(); emit(local + a); }
     void main() { int x = 3; helper(x); }
     """
     module = lower(source)
-    interp = Interpreter(module, inputs=[4], probe=("read", 1))
-    interp.run()
-    names = {(fn, var) for _, fn, var in interp.probe_slots}
+    seen = []
+
+    def choose(live, memory):
+        seen.append(live)
+        (param,) = [address for address, fn, var in live if var == "a"]
+        return param, 10
+
+    result = run_program(
+        module, inputs=[4], tamper=LazyTamper("read", 1, choose)
+    )
+    assert len(seen) == 1
+    names = {(fn, var) for _, fn, var in seen[0]}
     assert ("main", "x") in names
     assert ("helper", "local") in names
     assert ("helper", "a") in names
+    # The hook's choice is the word written: a = 10, so 4 + 10.
+    assert result.tamper_fired
+    assert result.outputs == [14]
+
+
+class _InstructionCounter(ExecutionObserver):
+    def __init__(self):
+        self.count = 0
+
+    def on_instruction(self, instruction, touched):
+        self.count += 1
+
+
+def test_lazy_step_trigger_fires_at_the_tamper_step():
+    source = """
+    int g = 0;
+    int bump(int v) { return v + 1; }
+    void main() {
+      int i = 0;
+      while (i < 4) { i = bump(i); }
+      emit(g);
+    }
+    """
+    module = lower(source)
+    (g,) = [v for v in module.globals if v.name == "g"]
+    address = MemoryMap(module).global_addresses[g]
+    for step in (1, 5, 12, 20):
+        fixed = run_program(module, tamper=TamperSpec("step", step, address, 7))
+        counter = _InstructionCounter()
+        fired_at = []
+
+        def choose(live, memory):
+            fired_at.append(counter.count)
+            return address, 7
+
+        lazy = Interpreter(
+            module,
+            tamper=LazyTamper("step", step, choose),
+            observers=[counter],
+            batched_delivery=False,
+        ).run()
+        # The hook runs once, right after the trigger step commits —
+        # the moment the fixed tamper writes its word.
+        assert fired_at == [step]
+        assert lazy.tamper_site == fixed.tamper_site
+        assert lazy.outputs == fixed.outputs == [7]
+        assert lazy.steps == fixed.steps
 
 
 def test_invalid_tamper_trigger_rejected():

@@ -154,12 +154,14 @@ def test_campaign_forensics_records_feed_the_observatory():
     """End to end: a live forensics campaign's outcome records carry
     proof_reasons and attribute cleanly (no unexplained bucket when
     forensics explains every alarm)."""
-    from repro.attacks.campaign import run_workload_campaign
+    from repro.attacks.campaign import CampaignConfig, run_workload_campaign
     from repro.forensics import observe_outcomes
     from repro.workloads.registry import get_workload
 
     result = run_workload_campaign(
-        get_workload("telnetd"), attacks=10, forensics=True
+        get_workload("telnetd"),
+        attacks=10,
+        config=CampaignConfig(forensics=True),
     )
     observation = observe_outcomes([result])
     assert observation.attacks == 10

@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from repro.attacks import (
     AttackOutcome,
     CampaignError,
-    run_campaign,
+    run_attack,
     run_workload_campaign,
 )
-from repro.parallel import merge_outcomes, shard_indices
+from repro.parallel import merge_outcomes, run_campaign, shard_indices
+from repro.pipeline import compile_program_cached
 from repro.reporting import render_figure7
 from repro.workloads import get_workload
 
@@ -81,10 +82,18 @@ def test_run_workload_campaign_jobs_delegates(serial_summary):
 
 
 def test_engine_serial_matches_legacy_loop(serial_summary):
-    """The engine's jobs=1 path is the classic per-index loop."""
+    """The engine's jobs=1 shard is the classic per-index loop."""
     workload = get_workload("telnetd")
-    legacy = run_workload_campaign(workload, attacks=ATTACKS, seed_prefix=SEED)
-    assert legacy.attacks == serial_summary.results[0].attacks
+    program = compile_program_cached(workload.source, workload.name)
+    legacy = [
+        run_attack(program, workload, index, seed_prefix=SEED)
+        for index in range(ATTACKS)
+    ]
+    assert legacy == serial_summary.results[0].attacks
+    one_workload = run_workload_campaign(
+        workload, attacks=ATTACKS, seed_prefix=SEED
+    )
+    assert one_workload.attacks == legacy
 
 
 def test_seed_prefix_changes_outcomes():

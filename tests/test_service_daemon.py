@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from repro.attacks.campaign import run_attack_detailed
+from repro.attacks.campaign import CampaignConfig, run_attack_detailed
 from repro.forensics import reports_to_json
 from repro.pipeline import compile_program_cached
 from repro.service import DetectionDaemon, ServeClient
@@ -63,7 +63,7 @@ def _serial_expectations():
         program = compile_program_cached(workload.source, name, 0)
         for index in indices:
             execution = run_attack_detailed(
-                program, workload, index, forensics=True
+                program, workload, index, config=CampaignConfig(forensics=True)
             )
             expected[(name, index)] = execution
     return expected

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.attacks.campaign import run_attack_detailed
+from repro.attacks.campaign import CampaignConfig, run_attack_detailed
 from repro.forensics import reports_to_json
 from repro.interp import GLOBAL_BASE
 from repro.interp.interpreter import TamperSpec
@@ -75,7 +75,7 @@ def test_indexed_attack_matches_serial_campaign(workload_name, index):
     workload = get_workload(workload_name)
     program = compile_program_cached(workload.source, workload.name, 0)
     serial = run_attack_detailed(
-        program, workload, index, forensics=True
+        program, workload, index, config=CampaignConfig(forensics=True)
     )
 
     spec = SessionSpec(
@@ -96,7 +96,9 @@ def test_indexed_attack_matches_serial_campaign(workload_name, index):
 def test_indexed_attack_clean_outcome_matches():
     workload = get_workload("telnetd")
     program = compile_program_cached(workload.source, workload.name, 0)
-    serial = run_attack_detailed(program, workload, 0, forensics=True)
+    serial = run_attack_detailed(
+        program, workload, 0, config=CampaignConfig(forensics=True)
+    )
     assert not serial.outcome.detected  # index 0 is a clean miss
 
     session = DetectionSession(

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.attacks.campaign import CampaignError, run_attack
+from repro.attacks.campaign import CampaignConfig, CampaignError, run_attack
 from repro.cpu.simulator import normalized_performance
 from repro.parallel.engine import ShardResult, merge_shard_results
 from repro.pipeline import compile_program
@@ -76,10 +76,9 @@ def test_segment_ratio_within_declared_tolerance(name):
 
 
 def test_run_attack_rejects_unknown_timing_mode():
-    workload = WORKLOADS["telnetd"]
-    program = compile_program(workload.source, workload.name, 0)
+    # The campaign config validates once, before any attack runs.
     with pytest.raises(ValueError, match="unknown timing mode"):
-        run_attack(program, workload, 0, timing_mode="approximate")
+        CampaignConfig(timing_mode="approximate")
 
 
 def test_timed_attack_records_cycles_without_perturbing_outcome():
@@ -94,7 +93,7 @@ def test_timed_attack_records_cycles_without_perturbing_outcome():
             workload,
             index,
             seed_prefix="segm:",
-            timing_mode="segment",
+            config=CampaignConfig(timing_mode="segment"),
         )
         assert untimed.cycles is None
         assert isinstance(timed.cycles, int) and timed.cycles > 0
@@ -136,7 +135,11 @@ def test_merge_accepts_uniform_timing_mode():
     program = compile_program(workload.source, workload.name, 0)
     outcomes = [
         run_attack(
-            program, workload, index, seed_prefix="segm:", timing_mode="exact"
+            program,
+            workload,
+            index,
+            seed_prefix="segm:",
+            config=CampaignConfig(timing_mode="exact"),
         )
         for index in range(4)
     ]

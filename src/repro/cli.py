@@ -72,7 +72,6 @@ from .observability import (
     RunManifest,
     Tracer,
     export_trace,
-    maybe_span,
     write_manifest,
     write_prometheus,
     write_spans,
@@ -125,60 +124,32 @@ def cmd_compile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _record_ipds_metrics(metrics: MetricsRegistry, ipds) -> None:
-    metrics.increment("ipds.events", ipds.stats.events)
-    metrics.increment("ipds.checks", ipds.stats.checks)
-    metrics.increment("ipds.alarms", len(ipds.alarms))
-    if ipds.stats.unprotected_calls:
-        metrics.increment(
-            "ipds.unprotected_calls", ipds.stats.unprotected_calls
-        )
-    if ipds.stats.unprotected_branches:
-        metrics.increment(
-            "ipds.unprotected_branches", ipds.stats.unprotected_branches
-        )
-
-
-def _emit_manifest(
+def _emit_telemetry(
     args: argparse.Namespace,
     manifest: RunManifest,
-    metrics: MetricsRegistry,
+    tracer: Tracer,
     **results: object,
 ) -> None:
-    if not args.metrics_out:
-        return
-    manifest.finish(metrics, **results)
-    write_manifest(manifest, args.metrics_out)
-    print(f"metrics: manifest -> {args.metrics_out}")
+    """The shared ``--prom-out`` / ``--chrome-trace-out`` /
+    ``--metrics-out`` sink block: one span tree, three renderings."""
+    prom_out = getattr(args, "prom_out", None)
+    if prom_out:
+        write_prometheus(tracer.metrics, prom_out)
+        print(f"metrics: prometheus -> {prom_out}")
+    chrome_out = getattr(args, "chrome_trace_out", None)
+    if chrome_out:
+        count = write_spans(tracer.finished, chrome_out)
+        print(f"spans: {count} -> {chrome_out}")
+    if args.metrics_out:
+        manifest.finish(tracer, **results)
+        write_manifest(manifest, args.metrics_out)
+        print(f"metrics: manifest -> {args.metrics_out}")
 
 
 def _new_flight_recorder(args: argparse.Namespace) -> Optional[FlightRecorder]:
     if not getattr(args, "forensics", False):
         return None
     return FlightRecorder(args.flight_recorder_depth)
-
-
-def _new_tracer(args: argparse.Namespace) -> Optional[Tracer]:
-    """A span tracer when ``--chrome-trace-out`` asked for one."""
-    if not getattr(args, "chrome_trace_out", None):
-        return None
-    return Tracer()
-
-
-def _emit_observability(
-    args: argparse.Namespace,
-    metrics: MetricsRegistry,
-    tracer: Optional[Tracer] = None,
-) -> None:
-    """The shared ``--prom-out`` / ``--chrome-trace-out`` sink block."""
-    prom_out = getattr(args, "prom_out", None)
-    if prom_out:
-        write_prometheus(metrics, prom_out)
-        print(f"metrics: prometheus -> {prom_out}")
-    chrome_out = getattr(args, "chrome_trace_out", None)
-    if chrome_out and tracer is not None:
-        count = write_spans(tracer.finished, chrome_out)
-        print(f"spans: {count} -> {chrome_out}")
 
 
 def _report_forensics(args: argparse.Namespace, ipds) -> None:
@@ -198,21 +169,19 @@ def _report_forensics(args: argparse.Namespace, ipds) -> None:
             print(f"forensics report -> {args.forensics_out}")
 
 
-def _run_session(args: argparse.Namespace, spec, metrics: MetricsRegistry):
-    """Drive one CLI-owned detection session to a terminal state."""
+def _run_session(spec):
+    """Drive one CLI-owned detection session to a terminal state; the
+    session's own span tree is the verb's."""
     from .service.engine import DetectionSession
 
-    tracer = _new_tracer(args)
-    session = DetectionSession(spec, metrics=metrics, tracer=tracer)
+    session = DetectionSession(spec)
     session.execute()
-    _emit_observability(args, metrics, tracer)
     return session
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     from .service.engine import SessionSpec
 
-    metrics = MetricsRegistry()
     manifest = RunManifest.begin(
         "run",
         file=args.file,
@@ -232,7 +201,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         flight_recorder_depth=args.flight_recorder_depth,
         record_trace=bool(args.trace_out),
     )
-    session = _run_session(args, spec, metrics)
+    session = _run_session(spec)
     result = session.run_result
     ipds = session.ipds
     print(f"status : {result.status.value}")
@@ -241,10 +210,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.trace_out:
         count = export_trace(session.trace_events, args.trace_out)
         print(f"trace  : {count} events -> {args.trace_out}")
-    _emit_manifest(
+    _emit_telemetry(
         args,
         manifest,
-        metrics,
+        session.tracer,
         status=result.status.value,
         outputs=list(result.outputs),
         steps=result.steps,
@@ -264,7 +233,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_attack(args: argparse.Namespace) -> int:
     from .service.engine import SessionSpec
 
-    metrics = MetricsRegistry()
     manifest = RunManifest.begin(
         "attack",
         file=args.file,
@@ -292,7 +260,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
         record_trace=bool(args.trace_out),
         tamper=tamper,
     )
-    session = _run_session(args, spec, metrics)
+    session = _run_session(spec)
     clean = session.clean_result
     attacked = session.run_result
     ipds = session.ipds
@@ -303,10 +271,10 @@ def cmd_attack(args: argparse.Namespace) -> int:
     if args.trace_out:
         count = export_trace(session.trace_events, args.trace_out)
         print(f"trace               : {count} events -> {args.trace_out}")
-    _emit_manifest(
+    _emit_telemetry(
         args,
         manifest,
-        metrics,
+        session.tracer,
         tamper_fired=attacked.tamper_fired,
         control_flow_changed=changed,
         detected=ipds.detected,
@@ -356,15 +324,18 @@ def _run_staticcheck(args: argparse.Namespace, passes, fail_on: str) -> int:
     )
 
     metrics = MetricsRegistry()
+    tracer = Tracer(metrics=metrics)
     manifest = RunManifest.begin(
         args.command, target=args.target, opt=args.opt, fail_on=fail_on
     )
     try:
         groups = []
         for label, source, name in _staticcheck_targets(args):
-            with metrics.span("compile"):
+            with tracer.span("compile"):
                 program = compile_program(source, name, args.opt)
-            diagnostics = run_passes(program, names=passes, metrics=metrics)
+            diagnostics = run_passes(
+                program, names=passes, metrics=metrics, tracer=tracer
+            )
             groups.append((label, diagnostics))
     except (OSError, ReproError) as error:
         print(f"error: {error}", file=sys.stderr)
@@ -379,10 +350,10 @@ def _run_staticcheck(args: argparse.Namespace, passes, fail_on: str) -> int:
         write_output(sarif_report(groups), args.sarif)
 
     combined = [d for _, diagnostics in groups for d in diagnostics]
-    _emit_manifest(
+    _emit_telemetry(
         args,
         manifest,
-        metrics,
+        tracer,
         targets=len(groups),
         diagnostics=len(combined),
         errors=sum(1 for d in combined if d.severity is Severity.ERROR),
@@ -450,7 +421,7 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
     """
     from .lang.errors import ReproError
 
-    metrics = MetricsRegistry()
+    tracer = Tracer(metrics=MetricsRegistry())
     manifest = RunManifest.begin(
         args.command, target=args.target, compare_opt=True
     )
@@ -462,7 +433,7 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
         return EXIT_TOOL_ERROR
     for label, source, name in targets:
         try:
-            with metrics.span("compile"):
+            with tracer.span("compile"):
                 programs = {
                     opt: compile_program(source, name, opt)
                     for opt in (0, 1, 2, 3)
@@ -508,10 +479,10 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
             f"lost at opt{opt}: {lost}",
             file=sys.stderr,
         )
-    _emit_manifest(
+    _emit_telemetry(
         args,
         manifest,
-        metrics,
+        tracer,
         targets=len(targets),
         violations=len(violations),
     )
@@ -548,7 +519,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         allow_unprotected=args.allow_unprotected,
         trace_text=trace_text,
     )
-    session = _run_session(args, spec, MetricsRegistry())
+    session = _run_session(spec)
     if session.alarms:
         for alarm in session.alarms:
             print(f"ALARM: {alarm}")
@@ -598,6 +569,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     from .staticcheck import sarif_report, write_output
 
     metrics = MetricsRegistry()
+    tracer = Tracer(metrics=metrics)
     manifest = RunManifest.begin(
         "explain", file=args.file, trace=args.trace, opt=args.opt
     )
@@ -606,12 +578,12 @@ def cmd_explain(args: argparse.Namespace) -> int:
             source, name = get_workload(args.file).source, args.file
         else:
             source, name = _read_source(args.file), args.file
-        with metrics.span("compile"):
+        with tracer.span("compile"):
             program = compile_program(source, name, args.opt)
         tables, _ = load_program(program.to_image())
         with open(args.trace, "r", encoding="utf-8") as handle:
             events = list(load_trace(handle))
-        with metrics.span("replay"):
+        with tracer.span("replay"):
             _, reports = explain_trace(
                 tables,
                 events,
@@ -630,10 +602,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
         write_output(sarif_report([(name, diagnostics)]), args.sarif)
     metrics.increment("explain.events", len(events))
     metrics.increment("explain.alarms", len(reports))
-    _emit_manifest(
+    _emit_telemetry(
         args,
         manifest,
-        metrics,
+        tracer,
         events=len(events),
         alarms=len(reports),
         explained=sum(1 for report in reports if report.explained),
@@ -669,7 +641,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
 
 def cmd_campaign(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
-    tracer = _new_tracer(args)
+    tracer = Tracer(metrics=metrics)
     manifest = RunManifest.begin(
         "campaign",
         workload=args.workload,
@@ -741,8 +713,7 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     if args.trace_out:
         count = _dump_outcomes(results, args.trace_out)
         print(f"outcomes: {count} records -> {args.trace_out}")
-    _emit_observability(args, metrics, tracer)
-    _emit_manifest(args, manifest, metrics, **outcome_summary)
+    _emit_telemetry(args, manifest, tracer, **outcome_summary)
     return 0
 
 
@@ -771,17 +742,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def cmd_timing(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
-    tracer = _new_tracer(args)
+    tracer = Tracer(metrics=metrics)
     manifest = RunManifest.begin(
         "timing", workload=args.workload, scale=args.scale,
         timing_mode=args.timing_mode,
     )
     workload = get_workload(args.workload)
-    with maybe_span(
-        tracer, "timing", workload=args.workload, scale=args.scale,
+    with tracer.span(
+        "timing", workload=args.workload, scale=args.scale,
         timing_mode=args.timing_mode,
     ):
-        with maybe_span(tracer, "compile"), metrics.span("compile"):
+        with tracer.span("compile"):
             program = compile_program_cached(workload.source, workload.name)
         inputs = workload.make_inputs(
             random.Random(f"cli:{workload.name}"), args.scale
@@ -791,7 +762,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
         if args.trace_out:
             recorder = TraceRecorder()
             observers.append(recorder)
-        with maybe_span(tracer, "simulate"), metrics.span("simulate"):
+        with tracer.span("simulate"):
             comp = normalized_performance(
                 program, inputs, workload.name, observers=observers,
                 timing_mode=args.timing_mode,
@@ -808,11 +779,10 @@ def cmd_timing(args: argparse.Namespace) -> int:
     if recorder is not None:
         count = export_trace(recorder.events, args.trace_out)
         print(f"  trace           : {count} events -> {args.trace_out}")
-    _emit_observability(args, metrics, tracer)
-    _emit_manifest(
+    _emit_telemetry(
         args,
         manifest,
-        metrics,
+        tracer,
         instructions=comp.instructions,
         baseline_cycles=comp.baseline_cycles,
         ipds_cycles=comp.ipds_cycles,
@@ -869,7 +839,7 @@ def _add_observability_args(
                    help="write the run's metrics (counters, timers, "
                         "histograms) in Prometheus text exposition format")
     p.add_argument("--chrome-trace-out", default=None, metavar="PATH",
-                   help="record hierarchical spans and write Chrome "
+                   help="write the run's hierarchical spans as Chrome "
                         "trace-event JSON (Perfetto-loadable; a .jsonl "
                         "path appends one span record per line instead)")
 

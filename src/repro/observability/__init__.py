@@ -1,8 +1,9 @@
-"""Observability layer: metrics, run manifests, JSONL telemetry.
+"""Observability layer: metrics, trace spans, run manifests, telemetry.
 
 The production-deployment counterpart of the paper's measurement
 sections: every CLI command and campaign can account what it did
-(counters), how long each stage took (wall-clock spans), and emit a
+(counters), how long each stage took (one :class:`Tracer` span tree,
+whose span durations are also the registry's timers), and emit a
 structured, machine-readable :class:`RunManifest` for dashboards and
 audit trails — without perturbing the deterministic experiment results
 themselves (metrics ride alongside, never inside, campaign outcomes).
@@ -20,7 +21,6 @@ from .metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Span,
     Timer,
     exponential_bounds,
 )
@@ -33,7 +33,6 @@ from .telemetry import (
     JsonlWriter,
     export_trace,
     write_manifest,
-    write_metrics_jsonl,
 )
 from .tracing import (
     SpanRecord,
@@ -54,7 +53,6 @@ __all__ = [
     "MetricRule",
     "MetricsRegistry",
     "RunManifest",
-    "Span",
     "SpanRecord",
     "Timer",
     "TraceContext",
@@ -69,7 +67,6 @@ __all__ = [
     "validate_chrome_trace",
     "validate_exposition",
     "write_manifest",
-    "write_metrics_jsonl",
     "write_prometheus",
     "write_spans",
 ]

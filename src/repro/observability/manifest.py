@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from .metrics import MetricsRegistry
+from .tracing import Tracer
 
 #: Manifest schema version — bump on breaking layout changes.
 MANIFEST_VERSION = 1
@@ -34,6 +35,7 @@ class RunManifest:
     results: Dict[str, Any] = field(default_factory=dict)
     metrics: Dict[str, Any] = field(default_factory=dict)
     _clock_start: float = field(default_factory=time.perf_counter)
+    _duration: Optional[float] = None
 
     @classmethod
     def begin(cls, command: str, **arguments: Any) -> "RunManifest":
@@ -46,26 +48,27 @@ class RunManifest:
         return self
 
     def finish(
-        self, registry: Optional[MetricsRegistry] = None, **results: Any
+        self,
+        metrics: Optional[Union[MetricsRegistry, Tracer]] = None,
+        **results: Any,
     ) -> "RunManifest":
-        """Close the manifest: stamp the end time, fold in metrics."""
+        """Close the manifest: stamp the end time and freeze the
+        duration, fold in metrics (a tracer's snapshot adds its flat
+        ``spans`` list to its registry's)."""
         self.finished_epoch = time.time()
+        self._duration = time.perf_counter() - self._clock_start
         self.results.update(results)
-        if registry is not None:
-            self.metrics = registry.snapshot()
+        if metrics is not None:
+            self.metrics = metrics.snapshot()
         return self
 
     @property
     def duration_seconds(self) -> float:
-        if self.finished_epoch is None:
-            return 0.0
-        return time.perf_counter() - self._clock_start
+        return self._duration if self._duration is not None else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         duration = (
-            round(time.perf_counter() - self._clock_start, 6)
-            if self.finished_epoch is not None
-            else None
+            round(self._duration, 6) if self._duration is not None else None
         )
         return {
             "manifest_version": MANIFEST_VERSION,

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, timers, histograms, wall-clock spans.
+"""Metrics registry: counters, timers, gauges and histograms.
 
 Deliberately dependency-free and cheap: a counter bump is a dict lookup
 plus an integer add, so metrics can ride inside campaign hot loops.
@@ -11,15 +11,17 @@ exponential buckets whose snapshots merge associatively, so shard- and
 session-local observations fold into campaign- and daemon-level
 distributions without ever shipping raw samples.  The Prometheus text
 renderer lives in :mod:`repro.observability.prometheus`.
+
+Nothing here reads a clock: a timer is fed by the
+:class:`~repro.observability.tracing.Tracer` its registry is attached
+to, one sample per closed span of the timer's name.
 """
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass
@@ -157,20 +159,9 @@ class Histogram:
         return pairs
 
 
-@dataclass(frozen=True)
-class Span:
-    """One completed wall-clock span (per-stage timing record)."""
-
-    name: str
-    seconds: float
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"name": self.name, "seconds": round(self.seconds, 6)}
-
-
 @dataclass
 class MetricsRegistry:
-    """Named counters + timers + an ordered span log for one run.
+    """Named counters + timers for one run.
 
     Long-lived deployments (the detection daemon) additionally use
     *gauges* — point-in-time values like "sessions active" that are set,
@@ -181,7 +172,6 @@ class MetricsRegistry:
 
     counters: Dict[str, Counter] = field(default_factory=dict)
     timers: Dict[str, Timer] = field(default_factory=dict)
-    spans: List[Span] = field(default_factory=list)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
 
@@ -227,7 +217,7 @@ class MetricsRegistry:
         """Record one sample into a named distribution."""
         self.histogram(name).observe(value)
 
-    # -- timers / spans ---------------------------------------------------
+    # -- timers -----------------------------------------------------------
 
     def timer(self, name: str) -> Timer:
         timer = self.timers.get(name)
@@ -237,17 +227,6 @@ class MetricsRegistry:
 
     def observe_seconds(self, name: str, seconds: float) -> None:
         self.timer(name).observe(seconds)
-
-    @contextmanager
-    def span(self, name: str) -> Iterator[None]:
-        """Time a stage: records both a Timer sample and a Span entry."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            self.observe_seconds(name, elapsed)
-            self.spans.append(Span(name, elapsed))
 
     # -- aggregation ------------------------------------------------------
 
@@ -262,7 +241,6 @@ class MetricsRegistry:
                 name: timer.to_dict()
                 for name, timer in sorted(self.timers.items())
             },
-            "spans": [span.to_dict() for span in self.spans],
         }
         if self.gauges:
             payload["gauges"] = {
@@ -300,10 +278,6 @@ class MetricsRegistry:
             )
             timer.max_seconds = max(
                 timer.max_seconds, data.get("max_seconds", 0.0)
-            )
-        for span in snapshot.get("spans", []):
-            self.spans.append(
-                Span(span.get("name", "?"), span.get("seconds", 0.0))
             )
         # Gauges are point-in-time readings: the child's latest value
         # wins (there is nothing meaningful to accumulate).

@@ -12,6 +12,11 @@ repo's metric vocabulary needs:
   families with cumulative bucket counts and the mandatory ``+Inf``
   bucket.
 
+Each family is emitted once.  A timer whose family is also a
+histogram's — the ``session.compile`` span's timer and the
+``session.compile_seconds`` histogram, both fed by that span — renders
+only as the histogram, which carries the same ``_count`` and ``_sum``.
+
 Everything renders from a plain ``snapshot()`` dict, so the daemon's
 ``metrics`` op and the CLI's ``--prom-out`` share one code path and a
 scrape of either is identical for identical registries.
@@ -20,7 +25,7 @@ scrape of either is identical for identical registries.
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Set, Union
 
 from .metrics import MetricsRegistry
 
@@ -74,15 +79,20 @@ def render_prometheus(
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
 
+    histograms = snapshot.get("histograms", {})
+    histogram_families = {sanitize_metric_name(name) for name in histograms}
     for name, data in sorted(snapshot.get("timers", {}).items()):
-        metric = f"{prefix}_{sanitize_metric_name(name)}_seconds"
+        family = f"{sanitize_metric_name(name)}_seconds"
+        if family in histogram_families:
+            continue
+        metric = f"{prefix}_{family}"
         lines.append(f"# TYPE {metric} summary")
         lines.append(f"{metric}_count {_format_value(data.get('count', 0))}")
         lines.append(
             f"{metric}_sum {_format_value(float(data.get('total_seconds', 0.0)))}"
         )
 
-    for name, data in sorted(snapshot.get("histograms", {}).items()):
+    for name, data in sorted(histograms.items()):
         metric = f"{prefix}_{sanitize_metric_name(name)}"
         lines.append(f"# TYPE {metric} histogram")
         running = 0
@@ -119,27 +129,41 @@ SAMPLE_LINE = re.compile(
     r"^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^{}]*\})? "
     r"(\+Inf|-Inf|NaN|[-+]?[0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?)$"
 )
+TYPE_LINE = re.compile(r"^# TYPE (\S+)")
 
 
 def validate_exposition(text: str) -> List[str]:
     """Structural errors in a Prometheus text document (empty = valid).
 
-    Checks line grammar plus histogram-family consistency: cumulative
-    bucket counts are non-decreasing and the ``+Inf`` bucket equals the
-    family's ``_count`` sample.
+    Checks line grammar, that no family is declared twice (``# TYPE``)
+    and no series (name plus labels) repeats, plus histogram-family
+    consistency: cumulative bucket counts are non-decreasing and the
+    ``+Inf`` bucket equals the family's ``_count`` sample.
     """
     errors: List[str] = []
     buckets: Dict[str, List[int]] = {}
     counts: Dict[str, int] = {}
+    declared: Set[str] = set()
+    seen: Set[str] = set()
     for number, line in enumerate(text.splitlines(), start=1):
+        type_line = TYPE_LINE.match(line)
+        if type_line is not None:
+            family = type_line.group(1)
+            if family in declared:
+                errors.append(f"line {number}: family {family} declared twice")
+            declared.add(family)
+            continue
         if not line or line.startswith("#"):
             continue
         match = SAMPLE_LINE.match(line)
         if match is None:
             errors.append(f"line {number}: bad sample line {line!r}")
             continue
-        name = line.split("{")[0].split(" ")[0]
-        value = line.rsplit(" ", 1)[1]
+        key, value = line.rsplit(" ", 1)
+        if key in seen:
+            errors.append(f"line {number}: series {key} repeated")
+        seen.add(key)
+        name = key.split("{")[0]
         if name.endswith("_bucket"):
             buckets.setdefault(name[: -len("_bucket")], []).append(
                 int(float(value))

@@ -15,10 +15,9 @@ differ only in framing.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, Optional, Union
+from typing import IO, Any, Dict, Iterable, Union
 
 from .manifest import RunManifest
-from .metrics import MetricsRegistry
 
 
 class JsonlWriter:
@@ -64,24 +63,6 @@ def write_manifest(
             json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return payload
-
-
-def write_metrics_jsonl(
-    registry: MetricsRegistry, path: str, label: Optional[str] = None
-) -> int:
-    """Dump a registry as JSONL records: one per counter/timer/span."""
-    snapshot = registry.snapshot()
-    records = []
-    for name, value in snapshot["counters"].items():
-        records.append({"kind": "counter", "name": name, "value": value})
-    for name, data in snapshot["timers"].items():
-        records.append({"kind": "timer", "name": name, **data})
-    for span in snapshot["spans"]:
-        records.append({"kind": "span", **span})
-    if label is not None:
-        for record in records:
-            record["label"] = label
-    return JsonlWriter(path).write_all(records)
 
 
 def export_trace(events: Iterable[Any], path_or_stream: Union[str, IO[str]]) -> int:

@@ -1,11 +1,14 @@
 """Hierarchical span tracing with cross-process context propagation.
 
-The flat counters/timers of :mod:`repro.observability.metrics` say *how
-much* and *how long*; spans say *where the time went, causally*.  A
-:class:`Tracer` records a tree of :class:`SpanRecord` objects —
-``trace_id`` / ``span_id`` / ``parent_id`` with attributes and
-timestamped events — exactly the vocabulary of distributed tracing,
-scaled down to one dependency-free module.
+The tracer is the only way a phase is timed.  A :class:`Tracer` records
+a tree of :class:`SpanRecord` objects — ``trace_id`` / ``span_id`` /
+``parent_id`` with attributes and timestamped events — exactly the
+vocabulary of distributed tracing, scaled down to one dependency-free
+module.  A tracer built with a
+:class:`~repro.observability.metrics.MetricsRegistry` records each span
+it closes as one sample of that registry's timer of the same name, so
+the flat timers of ``--metrics-out`` and ``--prom-out`` are the trace's
+span durations by construction.
 
 Two propagation boundaries matter in this codebase:
 
@@ -28,11 +31,14 @@ Export formats:
   :class:`~repro.observability.telemetry.JsonlWriter` path (paths
   ending in ``.jsonl``).
 
-Tracing is strictly opt-in: every integration point takes
-``Optional[Tracer]`` and the :func:`maybe_span` helper degrades to a
-``nullcontext`` when no tracer is attached, so the disabled-by-default
-path costs one ``None`` check at run boundaries — the interpreter hot
-loop is never touched.
+The tree is recorded wherever metrics are, and exported on request:
+every front end that keeps metrics (each CLI verb, ``repro.reporting``,
+each detection session, each metered campaign shard) records one, and
+``--chrome-trace-out`` / ``serve --trace-out`` only decide whether it
+is written.  Library entry points take ``Optional[Tracer]`` and the
+:func:`maybe_span` helper degrades to a ``nullcontext`` when none is
+attached, so a run without metrics builds no tracer and opens no span;
+no span is ever opened per attack or per interpreter step.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ import uuid
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+
+from .metrics import MetricsRegistry
 
 #: Span-record schema version (carried in exported documents).
 TRACE_VERSION = 1
@@ -154,17 +162,24 @@ class Tracer:
     seeded with a :class:`TraceContext` parents its top-level spans
     under that context — that is how a shard worker's spans connect to
     the campaign root recorded in another process.
+
+    A tracer seeded with a ``metrics`` registry records every span it
+    closes as one sample of the registry's timer of the same name.
+    Adopted spans (:meth:`adopt`) are not recorded again: their timers
+    arrive with the metrics snapshot of the tracer that closed them.
     """
 
     def __init__(
         self,
         service: str = "repro",
         context: Optional[TraceContext] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.service = service
         self.trace_id = context.trace_id if context is not None else new_id()
         #: Parent for top-of-stack spans (cross-boundary linkage).
         self.root_parent_id = context.span_id if context is not None else None
+        self.metrics = metrics
         self.finished: List[SpanRecord] = []
         self._local = threading.local()
 
@@ -229,6 +244,8 @@ class Tracer:
             record.duration_us = int((time.perf_counter() - started) * 1e6)
             stack.pop()
             self.finished.append(record)
+            if self.metrics is not None:
+                self.metrics.observe_seconds(name, record.duration_us / 1e6)
 
     def event(self, name: str, **attributes: Any) -> None:
         """Annotate the current span (no-op outside any span)."""
@@ -241,6 +258,17 @@ class Tracer:
     def span_dicts(self) -> List[Dict[str, Any]]:
         """Finished spans as picklable plain dicts (shard results)."""
         return [record.to_dict() for record in self.finished]
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The registry's snapshot plus the flat ``spans`` list (name and
+        seconds of every finished span, adopted ones included) — the
+        ``metrics`` block of a run manifest."""
+        payload = self.metrics.snapshot() if self.metrics is not None else {}
+        payload["spans"] = [
+            {"name": record.name, "seconds": record.duration_us / 1e6}
+            for record in self.finished
+        ]
+        return payload
 
     def adopt(self, span_dicts: Optional[Sequence[Dict[str, Any]]]) -> int:
         """Fold spans recorded elsewhere (a worker process, a session)

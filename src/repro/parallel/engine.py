@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import random
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -65,7 +64,7 @@ class ShardTask:
     collect_metrics: bool = False
     #: Trace linkage for the worker's spans (two short strings — the
     #: only tracing state that crosses the pickle boundary).  None means
-    #: tracing is off and the worker records no spans.
+    #: tracing is off and the worker returns no spans.
     trace_context: Optional[TraceContext] = None
 
 
@@ -135,14 +134,17 @@ def _run_shard(
     Pool workers get only the task and resolve the workload and its
     program themselves; the in-process shard of a ``jobs=1`` campaign
     passes them in, so ad-hoc workloads and pre-compiled programs work
-    there.
+    there.  A metered or traced shard records its ``shard`` and
+    ``shard.compile`` spans, whose timers ride in the metrics snapshot;
+    an unmetered, untraced one builds no tracer.
     """
     if workload is None:
         workload = get_workload(task.workload)
     config = task.config
+    registry = MetricsRegistry() if task.collect_metrics else None
     tracer = (
-        Tracer(context=task.trace_context)
-        if task.trace_context is not None
+        Tracer(context=task.trace_context, metrics=registry)
+        if registry is not None or task.trace_context is not None
         else None
     )
     with maybe_span(
@@ -157,7 +159,6 @@ def _run_shard(
                 program = cached_compile(
                     workload.source, workload.name, config.opt_level
                 )
-        registry = MetricsRegistry() if task.collect_metrics else None
         outcomes = [
             run_attack(
                 program,
@@ -173,7 +174,7 @@ def _run_shard(
         outcomes=outcomes,
         metrics=registry.snapshot() if registry is not None else None,
         timing_mode=config.timing_mode,
-        spans=tracer.span_dicts() if tracer is not None else [],
+        spans=tracer.span_dicts() if task.trace_context is not None else [],
     )
 
 
@@ -289,10 +290,10 @@ def run_campaign(
     (any clean-run alarm raises :class:`CampaignError`).
 
     ``metrics`` accumulates telemetry: the counters every attack
-    records, plus per-workload wall-clock spans on the in-process path.
-    Each shard collects counters locally and returns a picklable
-    snapshot that is folded back into ``metrics`` at the merge point,
-    so the counters are job-count-independent.
+    records, plus the ``shard`` / ``shard.compile`` span timers.  Each
+    shard collects them locally and returns a picklable snapshot that
+    is folded back into ``metrics`` at the merge point, so counters
+    and timer names are job-count-independent.
 
     ``tracer`` (optional) records a hierarchical span tree: one
     ``campaign`` root with one ``shard`` span per shard, linked back
@@ -333,21 +334,14 @@ def run_campaign(
             )
 
         if jobs == 1 or attacks <= 0 or not chosen:
-            shards: Dict[str, List[ShardResult]] = {}
-            for workload in chosen:
-                timed = (
-                    metrics.span(f"workload.{workload.name}")
-                    if metrics is not None
-                    else nullcontext()
-                )
-                with timed:
-                    shards[workload.name] = [
-                        _run_shard(
-                            task(workload, tuple(range(attacks))),
-                            workload,
-                            program,
-                        )
-                    ]
+            shards: Dict[str, List[ShardResult]] = {
+                workload.name: [
+                    _run_shard(
+                        task(workload, tuple(range(attacks))), workload, program
+                    )
+                ]
+                for workload in chosen
+            }
         else:
             for workload in chosen:
                 # Shards resolve workloads by name: fail fast here on an

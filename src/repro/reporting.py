@@ -18,7 +18,7 @@ from .attacks.campaign import CampaignSummary
 from .correlation.encoding import SizeSummary, summarize_sizes
 from .cpu.params import IPDSHardwareParams, ProcessorParams
 from .cpu.simulator import PerformanceComparison, normalized_performance
-from .observability import MetricsRegistry, RunManifest, write_manifest
+from .observability import MetricsRegistry, RunManifest, Tracer, write_manifest
 from .parallel.engine import run_campaign
 from .pipeline import compile_program_cached
 from .workloads.registry import Workload, all_workloads
@@ -40,6 +40,7 @@ def figure7_data(
     jobs: int = 1,
     seed_prefix: str = "",
     metrics: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None,
 ) -> CampaignSummary:
     """Run the Figure 7 campaign (100 independent attacks/server).
 
@@ -47,7 +48,8 @@ def figure7_data(
     seeded purely by ``(seed_prefix, workload, index)`` and shard
     outcomes are merged back into index order, the summary — and hence
     :func:`render_figure7`'s text — is byte-identical at any ``jobs``.
-    ``metrics`` collects campaign telemetry without affecting the data.
+    ``metrics`` and ``tracer`` collect campaign telemetry without
+    affecting the data.
     """
     return run_campaign(
         workloads,
@@ -55,6 +57,7 @@ def figure7_data(
         seed_prefix=seed_prefix,
         jobs=jobs,
         metrics=metrics,
+        tracer=tracer,
     )
 
 
@@ -312,6 +315,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     registry = MetricsRegistry()
+    tracer = Tracer(metrics=registry)
     manifest = RunManifest.begin(
         "reporting",
         artifact=args.artifact,
@@ -327,7 +331,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     blocks: List[str] = []
     fig9 = None
     for artifact in wants:
-        with registry.span(f"artifact.{artifact}"):
+        with tracer.span(f"artifact.{artifact}"):
             if artifact == "fig7":
                 blocks.append(
                     render_figure7(
@@ -335,6 +339,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                             attacks=args.attacks,
                             jobs=args.jobs,
                             metrics=registry,
+                            tracer=tracer,
                         )
                     )
                 )
@@ -352,7 +357,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 )
     print("\n\n".join(blocks))
     if args.metrics_out:
-        manifest.finish(registry, artifacts=wants)
+        manifest.finish(tracer, artifacts=wants)
         write_manifest(manifest, args.metrics_out)
     return 0
 

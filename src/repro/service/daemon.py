@@ -68,10 +68,11 @@ class DetectionDaemon:
         self.quarantine_dir = quarantine_dir
         self.default_policy = default_policy
         self.trace_out = trace_out
-        #: Daemon-lifetime tracer (None = tracing off).  Sessions record
-        #: spans into per-session tracers parented under the daemon root
-        #: span; finished session spans are adopted here on the loop
-        #: thread and exported to ``trace_out`` at shutdown.
+        #: Daemon-lifetime tracer (None = tracing off).  Each session
+        #: records spans into its own tracer, parented under the daemon
+        #: root span when tracing; finished session spans are adopted
+        #: here on the loop thread and exported to ``trace_out`` at
+        #: shutdown.
         self.tracer: Optional[Tracer] = (
             Tracer(service="repro-serve") if trace_out else None
         )
@@ -300,21 +301,15 @@ class DetectionDaemon:
         # Distributed-trace propagation (protocol v1 additive field): a
         # client may hand its own trace context in the submit message;
         # otherwise traced sessions hang under the daemon root span.
-        session_tracer = None
-        trace_parent = None
+        trace_parent = self._trace_root
         client_trace = message.get("trace")
         if isinstance(client_trace, dict) and client_trace.get("trace_id"):
             trace_parent = TraceContext.from_dict(client_trace)
-            session_tracer = Tracer(context=trace_parent)
-        elif self.tracer is not None:
-            trace_parent = self._trace_root
-            session_tracer = Tracer(context=trace_parent)
         session = DetectionSession(
             spec,
             session_id=session_id,
             policy=policy,
             emit=emit,
-            tracer=session_tracer,
             trace_parent=trace_parent,
         )
         self.registry.add(session)
@@ -346,7 +341,7 @@ class DetectionDaemon:
             self.metrics.increment(
                 f"serve.alarms.{session.program_name}", len(session.alarms)
             )
-        if self.tracer is not None and session.tracer is not None:
+        if self.tracer is not None:
             self.tracer.adopt(session.tracer.span_dicts())
 
     def _sessions_payload(self) -> list:

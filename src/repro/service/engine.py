@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 import io
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -38,12 +37,7 @@ from ..attacks.campaign import CampaignConfig, run_attack_detailed
 from ..interp.interpreter import RunResult, TamperSpec
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
-from ..observability.tracing import (
-    SpanRecord,
-    TraceContext,
-    Tracer,
-    maybe_span,
-)
+from ..observability.tracing import SpanRecord, TraceContext, Tracer
 from ..pipeline import (
     ProtectedProgram,
     compile_program_cached,
@@ -187,8 +181,8 @@ class SessionResult:
     trace_event_count: int = 0
     error: Optional[str] = None
     #: Distributed-tracing linkage (trace_id / span_id of the session's
-    #: root span) — present only when the session ran with a tracer
-    #: attached, so untraced payloads keep their protocol-v1 shape.
+    #: root span) — present only when the session was given a parent
+    #: trace context, so untraced payloads keep their protocol-v1 shape.
     trace: Optional[Dict[str, Any]] = None
 
     def to_dict(self) -> Dict[str, Any]:
@@ -226,7 +220,7 @@ EmitFn = Callable[[str, Dict[str, Any]], None]
 
 
 def record_ipds_metrics(metrics: MetricsRegistry, ipds: IPDS) -> None:
-    """The standard per-run IPDS counter block (shared with the CLI)."""
+    """The standard per-run IPDS counter block."""
     metrics.increment("ipds.events", ipds.stats.events)
     metrics.increment("ipds.checks", ipds.stats.checks)
     metrics.increment("ipds.alarms", len(ipds.alarms))
@@ -248,6 +242,10 @@ class DetectionSession:
     catches them into the FAILED state and always returns a
     :class:`SessionResult` (the daemon path: one bad session must never
     take the server down).
+
+    Every session records its span tree in its own :attr:`tracer`,
+    which feeds the session's registry timers; ``trace_parent`` hangs
+    the tree under a remote span (a daemon root or a client request).
     """
 
     def __init__(
@@ -257,7 +255,6 @@ class DetectionSession:
         policy: Optional[AlarmPolicy] = None,
         emit: Optional[EmitFn] = None,
         metrics: Optional[MetricsRegistry] = None,
-        tracer: Optional[Tracer] = None,
         trace_parent: Optional[TraceContext] = None,
     ) -> None:
         spec.validate()
@@ -265,7 +262,7 @@ class DetectionSession:
         self.session_id = session_id
         self.policy = policy if policy is not None else LogPolicy()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.tracer = tracer
+        self.tracer = Tracer(context=trace_parent, metrics=self.metrics)
         self.trace_parent = trace_parent
         self.session_span: Optional[SpanRecord] = None
         self._emit_fn = emit
@@ -340,14 +337,10 @@ class DetectionSession:
     def _compile(self) -> ProtectedProgram:
         source, name = self.spec.resolve_program_source()
         self.program_name = name
-        started = time.perf_counter()
-        with maybe_span(self.tracer, "session.compile", program=name):
-            with self.metrics.span("compile"):
-                program = compile_program_cached(
-                    source, name, self.spec.opt_level
-                )
+        with self.tracer.span("session.compile", program=name) as span:
+            program = compile_program_cached(source, name, self.spec.opt_level)
         self.metrics.observe_histogram(
-            "session.compile_seconds", time.perf_counter() - started
+            "session.compile_seconds", span.duration_us / 1e6
         )
         self.program = program
         return program
@@ -373,8 +366,7 @@ class DetectionSession:
         )
         self.ipds = ipds
         extra, recorder = self._session_observers()
-        with maybe_span(self.tracer, "session.execute"), \
-                self.metrics.span("execute"):
+        with self.tracer.span("session.execute"):
             result = observed_run(
                 program,
                 observers=[ipds, *extra],
@@ -391,7 +383,7 @@ class DetectionSession:
 
     def _execute_attack_explicit(self) -> None:
         program = self._compile()
-        with self.metrics.span("clean"):
+        with self.tracer.span("session.clean"):
             clean = unmonitored_run(
                 program,
                 inputs=self.spec.inputs,
@@ -405,8 +397,7 @@ class DetectionSession:
         )
         self.ipds = ipds
         extra, recorder = self._session_observers()
-        with maybe_span(self.tracer, "session.attack"), \
-                self.metrics.span("attack"):
+        with self.tracer.span("session.attack"):
             attacked = observed_run(
                 program,
                 observers=[ipds, *extra],
@@ -433,12 +424,11 @@ class DetectionSession:
         workload = get_workload(spec.workload)
         program = self._compile()
         extra, recorder = self._session_observers()
-        with maybe_span(
-            self.tracer,
+        with self.tracer.span(
             "session.attack",
             workload=workload.name,
             attack_index=spec.attack_index,
-        ), self.metrics.span("attack"):
+        ):
             execution = run_attack_detailed(
                 program,
                 workload,
@@ -480,7 +470,7 @@ class DetectionSession:
         self.ipds = ipds
         events = list(load_trace(io.StringIO(self.spec.trace_text)))
         self.trace_events = events
-        with self.metrics.span("replay"):
+        with self.tracer.span("session.replay"):
             ipds.run(events)
         record_ipds_metrics(self.metrics, ipds)
         self._explain()
@@ -493,12 +483,9 @@ class DetectionSession:
         self._set_state(SessionState.RUNNING)
         self.metrics.increment("session.started")
         killed = False
-        started = time.perf_counter()
         try:
-            with maybe_span(
-                self.tracer,
+            with self.tracer.span(
                 "session",
-                parent=self.trace_parent,
                 session=self.session_id,
                 mode=self.spec.mode,
                 program=self.program_name,
@@ -515,7 +502,7 @@ class DetectionSession:
         except SessionKilled as kill:
             killed = True
             self.error = str(kill)
-        wall = time.perf_counter() - started
+        wall = span.duration_us / 1e6
         self.metrics.observe_histogram("session.wall_seconds", wall)
         if self.run_result is not None and wall > 0:
             self.metrics.observe_histogram(
@@ -596,8 +583,9 @@ class DetectionSession:
                 state=self.state.value,
                 detected=self.detected,
             )
-            result.trace = {
-                "trace_id": self.session_span.trace_id,
-                "span_id": self.session_span.span_id,
-            }
+            if self.trace_parent is not None:
+                result.trace = {
+                    "trace_id": self.session_span.trace_id,
+                    "span_id": self.session_span.span_id,
+                }
         return result

@@ -3,8 +3,8 @@
 Each pass is a named :class:`CheckPass` mapping a compiled
 :class:`~repro.pipeline.ProtectedProgram` to a list of diagnostics.
 ``run_passes`` shares the expensive lower-layer analyses (alias sets,
-purity) across passes, times each pass through a
-:class:`~repro.observability.metrics.MetricsRegistry` span
+purity) across passes, times each pass in a
+:class:`~repro.observability.tracing.Tracer` span
 (``staticcheck.<pass>``), and returns all findings sorted.
 """
 
@@ -16,6 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ..analysis.alias import analyze_aliases
 from ..analysis.purity import PurityResult, analyze_purity
 from ..observability.metrics import MetricsRegistry
+from ..observability.tracing import Tracer, maybe_span
 from .audit import audit_image, audit_program
 from .coverage import coverage_report
 from .deadcode import find_dead_branches
@@ -112,20 +113,20 @@ def run_passes(
     program,
     names: Optional[Sequence[str]] = None,
     metrics: Optional[MetricsRegistry] = None,
+    tracer: Optional[Tracer] = None,
 ) -> List[Diagnostic]:
-    """Run the selected passes (default: all) over a compiled program."""
+    """Run the selected passes (default: all) over a compiled program;
+    ``metrics`` counts each pass's diagnostics, ``tracer`` times it."""
     selected = [pass_by_name(n) for n in (names or [p.name for p in PASSES])]
     analyze_aliases(program.module)
     purity = analyze_purity(program.module)
     diagnostics: List[Diagnostic] = []
     for check in selected:
+        with maybe_span(tracer, f"staticcheck.{check.name}"):
+            found = check.runner(program, purity)
         if metrics is not None:
-            with metrics.span(f"staticcheck.{check.name}"):
-                found = check.runner(program, purity)
             metrics.increment(
                 f"staticcheck.{check.name}.diagnostics", len(found)
             )
-        else:
-            found = check.runner(program, purity)
         diagnostics.extend(found)
     return sorted(diagnostics, key=Diagnostic.sort_key)

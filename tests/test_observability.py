@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 from repro.observability import (
     Counter,
@@ -9,9 +10,9 @@ from repro.observability import (
     MetricsRegistry,
     RunManifest,
     Timer,
+    Tracer,
     export_trace,
     write_manifest,
-    write_metrics_jsonl,
 )
 from repro.observability.manifest import MANIFEST_VERSION
 
@@ -47,24 +48,39 @@ def test_registry_counters_and_values():
     assert registry.value("a") == 3
 
 
-def test_registry_span_records_timer_and_span():
+def test_tracer_span_records_registry_timer():
     registry = MetricsRegistry()
-    with registry.span("stage"):
+    tracer = Tracer(metrics=registry)
+    with tracer.span("stage") as span:
         pass
-    assert registry.timer("stage").count == 1
-    assert len(registry.spans) == 1
-    assert registry.spans[0].name == "stage"
-    assert registry.spans[0].seconds >= 0.0
+    timer = registry.timer("stage")
+    assert timer.count == 1
+    assert timer.total_seconds == span.duration_us / 1e6
+    assert [record.name for record in tracer.finished] == ["stage"]
 
 
 def test_span_recorded_even_when_body_raises():
     registry = MetricsRegistry()
     try:
-        with registry.span("boom"):
+        with Tracer(metrics=registry).span("boom"):
             raise RuntimeError("x")
     except RuntimeError:
         pass
     assert registry.timer("boom").count == 1
+
+
+def test_adopted_spans_do_not_feed_the_registry_again():
+    worker_registry = MetricsRegistry()
+    worker = Tracer(metrics=worker_registry)
+    with worker.span("shard"):
+        pass
+    registry = MetricsRegistry()
+    parent = Tracer(metrics=registry)
+    parent.adopt(worker.span_dicts())
+    registry.merge_snapshot(worker_registry.snapshot())
+    # One timer sample per closed span: the adopted copy adds none.
+    assert registry.timer("shard").count == 1
+    assert [span["name"] for span in parent.snapshot()["spans"]] == ["shard"]
 
 
 def test_snapshot_is_plain_and_sorted():
@@ -80,13 +96,11 @@ def test_snapshot_is_plain_and_sorted():
     assert json.loads(json.dumps(snapshot)) == snapshot
 
 
-def test_merge_snapshot_folds_counters_timers_spans():
+def test_merge_snapshot_folds_counters_and_timers():
     child = MetricsRegistry()
     child.increment("n", 5)
     child.observe_seconds("t", 0.1)
     child.observe_seconds("t", 0.3)
-    with child.span("s"):
-        pass
 
     parent = MetricsRegistry()
     parent.increment("n", 1)
@@ -99,14 +113,13 @@ def test_merge_snapshot_folds_counters_timers_spans():
     assert abs(timer.total_seconds - 0.6) < 1e-6
     assert timer.min_seconds == 0.1
     assert timer.max_seconds == 0.3
-    assert [span.name for span in parent.spans] == ["s"]
 
 
 def test_merge_snapshot_tolerates_none_and_empty():
     registry = MetricsRegistry()
     registry.merge_snapshot(None)
     registry.merge_snapshot({})
-    assert registry.snapshot() == {"counters": {}, "timers": {}, "spans": []}
+    assert registry.snapshot() == {"counters": {}, "timers": {}}
 
 
 # ----------------------------------------------------------------------
@@ -138,6 +151,26 @@ def test_unfinished_manifest_has_null_timing():
     payload = RunManifest.begin("demo").to_dict()
     assert payload["finished_at"] is None
     assert payload["duration_seconds"] is None
+
+
+def test_finished_manifest_duration_is_frozen():
+    manifest = RunManifest.begin("demo").finish()
+    first, seconds = manifest.to_dict()["duration_seconds"], manifest.duration_seconds
+    time.sleep(0.02)
+    assert manifest.to_dict()["duration_seconds"] == first
+    assert manifest.duration_seconds == seconds
+
+
+def test_manifest_from_a_tracer_lists_its_spans():
+    registry = MetricsRegistry()
+    tracer = Tracer(metrics=registry)
+    with tracer.span("outer"):
+        with tracer.span("inner"):
+            registry.increment("events")
+    metrics = RunManifest.begin("demo").finish(tracer).to_dict()["metrics"]
+    assert set(metrics) == {"counters", "timers", "spans"}
+    assert [span["name"] for span in metrics["spans"]] == ["inner", "outer"]
+    assert set(metrics["timers"]) == {"inner", "outer"}
 
 
 # ----------------------------------------------------------------------
@@ -174,23 +207,6 @@ def test_write_manifest_jsonl_appends(tmp_path):
     lines = path.read_text().splitlines()
     assert len(lines) == 2
     assert all(json.loads(line)["command"] == "demo" for line in lines)
-
-
-def test_write_metrics_jsonl_kinds_and_label(tmp_path):
-    registry = MetricsRegistry()
-    registry.increment("c", 2)
-    with registry.span("s"):
-        pass
-    path = tmp_path / "metrics.jsonl"
-    count = write_metrics_jsonl(registry, str(path), label="run-1")
-    records = [
-        json.loads(line) for line in path.read_text().splitlines()
-    ]
-    assert count == len(records) == 3  # counter + timer + span
-    assert {record["kind"] for record in records} == {
-        "counter", "timer", "span"
-    }
-    assert all(record["label"] == "run-1" for record in records)
 
 
 def test_export_trace_round_trips_through_replay(tmp_path):

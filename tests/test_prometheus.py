@@ -74,6 +74,38 @@ def test_validator_catches_bad_grammar_and_broken_histograms():
     assert any("!= _count" in error for error in errors)
 
 
+def test_validator_rejects_a_family_declared_twice_and_repeated_series():
+    # A session.compile timer summary and a session.compile_seconds
+    # histogram rendered side by side share one family name.
+    doubled = (
+        "# TYPE repro_session_compile_seconds summary\n"
+        "repro_session_compile_seconds_count 1\n"
+        "repro_session_compile_seconds_sum 0.5\n"
+        "# TYPE repro_session_compile_seconds histogram\n"
+        'repro_session_compile_seconds_bucket{le="1.0"} 1\n'
+        'repro_session_compile_seconds_bucket{le="+Inf"} 1\n'
+        "repro_session_compile_seconds_sum 0.5\n"
+        "repro_session_compile_seconds_count 1\n"
+    )
+    errors = validate_exposition(doubled)
+    assert any("declared twice" in error for error in errors)
+    assert any(
+        "series repro_session_compile_seconds_count repeated" in error
+        for error in errors
+    )
+
+
+def test_timer_sharing_a_histogram_family_renders_only_the_histogram():
+    registry = MetricsRegistry()
+    registry.observe_seconds("session.compile", 0.5)
+    registry.observe_histogram("session.compile_seconds", 0.5)
+    text = render_prometheus(registry)
+    assert text.count("# TYPE repro_session_compile_seconds ") == 1
+    assert "# TYPE repro_session_compile_seconds histogram" in text
+    assert "repro_session_compile_seconds_count 1" in text
+    assert validate_exposition(text) == []
+
+
 def test_sanitize_metric_name():
     assert sanitize_metric_name("session.wall_seconds") == (
         "session_wall_seconds"

@@ -317,6 +317,36 @@ def test_client_supplied_trace_context_parents_the_session(daemon):
         client.shutdown()
 
 
+def test_daemon_registry_stays_bounded_over_many_sessions():
+    """Folding finished sessions keeps the daemon registry one fixed
+    shape: the same snapshot keys after 1 and after 51 ``run``
+    sessions, and no list that grows with the session count."""
+    from repro.service.engine import DetectionSession, SessionSpec
+
+    instance = DetectionDaemon(socket_path=None)
+    spec = SessionSpec(mode="run", source=FIGURE1, inputs=(0, 1))
+
+    def fold(count):
+        for index in range(count):
+            session = DetectionSession(spec, session_id=f"s{index}")
+            session.run()
+            instance._on_session_done(session)
+        return instance.metrics.snapshot()
+
+    def shape(value):
+        if isinstance(value, dict):
+            return {key: shape(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return len(value)
+        return None
+
+    first = fold(1)
+    assert first["counters"]["serve.sessions.completed"] == 1
+    later = fold(50)
+    assert later["counters"]["serve.sessions.completed"] == 51
+    assert shape(later) == shape(first)
+
+
 def test_daemon_trace_out_writes_one_connected_tree(tmp_path):
     from repro.observability import validate_chrome_trace
 

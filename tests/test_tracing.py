@@ -1,8 +1,11 @@
 """Hierarchical span tracing: trees, propagation, Chrome export."""
 
+import importlib.util
 import json
+import pathlib
 import pickle
 import threading
+from collections import Counter
 
 from repro.observability import (
     TraceContext,
@@ -212,3 +215,71 @@ def test_sharded_campaign_produces_one_connected_trace():
         assert shard.trace_id == campaign_root.trace_id
     compile_parents = {span.parent_id for span in by_name["shard.compile"]}
     assert compile_parents <= {span.span_id for span in shards}
+
+
+# ----------------------------------------------------------------------
+# Telemetry agrees with the trace
+# ----------------------------------------------------------------------
+
+VALIDATOR = (
+    pathlib.Path(__file__).parent.parent / "tools" / "validate_observability.py"
+)
+
+
+def _load_validator():
+    spec = importlib.util.spec_from_file_location("validate_observability", VALIDATOR)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_manifest_timers_and_spans_agree_with_the_chrome_trace(tmp_path, capsys):
+    from repro.cli import main
+    from repro.workloads.registry import get_workload
+
+    source = tmp_path / "telnetd.c"
+    source.write_text(get_workload("telnetd").source)
+    runs = {
+        "jobs1": ["campaign", "telnetd", "--attacks", "4", "--jobs", "1"],
+        "jobs2": ["campaign", "telnetd", "--attacks", "4", "--jobs", "2"],
+        "run": ["run", str(source), "--inputs", "1 2 3"],
+    }
+    validator = _load_validator()
+    timers = {}
+    for name, argv in runs.items():
+        manifest_path = tmp_path / f"{name}.json"
+        trace_path = tmp_path / f"{name}-trace.json"
+        assert main(
+            argv + ["--metrics-out", str(manifest_path),
+                    "--chrome-trace-out", str(trace_path)]
+        ) == 0
+        capsys.readouterr()
+        # Every timer's count and total match its same-named spans.
+        assert validator.main(
+            ["--chrome-trace", str(trace_path), "--manifest", str(manifest_path)]
+        ) == 0
+        metrics = json.loads(manifest_path.read_text())["metrics"]
+        trace = json.loads(trace_path.read_text())
+        assert Counter(span["name"] for span in metrics["spans"]) == Counter(
+            event["name"] for event in trace["traceEvents"] if event["ph"] == "X"
+        )
+        timers[name] = set(metrics["timers"])
+    assert timers["jobs1"] == timers["jobs2"] == {
+        "campaign", "shard", "shard.compile"
+    }
+    assert timers["run"] == {"session", "session.compile", "session.execute"}
+
+
+def test_validator_flags_a_manifest_that_disagrees_with_its_trace():
+    validator = _load_validator()
+    tracer = _sample_tracer()
+    trace = chrome_trace(tracer.finished)
+    manifest = {
+        "metrics": {
+            "timers": {"root": {"count": 2, "total_seconds": 0.0}},
+            "spans": [{"name": "root", "seconds": 0.0}],
+        }
+    }
+    errors = validator.check_manifest_against_trace(manifest, trace)
+    assert any("timer 'root': count 2" in error for error in errors)
+    assert any("manifest spans" in error for error in errors)

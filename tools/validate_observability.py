@@ -12,7 +12,12 @@ the library exposes:
   (:func:`repro.observability.validate_exposition`);
 * ``--obs-json PATH``      — ``repro obs --json`` report: schema
   fields plus the attribution invariant that per-reason catch counts
-  sum exactly to the detected total, campaign-wide and per workload.
+  sum exactly to the detected total, campaign-wide and per workload;
+* ``--manifest PATH``      — a ``--metrics-out`` JSON manifest of the
+  same run as ``--chrome-trace``: every timer's ``count`` equals the
+  number of same-named spans in the trace and its ``total_seconds``
+  their summed durations (within 1 µs per span), and the manifest's
+  ``spans`` names equal the trace's as a multiset.
 
 Exit codes follow the audit convention: 0 clean, 1 validation errors,
 2 unreadable/missing input.  At least one artifact must be given.
@@ -21,6 +26,7 @@ Exit codes follow the audit convention: 0 clean, 1 validation errors,
 import argparse
 import json
 import sys
+from collections import Counter
 
 from repro.observability import validate_chrome_trace, validate_exposition
 
@@ -62,6 +68,40 @@ def check_obs_report(document):
     return errors
 
 
+def check_manifest_against_trace(manifest, trace):
+    """Errors where a run manifest's telemetry disagrees with the Chrome
+    trace of the same run; empty list when they agree."""
+    metrics = manifest.get("metrics", {})
+    durations = {}
+    for event in trace.get("traceEvents", []):
+        if event.get("ph") == "X":
+            durations.setdefault(event.get("name"), []).append(event.get("dur", 0))
+    errors = []
+    for name, timer in sorted(metrics.get("timers", {}).items()):
+        spans = durations.get(name, [])
+        count, total = timer.get("count"), timer.get("total_seconds", 0.0)
+        if count != len(spans):
+            errors.append(
+                f"timer {name!r}: count {count}, {len(spans)} span(s) in the trace"
+            )
+            continue
+        # 1 µs per span covers microsecond truncation, the exporter's
+        # 1 µs floor and the manifest's 6-decimal rounding.
+        if abs(total - sum(spans) / 1e6) > 1e-6 * len(spans) + 1e-9:
+            errors.append(
+                f"timer {name!r}: total {total} s, spans sum to "
+                f"{sum(spans) / 1e6} s"
+            )
+    listed = Counter(span.get("name") for span in metrics.get("spans", []))
+    traced = Counter({name: len(spans) for name, spans in durations.items()})
+    if listed != traced:
+        errors.append(
+            f"manifest spans {dict(sorted(listed.items()))} != trace "
+            f"spans {dict(sorted(traced.items()))}"
+        )
+    return errors
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="validate_observability",
@@ -73,9 +113,14 @@ def main(argv=None):
                         help="Prometheus text exposition to validate")
     parser.add_argument("--obs-json", metavar="PATH",
                         help="repro obs --json report to validate")
+    parser.add_argument("--manifest", metavar="PATH",
+                        help="--metrics-out JSON manifest of the same run "
+                             "as --chrome-trace, checked against it")
     args = parser.parse_args(argv)
     if not (args.chrome_trace or args.prometheus or args.obs_json):
         parser.error("give at least one artifact to validate")
+    if args.manifest and not args.chrome_trace:
+        parser.error("--manifest needs --chrome-trace")
 
     failures = 0
 
@@ -92,8 +137,12 @@ def main(argv=None):
     try:
         if args.chrome_trace:
             with open(args.chrome_trace, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-            report(args.chrome_trace, validate_chrome_trace(document))
+                trace = json.load(handle)
+            report(args.chrome_trace, validate_chrome_trace(trace))
+        if args.manifest:
+            with open(args.manifest, "r", encoding="utf-8") as handle:
+                manifest = json.load(handle)
+            report(args.manifest, check_manifest_against_trace(manifest, trace))
         if args.prometheus:
             with open(args.prometheus, "r", encoding="utf-8") as handle:
                 text = handle.read()

@@ -48,7 +48,8 @@ class MetricRule:
 #: this repo actively optimizes), the full stack as advisory, the
 #: whole-set compile times (opt 0, opt 2 which adds the interprocedural
 #: summary fixpoint, and opt 3 which adds the per-edge feasible-path
-#: MFP), and the Figure-7 detection rates at the default and opt-3
+#: MFP), the whole-set opt-3 ``repro audit`` and ``repro predict``
+#: times, and the Figure-7 detection rates at the default and opt-3
 #: tables (direction "higher": the seeded campaigns are deterministic,
 #: so a drop means the tables really got weaker, not noise).
 DEFAULT_RULES: Tuple[MetricRule, ...] = (
@@ -132,6 +133,18 @@ DEFAULT_RULES: Tuple[MetricRule, ...] = (
     MetricRule(
         "compile_time",
         ("total", "opt3_seconds"),
+        max_change_pct=50.0,
+        min_delta=1.0,
+    ),
+    MetricRule(
+        "static_checks",
+        ("total", "audit_seconds"),
+        max_change_pct=50.0,
+        min_delta=1.0,
+    ),
+    MetricRule(
+        "static_checks",
+        ("total", "predict_seconds"),
         max_change_pct=50.0,
         min_delta=1.0,
     ),

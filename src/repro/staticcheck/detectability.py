@@ -514,33 +514,20 @@ def must_bsv_states(
 
 @dataclass(frozen=True)
 class WalkResult:
-    """All-paths classification of one walk from one tamper point."""
+    """What one walk from one tamper point decides about every path."""
 
-    #: Terminal kinds reached: ``alarm``, ``return``, ``escape:<why>``.
-    outcomes: FrozenSet[str]
-    #: The walked state graph contains a cycle (possible silent loop).
-    cyclic: bool
-    #: Some walked path may write the tampered variable.
-    wrote_var: bool
-    #: Branch decisions plus terminal reason of the first path that is
-    #: not an alarm — the ``DET802`` escaping-path witness.
+    #: Every path alarms: no other terminal, no cycle, no state cap.
+    must_alarm: bool
+    #: Every path alarms or returns, none may write the variable, and
+    #: there is no cycle or state cap — the condition an *outer* frame
+    #: needs of the frames below it (an alarm is a catch; a return
+    #: resumes the outer frame at its own walked point).
+    clean_return: bool
+    #: Branch decisions plus terminal reason of the first path, in the
+    #: walk's LIFO order, that is not an alarm — the ``DET802``
+    #: escaping-path witness; ``escape:state-cap`` or ``escape:loop``
+    #: when no such path was popped, empty when ``must_alarm``.
     witness: Tuple[str, ...]
-    #: States explored (diagnostic interest only).
-    states: int
-
-    @property
-    def must_alarm(self) -> bool:
-        return self.outcomes == frozenset({"alarm"}) and not self.cyclic
-
-    @property
-    def alarm_or_return(self) -> bool:
-        """Every path alarms or returns — the condition an *outer*
-        frame needs of the frames below it (an alarm is a catch; a
-        return resumes the outer frame at its own walked point)."""
-        return (
-            self.outcomes <= frozenset({"alarm", "return"})
-            and not self.cyclic
-        )
 
 
 #: Walk state: (block, index, BSV knowledge, forcing alive).
@@ -575,7 +562,8 @@ class WalkGraph:
     Walks from different tamper points explore heavily overlapping
     regions of this graph — a workload's report asks for every block
     entry — so expansions are memoized here and shared across walks.
-    Each walk is then a cheap BFS over cached edges.
+    Each walk is a LIFO traversal over cached edges that stops as soon
+    as its :class:`WalkResult` is decided.
 
     ``forced_outcomes`` maps the PCs of branches that test the
     variable (via a direct in-block load chain) to the direction the
@@ -733,8 +721,18 @@ class WalkGraph:
         start_index: int,
         initial: Mapping[int, BranchStatus],
     ) -> WalkResult:
-        """Classify every path from one tamper point (see
-        :class:`WalkResult`), reusing expansions across walks."""
+        """Decide :class:`WalkResult` for one tamper point, reusing
+        expansions across walks.
+
+        Both facts only ever go from true to false as states are
+        popped: a non-alarm terminal refutes ``must_alarm``; an escape
+        terminal or a write of the variable refutes ``clean_return``;
+        the state cap refutes both.  The walk stops once both are
+        false.  The first non-alarm terminal and its parent chain (the
+        witness) are fixed the moment it is popped, so stopping early
+        changes no answer.  Only a walk that exhausts its graph with a
+        fact still true runs the cycle check, which refutes both.
+        """
         start: _WalkState = (
             start_block,
             start_index,
@@ -742,63 +740,55 @@ class WalkGraph:
             self._forced is not None,
         )
         parents: Dict[_WalkState, Tuple[_WalkState, str]] = {}
-        outcomes: Set[str] = set()
         witness_state: Optional[_WalkState] = None
-        wrote_var = False
-        capped = False
+        escape: Tuple[str, ...] = ()
+        must_alarm = clean_return = True
         queue: List[_WalkState] = [start]
         seen: Set[_WalkState] = {start}
-        while queue:
+        while queue and (must_alarm or clean_return):
             state = queue.pop()
             if len(seen) > MAX_WALK_STATES:
-                capped = True
+                escape = ("escape:state-cap",)
                 break
             expansion = self.expand(state)
-            wrote_var = wrote_var or expansion.wrote
+            if expansion.wrote:
+                clean_return = False
             if expansion.terminal is not None:
-                kind, _detail = expansion.terminal
-                outcomes.add(kind)
+                kind = expansion.terminal[0]
                 if kind != "alarm" and witness_state is None:
                     witness_state = state
+                    must_alarm = False
+                if kind not in ("alarm", "return"):
+                    clean_return = False
                 continue
             for edge, nxt in expansion.edges:
                 if nxt not in seen:
                     seen.add(nxt)
                     parents[nxt] = (state, edge)
                     queue.append(nxt)
-        if capped:
-            outcomes.add("escape:state-cap")
+        if (
+            not escape
+            and (must_alarm or clean_return)
+            and self._has_cycle(start)
+        ):
+            escape = ("escape:loop",)
+        if escape:
+            must_alarm = clean_return = False
+        if witness_state is None:
+            return WalkResult(must_alarm, clean_return, escape)
 
-        cyclic = True if capped else self._has_cycle(start)
-
-        witness: Tuple[str, ...] = ()
-        if witness_state is not None:
-            path: List[str] = []
-            cursor_state = witness_state
-            while cursor_state != start and cursor_state in parents:
-                parent, edge = parents[cursor_state]
-                path.append(edge)
-                cursor_state = parent
-            path.reverse()
-            terminal = self.expand(witness_state).terminal
-            assert terminal is not None
-            kind, detail = terminal
-            path.append(f"{kind}{f'({detail})' if detail else ''}")
-            witness = tuple(path[-12:])
-        elif capped:
-            witness = ("escape:state-cap",)
-        elif cyclic:
-            witness = ("escape:loop",)
-
-        if cyclic and not capped:
-            outcomes.add("escape:loop")
-        return WalkResult(
-            outcomes=frozenset(outcomes),
-            cyclic=cyclic,
-            wrote_var=wrote_var,
-            witness=witness,
-            states=len(seen),
-        )
+        path: List[str] = []
+        cursor_state = witness_state
+        while cursor_state != start and cursor_state in parents:
+            parent, edge = parents[cursor_state]
+            path.append(edge)
+            cursor_state = parent
+        path.reverse()
+        terminal = self.expand(witness_state).terminal
+        assert terminal is not None
+        kind, detail = terminal
+        path.append(f"{kind}{f'({detail})' if detail else ''}")
+        return WalkResult(must_alarm, clean_return, tuple(path[-12:]))
 
     def _has_cycle(self, start: _WalkState) -> bool:
         """Three-color DFS over the (already expanded) reachable
@@ -822,26 +812,6 @@ class WalkGraph:
                 color[node] = BLACK
                 stack.pop()
         return False
-
-
-def must_alarm_walk(
-    fn: IRFunction,
-    tables: Optional[FunctionTables],
-    facts_by_pc: Mapping[int, BranchFacts],
-    callee_facts: Mapping[str, CalleeFacts],
-    start_block: str,
-    start_index: int,
-    initial: Mapping[int, BranchStatus],
-    var: Variable,
-    forced_outcomes: Optional[Mapping[int, bool]],
-) -> WalkResult:
-    """One-shot walk without a shared graph (unit tests and ad-hoc
-    queries); :class:`DetectabilityAnalysis` goes through
-    :class:`WalkGraph` directly to share expansions."""
-    graph = WalkGraph(
-        fn, tables, facts_by_pc, callee_facts, var, forced_outcomes
-    )
-    return graph.walk(start_block, start_index, initial)
 
 
 # ----------------------------------------------------------------------
@@ -1147,7 +1117,7 @@ class DetectabilityAnalysis:
                 witness = result.witness
             if result.must_alarm and deeper_clean:
                 return PROVEN_DETECTED, ()
-            if not (result.alarm_or_return and not result.wrote_var):
+            if not result.clean_return:
                 deeper_clean = False
         return POSSIBLY_DETECTED, witness or ("no-frame-must-alarm",)
 

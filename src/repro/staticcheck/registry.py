@@ -115,9 +115,12 @@ def run_passes(
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
 ) -> List[Diagnostic]:
-    """Run the selected passes (default: all) over a compiled program;
-    ``metrics`` counts each pass's diagnostics, ``tracer`` times it."""
-    selected = [pass_by_name(n) for n in (names or [p.name for p in PASSES])]
+    """Run the selected passes over a compiled program: ``None`` runs
+    every pass, an empty selection none.  ``metrics`` counts each
+    pass's diagnostics, ``tracer`` times it."""
+    selected = (
+        list(PASSES) if names is None else [pass_by_name(n) for n in names]
+    )
     analyze_aliases(program.module)
     purity = analyze_purity(program.module)
     diagnostics: List[Diagnostic] = []

@@ -129,6 +129,23 @@ def test_default_rules_gate_compile_time_and_detection():
     assert ("detection_opt3", "avg_pct_detected_of_changed") in fig7_paths
 
 
+def test_default_rules_gate_static_check_times():
+    """Whole-set opt-3 audit and predict seconds: lower is better, with
+    a one-second floor over shared-host noise."""
+    static = {r.path: r for r in DEFAULT_RULES if r.bench == "static_checks"}
+    assert set(static) == {("total", "audit_seconds"), ("total", "predict_seconds")}
+    for rule in static.values():
+        assert (rule.direction, rule.max_change_pct, rule.min_delta) == (
+            "lower",
+            50.0,
+            1.0,
+        )
+    # A 1.2 s predict that doubles regresses; a 0.8 s wobble does not.
+    predict = static[("total", "predict_seconds")]
+    assert MetricDelta(rule=predict, baseline=1.2, current=2.4).regressed
+    assert not MetricDelta(rule=predict, baseline=1.2, current=2.0).regressed
+
+
 def test_default_rules_gate_throughput_direction_aware():
     """The batched/segment throughput wins are gated in the "higher is
     better" direction, and the overhead companions stay "lower"."""

@@ -12,7 +12,7 @@ from repro.analysis.alias import analyze_aliases
 from repro.analysis.purity import analyze_purity
 from repro.ir.instructions import RelOp
 from repro.pipeline import compile_program
-from repro.staticcheck import run_passes
+from repro.staticcheck import detectability, run_passes
 from repro.staticcheck.detectability import (
     POSSIBLY_DETECTED,
     PROVEN_DETECTED,
@@ -221,6 +221,94 @@ def test_attack_verdict_unknown_function_is_possible():
     )
     assert verdict == POSSIBLY_DETECTED
     assert witness == ("unknown-function:nosuch",)
+
+
+# ----------------------------------------------------------------------
+# when a walk stops: the cap, cycles, and frame chaining
+# ----------------------------------------------------------------------
+
+# v's twin checks with a counting loop between them: every exit from
+# the loop reaches the second check.
+LOOP_SOURCE = """
+int v;
+void main() {
+    v = read_int();
+    if (v > 5) { emit(1); } else { emit(2); }
+    int i = 0;
+    while (i < 3) { i = i + 1; }
+    if (v > 5) { emit(3); } else { emit(4); }
+}
+"""
+
+# Two helpers of the same shape after the twin checks: ``quiet`` only
+# returns; ``noisy`` also writes v on its taken arm.  The walk pops the
+# fallthrough (the return) first, so the write is seen only after the
+# first non-alarm terminal.
+FRAMES_SOURCE = """
+int v;
+int w;
+void quiet() {
+    if (w > 0) { emit(5); }
+    emit(7);
+}
+void noisy() {
+    if (w > 0) { v = 1; }
+    emit(7);
+}
+void main() {
+    v = read_int();
+    w = read_int();
+    if (v > 5) { emit(1); } else { emit(2); }
+    if (v > 5) { emit(3); } else { emit(4); }
+    quiet();
+    noisy();
+}
+"""
+
+
+def test_state_cap_escapes_even_when_every_path_alarms(monkeypatch):
+    # From the taken arm with value 0 the only path alarms at the second
+    # check, but the walk's graph (arm, join, alarm) exceeds a cap of 2.
+    monkeypatch.setattr(detectability, "MAX_WALK_STATES", 2)
+    program, analysis = analysis_for(TWIN_SOURCE)
+    var = global_named(program, "v")
+    arm_taken = program.module.function("main").blocks[1].label
+    assert analysis.point_verdict(var, "main", arm_taken, 0) == (
+        POSSIBLY_DETECTED,
+        ("escape:state-cap",),
+    )
+
+
+def test_loop_whose_every_exit_alarms_escapes_as_a_loop():
+    program, analysis = analysis_for(LOOP_SOURCE)
+    var = global_named(program, "v")
+    arm_taken = program.module.function("main").blocks[1].label
+    assert analysis.point_verdict(var, "main", arm_taken, 0) == (
+        POSSIBLY_DETECTED,
+        ("escape:loop",),
+    )
+
+
+def test_attack_verdict_chains_frames_through_clean_returns():
+    # Frames are outer -> inner resume points; the outer one sits in
+    # the twin's taken arm, where value 0 must alarm.
+    program, analysis = analysis_for(FRAMES_SOURCE)
+    var = global_named(program, "v")
+    outer = ("main", program.module.function("main").blocks[1].label, 0)
+
+    def inner(name):
+        return (name, program.module.function(name).entry.label, 0)
+
+    assert analysis.attack_verdict(
+        var, 0, 0, [outer, inner("quiet")], None
+    ) == (PROVEN_DETECTED, ())
+    # noisy's return is its first escaping terminal, so it is also the
+    # witness; the write popped after it still breaks the chain.
+    verdict, witness = analysis.attack_verdict(
+        var, 0, 0, [outer, inner("noisy")], None
+    )
+    assert verdict == POSSIBLY_DETECTED
+    assert witness[-1] == "return"
 
 
 # ----------------------------------------------------------------------

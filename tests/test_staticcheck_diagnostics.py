@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from repro.observability.metrics import MetricsRegistry
+from repro.pipeline import compile_program
 from repro.staticcheck import (
     CODES,
+    PASSES,
     Diagnostic,
     DiagnosticSink,
     Severity,
@@ -15,6 +18,7 @@ from repro.staticcheck import (
     errors_in,
     max_severity,
     render_text,
+    run_passes,
 )
 
 
@@ -95,3 +99,18 @@ def test_staticcheck_error_carries_diagnostics():
     error = StaticCheckError(sink.diagnostics)
     assert error.diagnostics == sink.diagnostics
     assert "COR205" in str(error)
+
+
+def _passes_run(names):
+    """The passes ``run_passes`` ran, read off its per-pass counters."""
+    metrics = MetricsRegistry()
+    run_passes(compile_program("void main() { emit(1); }"), names=names, metrics=metrics)
+    return sorted(metrics.snapshot()["counters"])
+
+
+def test_run_passes_none_selects_every_pass_and_empty_selects_none():
+    assert _passes_run(None) == sorted(
+        f"staticcheck.{check.name}.diagnostics" for check in PASSES
+    )
+    assert _passes_run(()) == []
+    assert _passes_run(("ir-verify",)) == ["staticcheck.ir-verify.diagnostics"]

@@ -94,7 +94,8 @@ class FeasRange:
 
     @staticmethod
     def top() -> "FeasRange":
-        return FeasRange(Interval.top(), None)
+        """No information; one shared instance."""
+        return _FEAS_TOP
 
     @staticmethod
     def point(value: int) -> "FeasRange":
@@ -164,6 +165,8 @@ class FeasRange:
         return f"{self.interval}\\{{{self.hole}}}"
 
 
+_FEAS_TOP = FeasRange(Interval.top(), None)
+
 #: Abstract environment: variable -> range; missing means top.
 FeasEnv = Dict[Variable, FeasRange]
 
@@ -176,16 +179,32 @@ def _env_set(env: FeasEnv, var: Variable, value: FeasRange) -> None:
 
 
 def _env_join(a: FeasEnv, b: FeasEnv) -> FeasEnv:
+    """Pointwise join in one pass over ``a``.  A range both sides agree
+    on (the same object, or an equal canonical one) is its own join and
+    ``a``'s is reused; otherwise ``a``'s range joins on the left,
+    because the one-hole join keeps the first common hole."""
     joined: FeasEnv = {}
-    for var in a.keys() & b.keys():
-        _env_set(joined, var, a[var].join(b[var]))
+    for var, mine in a.items():
+        theirs = b.get(var)
+        if theirs is None:
+            continue
+        value = mine if mine is theirs or mine == theirs else mine.join(theirs)
+        if not value.is_top:
+            joined[var] = value
     return joined
 
 
 def _env_widen(old: FeasEnv, new: FeasEnv) -> FeasEnv:
+    """Pointwise widening in one pass over ``old`` (a range both sides
+    agree on widens to itself)."""
     widened: FeasEnv = {}
-    for var in old.keys() & new.keys():
-        _env_set(widened, var, old[var].widen(new[var]))
+    for var, mine in old.items():
+        theirs = new.get(var)
+        if theirs is None:
+            continue
+        value = mine if mine is theirs or mine == theirs else mine.widen(theirs)
+        if not value.is_top:
+            widened[var] = value
     return widened
 
 
@@ -342,7 +361,7 @@ def _transfer(
     for step in program.steps:
         kind = step[0]
         if kind == "load":
-            snapshots[step[2]] = env.get(step[1], FeasRange.top())
+            snapshots[step[2]] = env.get(step[1], _FEAS_TOP)
         elif kind == "store":
             _, var, spec = step
             if spec[0] == "const":

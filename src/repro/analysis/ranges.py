@@ -34,8 +34,8 @@ class Interval:
 
     @staticmethod
     def top() -> "Interval":
-        """All integers (no information)."""
-        return Interval(NEG_INF, POS_INF)
+        """All integers (no information); one shared instance."""
+        return _TOP
 
     @staticmethod
     def empty() -> "Interval":
@@ -148,6 +148,9 @@ class Interval:
         lo = "-inf" if self.lo == NEG_INF else str(int(self.lo))
         hi = "+inf" if self.hi == POS_INF else str(int(self.hi))
         return f"[{lo}, {hi}]"
+
+
+_TOP = Interval(NEG_INF, POS_INF)
 
 
 def taken_partition(op: RelOp, bound: int) -> Tuple[Optional[Interval], Optional[Interval]]:

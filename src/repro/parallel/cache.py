@@ -134,8 +134,9 @@ def _disk_load(key: str) -> Optional["ProtectedProgram"]:
     try:
         with open(path, "rb") as handle:
             return pickle.load(handle)
-    except (OSError, pickle.PickleError, EOFError, AttributeError):
-        # Missing, corrupt or schema-incompatible entry: recompile.
+    except Exception:
+        # Missing, corrupt, stale or foreign entry: whatever unpickling
+        # raises, recompile (the caller counts a miss and overwrites it).
         return None
 
 

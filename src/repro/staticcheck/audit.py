@@ -35,7 +35,7 @@ recomputed here.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.alias import analyze_aliases
 from ..analysis.branch_info import OutcomeSet
@@ -51,21 +51,25 @@ from ..correlation.binary_image import (
 from ..correlation.encoding import table_sizes
 from ..correlation.hashing import MAX_BITS, MAX_SHIFT
 from ..correlation.provenance import sort_records
-from ..correlation.tables import FunctionTables
+from ..correlation.tables import EventKey, FunctionTables
 from ..ir.function import IRFunction, IRModule
 from .diagnostics import Diagnostic, DiagnosticSink
-from .domain import ValueSet
+from .domain import Env, ValueSet
 from .facts import (
     BlockSummary,
+    Term,
     edge_environment,
     summarize_function,
     transfer_block,
 )
 from .ipsummaries import IPSummaries, derive_ipsummaries
-from .mfp import solve_range_mfp
+from .mfp import EdgeRule, solve_from_edge
 
 AUDIT_PASS = "correlation-audit"
 IMAGE_PASS = "image-audit"
+
+#: A live fixpoint's memo key: (source label, direction, cut set).
+_FixpointKey = Tuple[str, bool, FrozenSet[EventKey]]
 
 
 def audit_program(program, purity: Optional[PurityResult] = None) -> List[Diagnostic]:
@@ -206,6 +210,7 @@ def audit_function_tables(
             label_of_slot[slot_of_pc[summary.branch_pc]] = summary.label
 
     unverifiable: Set[int] = set()
+    fixpoints: Dict[_FixpointKey, Optional[Dict[str, Env]]] = {}
     for (source_slot, taken), entries in sorted(tables.bat.items()):
         if source_slot not in valid_slots:
             continue
@@ -238,6 +243,7 @@ def audit_function_tables(
                 target_slot=target_slot,
                 claimed_taken=claimed_taken,
                 transfers=transfers,
+                fixpoints=fixpoints,
             )
             if witness is not None:
                 sink.emit(
@@ -262,6 +268,7 @@ def _prove_entry(
     target_slot: int,
     claimed_taken: bool,
     transfers: Optional[IPSummaries] = None,
+    fixpoints: Optional[Dict[_FixpointKey, Optional[Dict[str, Env]]]] = None,
 ) -> Optional[str]:
     """Prove one SET entry; returns None on success, else a witness
     description of why the proof failed.
@@ -269,34 +276,29 @@ def _prove_entry(
     ``transfers`` makes the proof interprocedurally aware: call steps
     apply the callee's re-derived transfer image instead of clobbering
     to top.  Without it the proof is the opt-0/1 one.
+
+    The fixpoint depends only on the firing edge and on the cut set:
+    the BAT event keys with an entry that writes the target's slot.
+    ``fixpoints`` memoizes it under exactly that key, so entries of one
+    function that share both reuse one solve.
     """
-    # State at the firing edge: nothing is assumed about block entry
-    # (the edge can be reached with any machine state), but the branch
-    # direction and any in-block stores constrain what follows.
-    env_out, snapshots = transfer_block(source, {}, transfers)
-    seed = edge_environment(source, env_out, snapshots, taken)
-    if seed is None:
-        return None  # edge statically infeasible: vacuously sound
-    first = source.taken_target if taken else source.fallthrough_target
-
-    def prediction_overwritten(summary: BlockSummary, direction: bool) -> bool:
-        """Liveness cut: crossing an edge whose BAT actions write the
-        obligation's slot replaces the prediction — the runtime keeps a
-        status until overwritten, so the obligation ends exactly here."""
-        slot = tables.slot_of(summary.branch_pc)
-        return slot is not None and any(
-            entry_target == target_slot
-            for entry_target, _ in tables.bat.get((slot, direction), ())
-        )
-
-    states = solve_range_mfp(
-        summaries,
-        {first: seed},
-        should_cut=prediction_overwritten,
-        transfers=transfers,
+    cut = frozenset(
+        key
+        for key, entries in tables.bat.items()
+        if any(entry_target == target_slot for entry_target, _ in entries)
     )
-    if target.label not in states:
-        return None  # target unreachable while the prediction is live
+    key = (source.label, taken, cut)
+    if fixpoints is None:
+        fixpoints = {}
+    if key not in fixpoints:
+        fixpoints[key] = solve_from_edge(
+            summaries, source, taken, _live_rule(tables, cut), transfers
+        )
+    states = fixpoints[key]
+    if states is None or target.label not in states:
+        # The edge is statically infeasible, or the target is
+        # unreachable while the prediction is live: vacuously sound.
+        return None
     _, snapshots = transfer_block(target, states[target.label], transfers)
     if target.check is None:
         # Constant-condition branch: provable iff the constant agrees.
@@ -314,6 +316,22 @@ def _prove_entry(
         f"value of {target.check.var} at the check is {observed}, "
         f"not within the claimed outcome set {claimed}"
     )
+
+
+def _live_rule(tables: FunctionTables, cut: FrozenSet[EventKey]) -> EdgeRule:
+    """The edge rule of a proof while its prediction is live."""
+
+    def rule(
+        summary: BlockSummary, env_out: Env, snapshots: Dict[Term, ValueSet], direction: bool
+    ) -> Optional[Env]:
+        """Liveness cut: crossing an edge whose BAT actions write the
+        obligation's slot replaces the prediction — the runtime keeps a
+        status until overwritten, so the obligation ends exactly here."""
+        if (tables.slot_of(summary.branch_pc), direction) in cut:
+            return None
+        return edge_environment(summary, env_out, snapshots, direction)
+
+    return rule
 
 
 # ----------------------------------------------------------------------

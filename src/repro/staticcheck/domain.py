@@ -49,7 +49,8 @@ class ValueSet:
 
     @staticmethod
     def top() -> "ValueSet":
-        return ValueSet(Interval.top(), None)
+        """No information; one shared instance."""
+        return _TOP
 
     @staticmethod
     def empty() -> "ValueSet":
@@ -140,12 +141,14 @@ class ValueSet:
         return f"{self.interval}\\{{{self.hole}}}"
 
 
+_TOP = ValueSet(Interval.top(), None)
+
 #: An abstract environment: variable -> value set; missing means top.
 Env = Dict[Variable, ValueSet]
 
 
 def env_get(env: Env, var: Variable) -> ValueSet:
-    return env.get(var, ValueSet.top())
+    return env.get(var, _TOP)
 
 
 def env_set(env: Env, var: Variable, value: ValueSet) -> None:
@@ -157,18 +160,35 @@ def env_set(env: Env, var: Variable, value: ValueSet) -> None:
 
 
 def env_join(a: Env, b: Env) -> Env:
-    """Pointwise join; variables missing on either side are top."""
+    """Pointwise join; variables missing on either side are top.
+
+    One pass over ``a``, probing ``b`` once per variable.  A value both
+    sides agree on (the same object, or an equal one) is its own join,
+    because every value set is in canonical form, so ``a``'s is reused.
+    The value join is not commutative (it keeps the first hole that
+    both sides exclude), so ``a``'s value always goes on the left."""
     joined: Env = {}
-    for var in a.keys() & b.keys():
-        env_set(joined, var, a[var].join(b[var]))
+    for var, left in a.items():
+        right = b.get(var)
+        if right is None:
+            continue
+        value = left if left is right or left == right else left.join(right)
+        if not value.is_top:
+            joined[var] = value
     return joined
 
 
 def env_widen(old: Env, new: Env) -> Env:
-    """Pointwise widening of ``new`` against the previous state."""
+    """Pointwise widening of ``new`` against the previous state, in one
+    pass over ``old`` (a value both sides agree on widens to itself)."""
     widened: Env = {}
-    for var in old.keys() & new.keys():
-        env_set(widened, var, old[var].widen(new[var]))
+    for var, left in old.items():
+        right = new.get(var)
+        if right is None:
+            continue
+        value = left if left is right or left == right else left.widen(right)
+        if not value.is_top:
+            widened[var] = value
     return widened
 
 

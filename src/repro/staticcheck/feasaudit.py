@@ -37,7 +37,7 @@ auditor's own (:mod:`repro.staticcheck.facts`,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.alias import analyze_aliases
 from ..analysis.defs import DefinitionMap
@@ -47,14 +47,17 @@ from ..correlation.provenance import REASON_FEASIBLE, ActionProvenance
 from ..correlation.tables import FunctionTables
 from ..ir.function import IRFunction, IRModule
 from .diagnostics import Diagnostic, DiagnosticSink
-from .domain import Env, ValueSet, env_get, env_join, env_set, env_widen
-from .facts import BlockSummary, edge_environment, summarize_function, transfer_block
-from .mfp import WIDEN_AFTER
+from .domain import Env, ValueSet, env_get, env_set
+from .facts import BlockSummary, Term, edge_environment, summarize_function, transfer_block
+from .mfp import EdgeRule, solve_from_edge
 
 FEASAUDIT_PASS = "feasible-audit"
 
 #: A parsed witness edge: (block label, direction).
 Edge = Tuple[str, bool]
+
+#: A witness fixpoint's memo key: (source label, direction, witness).
+_FixpointKey = Tuple[str, bool, FrozenSet[Edge]]
 
 
 def audit_feasible(
@@ -107,6 +110,7 @@ def _audit_function(
         if summary.branch_pc is not None
     }
 
+    fixpoints: Dict[_FixpointKey, Optional[Dict[str, Env]]] = {}
     for record in records:
         # -- FP701: the record must back a live SET entry ------------
         target_slot = tables.slot_of(record.target_pc)
@@ -130,7 +134,7 @@ def _audit_function(
                 pc=record.source_pc,
             )
             continue
-        _reprove_record(sink, fn, summaries, label_of_pc, record)
+        _reprove_record(sink, fn, summaries, label_of_pc, record, fixpoints)
 
 
 def _parse_witness(
@@ -163,8 +167,12 @@ def _reprove_record(
     summaries: Dict[str, BlockSummary],
     label_of_pc: Dict[int, str],
     record: ActionProvenance,
+    fixpoints: Dict[_FixpointKey, Optional[Dict[str, Env]]],
 ) -> None:
-    """Re-prove one record under the witness-restricted MFP."""
+    """Re-prove one record under the witness-restricted MFP.
+
+    The fixpoint depends only on the source edge and the witness, so
+    ``fixpoints`` memoizes it per function under exactly that key."""
     where = (
         f"({record.source_block}, {record.direction}) -> "
         f"{record.action} {record.target_block}"
@@ -194,19 +202,14 @@ def _reprove_record(
         )
         return
 
-    # Seed: the state after the source block commits its direction.  A
-    # None seed means the direction itself never executes — every claim
-    # about what follows it is vacuously true.
-    source = summaries[source_label]
-    env_out, snapshots = transfer_block(source, {})
-    seed = edge_environment(source, env_out, snapshots, record.taken)
-    if seed is None:
-        return
-    start = (
-        source.taken_target if record.taken else source.fallthrough_target
-    )
-
-    states = _witness_restricted_mfp(summaries, {start: seed}, witness)
+    key = (source_label, record.taken, frozenset(witness))
+    if key not in fixpoints:
+        fixpoints[key] = solve_from_edge(
+            summaries, summaries[source_label], record.taken, _witness_rule(witness)
+        )
+    states = fixpoints[key]
+    if states is None:
+        return  # the source direction never executes: vacuously true
 
     # -- FP702: every *reached* witness edge must re-prove infeasible
     # at the fixpoint (unreached sources are vacuous — the edge cannot
@@ -260,68 +263,27 @@ def _reprove_record(
         )
 
 
-def _witness_restricted_mfp(
-    summaries: Dict[str, BlockSummary],
-    seeds: Dict[str, Env],
-    witness: Set[Edge],
-) -> Dict[str, Env]:
-    """The MFP that may prune *only* the declared witness edges.
+def _witness_rule(witness: Set[Edge]) -> EdgeRule:
+    """The edge rule that may prune *only* the declared witness edges.
 
-    Identical worklist/join/widen discipline to
-    :func:`repro.staticcheck.mfp.solve_range_mfp`, with one deliberate
-    difference: a conditional edge is dropped only when the witness
-    declares it.  Every other edge propagates — an infeasible one with
+    Every other edge propagates — an infeasible one with
     :func:`_relaxed_refinement`, which applies each direction-implied
-    constraint that does not empty a binding but never produces the
-    empty environment — so undeclared pruning can never carry the
-    proof."""
-    states: Dict[str, Env] = dict(seeds)
-    join_counts: Dict[str, int] = {}
-    worklist: List[str] = list(seeds)
-    while worklist:
-        label = worklist.pop()
-        summary = summaries[label]
-        env_out, snapshots = transfer_block(summary, states[label])
-        if summary.is_return:
-            continue
-        edges: List[Tuple[str, Env]] = []
-        if summary.jump_target is not None:
-            edges.append((summary.jump_target, env_out))
-        else:
-            for direction in (True, False):
-                if (label, direction) in witness:
-                    continue  # the record claims this edge never runs
-                edge_env = edge_environment(
-                    summary, env_out, snapshots, direction
-                )
-                if edge_env is None:
-                    # Infeasible but undeclared: propagate a relaxed
-                    # refinement instead of pruning.
-                    edge_env = _relaxed_refinement(
-                        summary, env_out, direction
-                    )
-                next_label = (
-                    summary.taken_target
-                    if direction
-                    else summary.fallthrough_target
-                )
-                edges.append((next_label, edge_env))
-        for next_label, env in edges:
-            if next_label not in states:
-                states[next_label] = env
-                worklist.append(next_label)
-                continue
-            joined = env_join(states[next_label], env)
-            if joined == states[next_label]:
-                continue
-            count = join_counts.get(next_label, 0) + 1
-            join_counts[next_label] = count
-            if count > WIDEN_AFTER:
-                joined = env_widen(states[next_label], joined)
-            if joined != states[next_label]:
-                states[next_label] = joined
-                worklist.append(next_label)
-    return states
+    constraint but never drops the edge — so undeclared pruning can
+    never carry the proof."""
+
+    def rule(
+        summary: BlockSummary, env_out: Env, snapshots: Dict[Term, ValueSet], direction: bool
+    ) -> Optional[Env]:
+        if (summary.label, direction) in witness:
+            return None  # the record claims this edge never runs
+        edge_env = edge_environment(summary, env_out, snapshots, direction)
+        if edge_env is None:
+            # Infeasible but undeclared: propagate a relaxed refinement
+            # instead of pruning.
+            return _relaxed_refinement(summary, env_out, direction)
+        return edge_env
+
+    return rule
 
 
 def _relaxed_refinement(summary: BlockSummary, env_out: Env, taken: bool) -> Env:

@@ -1,12 +1,13 @@
-"""Range MFP solver over block summaries.
-
-A small worklist engine shared by the correlation auditor (seeded at
-one firing edge, with propagation cut at overwriting edges) and the
-dead-branch detector (seeded at the function entry, no cuts).  States
-are abstract environments (variable -> :class:`ValueSet`); conditional
-edges are refined by everything the branch direction implies and
-dropped entirely when the direction contradicts the abstract state.
-Widening after a bounded number of joins guarantees termination on
+"""Range MFP solver over block summaries: the auditor's one worklist
+engine.  Callers differ only in what flows along a conditional edge,
+which each supplies as an edge rule.  The dead-branch detector (seeded
+at the function entry) keeps the default, which refines an edge by
+everything its direction implies and drops it when the direction
+contradicts the abstract state.  The correlation auditor also drops
+edges that overwrite its prediction; the feasible-path auditor drops
+only witnessed edges and relaxes the other infeasible ones.  Both seed
+at one edge through :func:`solve_from_edge`.  States are abstract environments (variable -> :class:`ValueSet`);
+widening after a bounded number of joins guarantees termination on
 loops that keep growing a value.
 """
 
@@ -14,23 +15,24 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .domain import Env, env_join, env_widen
-from .facts import BlockSummary, edge_environment, transfer_block
+from .domain import Env, ValueSet, env_join, env_widen
+from .facts import BlockSummary, Term, edge_environment, transfer_block
+from .ipsummaries import IPSummaries
 
 #: Joins into one block before widening kicks in.
 WIDEN_AFTER = 8
 
-#: Hook deciding whether propagation stops at a conditional edge
-#: (summary, direction) — the auditor cuts where the prediction is
-#: overwritten.
-CutHook = Callable[[BlockSummary, bool], bool]
+#: What flows along one conditional edge: ``(summary, exit environment,
+#: load snapshots, direction)`` -> the edge's environment, or ``None``
+#: to drop the edge.
+EdgeRule = Callable[[BlockSummary, Env, Dict[Term, ValueSet], bool], Optional[Env]]
 
 
 def solve_range_mfp(
     summaries: Dict[str, BlockSummary],
     seeds: Dict[str, Env],
-    should_cut: Optional[CutHook] = None,
-    transfers=None,
+    edge_rule: EdgeRule = edge_environment,
+    transfers: Optional[IPSummaries] = None,
 ) -> Dict[str, Env]:
     """Propagate seed environments to a fixpoint; returns the state at
     each reached block's entry (unreached blocks are absent).
@@ -52,10 +54,8 @@ def solve_range_mfp(
             edges.append((summary.jump_target, env_out))
         else:
             for direction in (True, False):
-                edge_env = edge_environment(summary, env_out, snapshots, direction)
+                edge_env = edge_rule(summary, env_out, snapshots, direction)
                 if edge_env is None:
-                    continue  # direction impossible from this abstract state
-                if should_cut is not None and should_cut(summary, direction):
                     continue
                 next_label = (
                     summary.taken_target
@@ -79,3 +79,21 @@ def solve_range_mfp(
                 states[next_label] = joined
                 worklist.append(next_label)
     return states
+
+
+def solve_from_edge(
+    summaries: Dict[str, BlockSummary],
+    source: BlockSummary,
+    taken: bool,
+    edge_rule: EdgeRule,
+    transfers: Optional[IPSummaries] = None,
+) -> Optional[Dict[str, Env]]:
+    """The MFP seeded at one conditional edge — nothing assumed at the
+    source block's entry, only its stores and direction — or None when
+    the edge is statically infeasible (claims after it hold vacuously)."""
+    env_out, snapshots = transfer_block(source, {}, transfers)
+    seed = edge_environment(source, env_out, snapshots, taken)
+    if seed is None:
+        return None
+    start = source.taken_target if taken else source.fallthrough_target
+    return solve_range_mfp(summaries, {start: seed}, edge_rule, transfers)

@@ -102,6 +102,38 @@ def test_disk_layer_survives_corrupt_entry(tmp_path, monkeypatch):
         assert pickle.load(handle).to_image() == program.to_image()
 
 
+class _Foreign:
+    """Unpickles by calling ``func(*args)``: an entry from some other
+    program, or a stale entry whose classes moved."""
+
+    def __init__(self, func, args):
+        self.func, self.args = func, args
+
+    def __reduce__(self):
+        return self.func, self.args
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pickle.dumps(_Foreign(int, ("not-a-number",))),
+        pickle.dumps(_Foreign(int, ([],))),
+        b"cno_such_module_for_the_cache_test\nthing\n.",
+    ],
+    ids=["ValueError", "TypeError", "ModuleNotFoundError"],
+)
+def test_disk_layer_survives_foreign_entry(tmp_path, monkeypatch, payload):
+    """Whatever loading an entry raises, the compile recompiles, counts
+    a miss and overwrites the entry."""
+    monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
+    key = compile_fingerprint(SOURCE, "a.c", 0)
+    (tmp_path / f"{key}.pkl").write_bytes(payload)
+    program = cached_compile(SOURCE, "a.c")
+    assert compile_cache_stats().misses == 1
+    with open(tmp_path / f"{key}.pkl", "rb") as handle:
+        assert pickle.load(handle).to_image() == program.to_image()
+
+
 def test_disk_layer_disabled_values(monkeypatch):
     for value in ("", "0", "off", "none", "OFF"):
         monkeypatch.setenv(cache_mod.CACHE_ENV, value)

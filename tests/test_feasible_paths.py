@@ -45,7 +45,7 @@ from repro.pipeline import compile_program, compile_program_cached
 from repro.staticcheck import errors_in, run_passes
 from repro.staticcheck.domain import ValueSet
 from repro.staticcheck.facts import summarize_function
-from repro.staticcheck.feasaudit import _witness_restricted_mfp, audit_feasible
+from repro.staticcheck.feasaudit import _witness_rule, audit_feasible
 from repro.staticcheck.mfp import solve_range_mfp
 from repro.workloads import get_workload
 
@@ -641,7 +641,7 @@ def test_witness_restricted_mfp_bounds_the_audit_mfp(source):
     summaries = summarize_function(fn, def_map)
     entry = fn.blocks[0].label
     strict = solve_range_mfp(summaries, {entry: {}})
-    relaxed = _witness_restricted_mfp(summaries, {entry: {}}, set())
+    relaxed = solve_range_mfp(summaries, {entry: {}}, _witness_rule(set()))
     assert set(strict) <= set(relaxed)
     for label, env in strict.items():
         assert _env_subset(env, relaxed[label], ValueSet.top()), label

@@ -79,7 +79,7 @@ def main() -> None:
     run_program(
         program.module,
         inputs=[3, 2, 1, 7, 1, 20, 1, 4, 0],
-        event_listeners=[narrate],
+        observers=[narrate],
     )
     print(f"\nalarms: {ipds.alarms or 'none (clean run)'}")
 

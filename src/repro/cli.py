@@ -498,7 +498,7 @@ def cmd_record(args: argparse.Namespace) -> int:
     result = run_program(
         program.module,
         inputs=_parse_inputs(args.inputs),
-        event_listeners=[recorder],
+        observers=[recorder],
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         count = dump_trace(recorder.events, handle)

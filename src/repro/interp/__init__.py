@@ -1,7 +1,6 @@
 """Execution substrate: memory map, IR interpreter, tamper injection."""
 
 from .interpreter import (
-    EventListener,
     Interpreter,
     InterpreterError,
     LazyTamper,
@@ -13,7 +12,6 @@ from .interpreter import (
 from .state import FrameLayout, GLOBAL_BASE, MemoryMap, STACK_BASE, layout_frame
 
 __all__ = [
-    "EventListener",
     "FrameLayout",
     "GLOBAL_BASE",
     "Interpreter",

@@ -14,41 +14,51 @@ when the program consumes its *n*-th input (the "malicious input"
 moment) or at a raw step count, and overwrites a single chosen word —
 "our attack tampers only a (randomly selected) specific local stack
 location rather than a continuous memory block" (§6).
+
+Execution runs over the module's pre-decoded form
+(:mod:`repro.interp.decode`), one decoded block at a time.  The
+observable behaviour is exact to the instruction: the step limit is
+checked before every instruction, a step trigger fires right after
+its instruction, and a block that would cross either runs only up to
+that point before the check.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..ir.function import IRFunction, IRModule
-from ..ir.instructions import (
-    AddrOf,
-    BinOp,
-    Call,
-    Cmp,
-    CondBranch,
-    Const,
-    Instruction,
-    Jump,
-    Load,
-    LoadIndirect,
-    Operand,
-    Reg,
-    Return,
-    Store,
-    StoreIndirect,
-    UnOp,
+from ..ir.function import IRModule
+from ..ir.instructions import Instruction
+from ..runtime.observer import ObserverBus
+from .decode import (
+    ADD,
+    ADDR_LOCAL,
+    BRANCH,
+    CALL,
+    CMP,
+    DIV,
+    EMIT,
+    JUMP,
+    LOAD_GLOBAL,
+    LOAD_INDIRECT,
+    LOAD_LOCAL,
+    MOD,
+    MUL,
+    NEG,
+    NOT,
+    READ,
+    RETURN,
+    STORE_GLOBAL,
+    STORE_INDIRECT,
+    STORE_LOCAL,
+    SUB,
+    DecodedFunction,
+    InterpreterError,
+    decoded_functions,
 )
-from ..lang.errors import ReproError
-from ..runtime.events import BranchEvent, CallEvent, Event, ReturnEvent
-from ..runtime.observer import build_bus
 from .state import MemoryMap, STACK_BASE
-
-
-class InterpreterError(ReproError):
-    """Structural problem (bad module, missing entry), not a program fault."""
 
 
 class RunStatus(enum.Enum):
@@ -113,20 +123,6 @@ Tamper = Union[TamperSpec, LazyTamper]
 
 
 @dataclass
-class _Activation:
-    function: IRFunction
-    frame_base: int
-    regs: Dict[Reg, int] = field(default_factory=dict)
-    block_label: str = ""
-    index: int = 0
-    return_reg: Optional[Reg] = None
-    #: The current block's instruction list, cached so the hot loop
-    #: indexes a list instead of re-resolving ``function.block(label)``
-    #: every step.  Kept in lockstep with ``block_label``.
-    instructions: List[Instruction] = field(default_factory=list)
-
-
-@dataclass
 class RunResult:
     """Everything observable about one execution."""
 
@@ -149,27 +145,40 @@ class RunResult:
         return self.status is RunStatus.OK
 
 
-#: Listener signature: receives each control-flow event as it commits.
-EventListener = Callable[[Event], None]
-#: Optional per-instruction listener (used by the timing model).
-InstructionListener = Callable[[Instruction, Optional[int]], None]
-
-#: Capacity of the flat instruction-event buffer (entries).  Batches
-#: also flush at every basic-block / control-flow boundary, so the
-#: capacity only caps straight-line runs; 512 comfortably covers the
-#: longest block any workload lowers to while keeping the buffer in
-#: cache.
+#: Capacity of the flat instruction-event buffer (entries).  A batch is
+#: flushed before every control-flow event that has a subscriber, when
+#: the buffer is full and at the end of the run, so the capacity only
+#: caps straight-line runs between events; 512 comfortably covers them
+#: while keeping the buffer in cache.
 EVENT_BUFFER_CAPACITY = 512
+
+#: A step count no run reaches: the trigger point of "no trigger".
+_NEVER = 1 << 62
+
+
+class _Frame:
+    """One activation: its function, frame base and register slots.
+
+    ``call`` is the call operation the frame is suspended in while a
+    callee runs; its continuation block is where the frame resumes.
+    """
+
+    __slots__ = ("function", "base", "regs", "call")
+
+    def __init__(self, function: DecodedFunction, base: int, regs: list) -> None:
+        self.function = function
+        self.base = base
+        self.regs = regs
+        self.call: tuple = ()
 
 
 class Interpreter:
     """Executes one module from its entry function.
 
     Consumers attach through ``observers`` — objects implementing the
-    :class:`~repro.runtime.observer.ExecutionObserver` protocol.  The
-    legacy ``event_listeners`` / ``instruction_listener`` kwargs are
-    still accepted and are wrapped onto the same bus, so every event is
-    dispatched exactly once regardless of consumer style.
+    :class:`~repro.runtime.observer.ExecutionObserver` protocol, or bare
+    callables, which receive every control-flow event.  Each event is
+    dispatched exactly once through one bus.
     """
 
     def __init__(
@@ -180,15 +189,16 @@ class Interpreter:
         step_limit: int = 2_000_000,
         call_depth_limit: int = 256,
         tamper: Optional[Tamper] = None,
-        event_listeners: Sequence[EventListener] = (),
-        instruction_listener: Optional[InstructionListener] = None,
         trace_branches: bool = True,
-        syscall_listener: Optional[Callable[[str, int], None]] = None,
         observers: Sequence[object] = (),
         batched_delivery: bool = True,
     ):
         if not module.finalized:
             raise InterpreterError("module must be finalized before execution")
+        if call_depth_limit < 1:
+            raise ValueError(
+                f"call depth limit must be >= 1, got {call_depth_limit}"
+            )
         self._module = module
         self._entry = entry
         self._inputs = list(inputs)
@@ -200,48 +210,32 @@ class Interpreter:
         self._tamper_site: Optional[
             Tuple[Tuple[str, str, int, int], ...]
         ] = None
-        self._bus = build_bus(observers, event_listeners, instruction_listener)
+        self._bus = ObserverBus(observers)
         # Dispatch targets are resolved once per hook: None means "no
-        # subscriber", so the hot paths skip both the call and the
-        # event allocation.
+        # subscriber", so the loop skips both the call and the flush.
         self._emit_call = self._bus.call_sink()
         self._emit_return = self._bus.return_sink()
         self._emit_branch = self._bus.branch_sink()
-        self._emit_instruction = self._bus.instruction_sink()
-        # Batched delivery: the hot loop appends committed instructions
+        # Batched delivery: the loop appends committed instructions
         # into a preallocated flat buffer (two parallel lists — object
         # refs and touched addresses, no per-event allocation) and
-        # flushes it through one instruction_batch_sink call at every
-        # basic-block boundary and before any control-flow event, so
-        # consumers see the exact per-instruction interleaving.  The
-        # legacy per-instruction path stays available
-        # (``batched_delivery=False``) as the differential-equivalence
-        # reference.
+        # flushes it through one instruction_batch_sink call, so
+        # consumers see the exact per-instruction interleaving.
+        # ``batched_delivery=False`` delivers each instruction as it
+        # commits instead: the differential-equivalence reference.
         self._batch_sink = (
             self._bus.instruction_batch_sink() if batched_delivery else None
         )
-        if self._batch_sink is not None:
-            self._emit_instruction = None
-            self._buffer_instructions: List[Optional[Instruction]] = (
-                [None] * EVENT_BUFFER_CAPACITY
-            )
-            self._buffer_touched: List[Optional[int]] = (
-                [None] * EVENT_BUFFER_CAPACITY
-            )
-        else:
-            self._buffer_instructions = []
-            self._buffer_touched = []
+        self._emit_instruction = (
+            None if batched_delivery else self._bus.instruction_sink()
+        )
+        size = EVENT_BUFFER_CAPACITY if self._batch_sink is not None else 0
+        self._buffer_instructions: List[Optional[Instruction]] = [None] * size
+        self._buffer_touched: List[Optional[int]] = [None] * size
         self._buffer_count = 0
-        # Coarse-grained observation channel for baseline anomaly
-        # detectors: called with (callee name, call-site PC) of every
-        # call — builtin "system calls" and user functions alike.  The
-        # call-site PC matches the call-stack-augmented detectors of
-        # Feng et al. [10].
-        self._syscall_listener = syscall_listener
         self._trace_branches = trace_branches
         self.memory = MemoryMap(module)
-        self._stack: List[_Activation] = []
-        self._next_frame_base = STACK_BASE
+        self._stack: List[_Frame] = []
         self._outputs: List[int] = []
         self._branch_trace: List[Tuple[int, bool]] = []
         self._steps = 0
@@ -250,12 +244,18 @@ class Interpreter:
 
     def run(self) -> RunResult:
         """Execute until the entry function returns or a fault occurs."""
-        entry_fn = self._module.function(self._entry)
+        functions = decoded_functions(self._module)
+        entry_fn = functions.get(self._entry)
+        if entry_fn is None:
+            self._module.function(self._entry)  # raises the IRError
         status, return_value = self._execute(entry_fn)
         # Deliver any instructions still buffered at exit (normal
         # return, step/depth limits, faults) before end-of-execution.
         if self._buffer_count:
-            self._flush_events()
+            self._batch_sink(
+                self._buffer_instructions, self._buffer_touched, self._buffer_count
+            )
+            self._buffer_count = 0
         self._bus.finish()
         return RunResult(
             status=status,
@@ -270,80 +270,19 @@ class Interpreter:
 
     def live_activations(self) -> List[Tuple[str, int]]:
         """(function, frame base) of every live frame, outer→inner."""
-        return [(a.function.name, a.frame_base) for a in self._stack]
+        return [(frame.function.name, frame.base) for frame in self._stack]
 
     # -- machinery ---------------------------------------------------------
 
-    def _flush_events(self) -> None:
-        """Deliver the buffered instruction events in one batch call.
+    def _fire_tamper(self, label: str, index: int) -> None:
+        """Corrupt the target word and snapshot the frame stack.
 
-        Invoked before every control-flow event (call/return/branch),
-        before the syscall listener, at buffer capacity and at
-        end-of-execution — so no consumer can observe an event out of
-        the order the per-instruction path produced.  The count is
-        cleared before dispatch so a re-entrant producer never
-        re-delivers the same batch.
+        ``label``/``index`` are the innermost frame's position: its
+        resume point for a step trigger, the ``read_int`` call itself
+        for a read trigger (the call only writes a register, so taking
+        it as the resume point is conservative and correct for the
+        prover).  Every other frame resumes after its call.
         """
-        count = self._buffer_count
-        if count:
-            self._buffer_count = 0
-            self._batch_sink(
-                self._buffer_instructions, self._buffer_touched, count
-            )
-
-    def _push_activation(
-        self, fn: IRFunction, args: Sequence[int], return_reg: Optional[Reg]
-    ) -> _Activation:
-        base = self._next_frame_base
-        self._next_frame_base += self.memory.frame_size(fn.name)
-        entry_block = fn.entry
-        activation = _Activation(
-            function=fn,
-            frame_base=base,
-            block_label=entry_block.label,
-            index=0,
-            return_reg=return_reg,
-            instructions=entry_block.instructions,
-        )
-        for param, value in zip(fn.params, args):
-            self.memory.write(
-                self.memory.address_of(param, base), value
-            )
-        self._stack.append(activation)
-        if self._emit_call is not None:
-            if self._buffer_count:
-                self._flush_events()
-            self._emit_call(CallEvent(fn.name))
-        return activation
-
-    def _pop_activation(self, value: Optional[int]) -> Optional[int]:
-        finished = self._stack.pop()
-        self._next_frame_base = finished.frame_base
-        if self._emit_return is not None:
-            if self._buffer_count:
-                self._flush_events()
-            self._emit_return(ReturnEvent(finished.function.name))
-        if self._stack and finished.return_reg is not None:
-            self._stack[-1].regs[finished.return_reg] = (
-                value if value is not None else 0
-            )
-        return value
-
-    def _value(self, activation: _Activation, operand: Operand) -> int:
-        if isinstance(operand, Reg):
-            return activation.regs[operand]
-        return operand
-
-    def _maybe_tamper_after_read(self) -> None:
-        if (
-            self._tamper is not None
-            and not self._tamper_fired
-            and self._tamper.trigger_kind == "read"
-            and self._input_cursor >= self._tamper.trigger_value
-        ):
-            self._fire_tamper()
-
-    def _fire_tamper(self) -> None:
         tamper = self._tamper
         if isinstance(tamper, LazyTamper):
             address, value = tamper.choose(
@@ -354,253 +293,260 @@ class Interpreter:
             address, value = tamper.address, tamper.value
         self.memory.write(address, value)
         self._tamper_fired = True
-        self._record_tamper_site()
+        stack = self._stack
+        site = []
+        for frame in stack[:-1]:
+            resume = frame.call[5]  # the call's continuation block
+            site.append((frame.function.name, resume.label, resume.start, frame.base))
+        if stack:
+            site.append((stack[-1].function.name, label, index, stack[-1].base))
+        self._tamper_site = tuple(site)
 
-    def _record_tamper_site(self) -> None:
-        """Snapshot the frame stack at the corruption moment.
-
-        Step triggers run after ``_step`` returns, so every frame's
-        ``index`` already points at its next instruction.  Read
-        triggers run inside the ``Call(read_int)`` arm: the innermost
-        index still names the call itself — which only writes a
-        register, so treating it as the resume point is conservative
-        and correct for the prover (the call is v-clean).
-        """
-        self._tamper_site = tuple(
-            (a.function.name, a.block_label, a.index, a.frame_base)
-            for a in self._stack
-        )
-
-    def _read_input(self) -> int:
-        if self._input_cursor < len(self._inputs):
-            value = self._inputs[self._input_cursor]
-        else:
-            value = 0
-        self._input_cursor += 1
-        self._maybe_tamper_after_read()
-        return value
+    def _halt(
+        self,
+        status: RunStatus,
+        steps: int,
+        cursor: int,
+        count: int,
+        value: Optional[int] = None,
+    ) -> Tuple[RunStatus, Optional[int]]:
+        self._steps = steps
+        self._input_cursor = cursor
+        self._buffer_count = count
+        return status, value
 
     # -- the main loop ----------------------------------------------------------
 
-    def _execute(self, entry_fn: IRFunction) -> Tuple[RunStatus, Optional[int]]:
-        self._push_activation(entry_fn, [], None)
-        final_value: Optional[int] = None
-        # Per-instruction work: hoist everything resolvable out of the
-        # loop so each iteration pays local loads only.
+    def _execute(
+        self, entry: DecodedFunction
+    ) -> Tuple[RunStatus, Optional[int]]:
+        """Run decoded blocks until the entry function returns.
+
+        A block's body is straight-line code, so it runs as one ``for``
+        loop and its steps are counted in one addition; its tail then
+        moves control.  A block that would reach the step limit or a
+        pending step trigger runs only up to that point, and the rest
+        of it becomes a block of its own.  A faulting division counts
+        as a step but is never delivered.
+        """
+        # Everything the loop touches lives in locals.
+        words = self.memory.words
+        read = words.get
         stack = self._stack
-        step = self._step
-        step_limit = self._step_limit
-        depth_limit = self._call_depth_limit
+        outputs = self._outputs
+        inputs = self._inputs
+        input_count = len(inputs)
+        cursor = 0
+        branch_trace = self._branch_trace if self._trace_branches else None
+        emit_call = self._emit_call
+        emit_return = self._emit_return
+        emit_branch = self._emit_branch
+        sink = self._batch_sink
         emit_instruction = self._emit_instruction
-        # Only a step trigger needs a check after every instruction.
-        tamper = self._tamper
-        step_trigger = (
-            tamper.trigger_value
-            if tamper is not None and tamper.trigger_kind == "step"
-            else None
-        )
-        batching = self._batch_sink is not None
+        batching = sink is not None
+        deliver = batching or emit_instruction is not None
         buffer_instructions = self._buffer_instructions
         buffer_touched = self._buffer_touched
-        flush = self._flush_events
-        while stack:
-            if self._steps >= step_limit:
-                return RunStatus.STEP_LIMIT, None
-            activation = stack[-1]
-            instruction = activation.instructions[activation.index]
-            self._steps += 1
-            try:
-                outcome = step(activation, instruction)
-            except ZeroDivisionError:
-                return RunStatus.DIV_BY_ZERO, None
-            if batching:
-                # Append into the flat buffer; _step already flushed it
-                # ahead of any control-flow event this instruction
-                # produced, so the committed order is preserved.
-                count = self._buffer_count
-                buffer_instructions[count] = instruction
-                buffer_touched[count] = outcome
-                count += 1
-                self._buffer_count = count
-                if count == EVENT_BUFFER_CAPACITY:
-                    flush()
-            elif emit_instruction is not None:
-                emit_instruction(instruction, outcome)
-            if (
-                step_trigger is not None
-                and self._steps >= step_trigger
-                and not self._tamper_fired
-            ):
-                self._fire_tamper()
-            if not stack:
-                # Entry function returned; final value captured below.
-                final_value = self._final_value
-            if len(stack) > depth_limit:
-                return RunStatus.CALL_DEPTH, None
-        return RunStatus.OK, final_value
+        capacity = EVENT_BUFFER_CAPACITY
+        count = 0
+        step_limit = self._step_limit
+        depth_limit = self._call_depth_limit
+        tamper = self._tamper
+        trigger_at = read_at = _NEVER
+        if tamper is not None:
+            if tamper.trigger_kind == "step":
+                trigger_at = max(tamper.trigger_value, 1)
+            else:
+                read_at = tamper.trigger_value
+        # No instruction runs once ``steps`` reaches the limit, and the
+        # trigger fires right after the instruction that reaches it.
+        horizon = min(step_limit + 1, trigger_at)
 
-    _final_value: Optional[int] = None
-
-    def _step(
-        self, activation: _Activation, instruction: Instruction
-    ) -> Optional[int]:
-        """Execute one instruction.
-
-        Returns the data address the instruction touched (for the
-        timing model's cache simulation) or None.
-
-        Dispatch compares ``instruction.__class__`` by identity —
-        cheaper than an isinstance chain, and exact because the IR
-        instruction set is closed (no concrete class is subclassed).
-        Arms are ordered by dynamic frequency in the workload suite.
-        """
-        regs = activation.regs
-        cls = instruction.__class__
-        touched: Optional[int] = None
-        advance = True
-
-        if cls is BinOp:
-            lhs = instruction.lhs
-            if lhs.__class__ is Reg:
-                lhs = regs[lhs]
-            rhs = instruction.rhs
-            if rhs.__class__ is Reg:
-                rhs = regs[rhs]
-            regs[instruction.dest] = self._binop(instruction.op, lhs, rhs)
-        elif cls is Const:
-            regs[instruction.dest] = instruction.value
-        elif cls is Cmp:
-            lhs = instruction.lhs
-            if lhs.__class__ is Reg:
-                lhs = regs[lhs]
-            rhs = instruction.rhs
-            if rhs.__class__ is Reg:
-                rhs = regs[rhs]
-            regs[instruction.dest] = int(instruction.op.evaluate(lhs, rhs))
-        elif cls is Load:
-            address = self.memory.address_of(
-                instruction.var, activation.frame_base
-            )
-            regs[instruction.dest] = self.memory.read(address)
-            touched = address
-        elif cls is Store:
-            address = self.memory.address_of(
-                instruction.var, activation.frame_base
-            )
-            src = instruction.src
-            self.memory.write(
-                address, regs[src] if src.__class__ is Reg else src
-            )
-            touched = address
-        elif cls is CondBranch:
-            lhs = regs[instruction.lhs]
-            rhs = instruction.rhs
-            if rhs.__class__ is Reg:
-                rhs = regs[rhs]
-            taken = instruction.op.evaluate(lhs, rhs)
-            if self._trace_branches:
-                self._branch_trace.append((instruction.address, taken))
-            if self._emit_branch is not None:
-                if self._buffer_count:
-                    self._flush_events()
-                self._emit_branch(
-                    BranchEvent(
-                        activation.function.name, instruction.address, taken
+        frame = _Frame(entry, STACK_BASE, entry.template[:])
+        next_base = STACK_BASE + entry.frame_size
+        stack.append(frame)
+        if emit_call is not None:
+            emit_call(entry.call_event)
+        regs = frame.regs
+        base = frame.base
+        block = entry.entry
+        steps = 0
+        while True:
+            entered = steps
+            steps += block.steps
+            cut = 0
+            if steps < horizon:
+                run = block.body
+            else:
+                steps = entered
+                if steps >= step_limit:
+                    return self._halt(RunStatus.STEP_LIMIT, steps, cursor, count)
+                # Run up to the limit or the trigger, whichever comes
+                # first; if that falls inside the body, stop there.
+                room = min(step_limit, trigger_at) - steps
+                if room < block.steps:
+                    cut = room
+                    run = block.body[:cut]
+                    steps += cut
+                else:
+                    run = block.body
+                    steps += block.steps
+            for op in run:
+                code = op[0]
+                touched = None
+                if code == LOAD_LOCAL:
+                    touched = base + op[3]
+                    regs[op[2]] = read(touched, 0)
+                elif code == ADD:
+                    regs[op[2]] = regs[op[3]] + regs[op[4]]
+                elif code == ADDR_LOCAL:
+                    regs[op[2]] = base + op[3]
+                elif code == LOAD_INDIRECT:
+                    touched = regs[op[3]]
+                    regs[op[2]] = read(touched, 0)
+                elif code == EMIT:
+                    outputs.append(regs[op[2]])
+                elif code == STORE_LOCAL:
+                    touched = base + op[2]
+                    words[touched] = regs[op[3]]
+                elif code == READ:
+                    regs[op[2]] = inputs[cursor] if cursor < input_count else 0
+                    cursor += 1
+                    if cursor >= read_at:
+                        read_at = _NEVER
+                        self._fire_tamper(block.label, op[3])
+                elif code == LOAD_GLOBAL:
+                    touched = op[3]
+                    regs[op[2]] = read(touched, 0)
+                elif code == STORE_INDIRECT:
+                    touched = regs[op[2]]
+                    words[touched] = regs[op[3]]
+                elif code == STORE_GLOBAL:
+                    touched = op[2]
+                    words[touched] = regs[op[3]]
+                elif code == SUB:
+                    regs[op[2]] = regs[op[3]] - regs[op[4]]
+                elif code == MUL:
+                    regs[op[2]] = regs[op[3]] * regs[op[4]]
+                elif code == DIV or code == MOD:
+                    lhs = regs[op[3]]
+                    rhs = regs[op[4]]
+                    if rhs == 0:
+                        steps = entered + op[5] - block.start + 1
+                        return self._halt(
+                            RunStatus.DIV_BY_ZERO, steps, cursor, count
+                        )
+                    # C semantics: truncation toward zero.
+                    quotient = abs(lhs) // abs(rhs)
+                    if (lhs < 0) != (rhs < 0):
+                        quotient = -quotient
+                    regs[op[2]] = (
+                        quotient if code == DIV else lhs - quotient * rhs
                     )
-                )
-            target = instruction.taken if taken else instruction.fallthrough
-            activation.block_label = target
-            activation.instructions = activation.function.block(
-                target
-            ).instructions
-            activation.index = 0
-            advance = False
-        elif cls is Jump:
-            target = instruction.target
-            activation.block_label = target
-            activation.instructions = activation.function.block(
-                target
-            ).instructions
-            activation.index = 0
-            advance = False
-        elif cls is Call:
-            advance = self._call(activation, instruction)
-        elif cls is UnOp:
-            src = instruction.src
-            if src.__class__ is Reg:
-                src = regs[src]
-            regs[instruction.dest] = -src if instruction.op == "-" else int(src == 0)
-        elif cls is AddrOf:
-            regs[instruction.dest] = self.memory.address_of(
-                instruction.var, activation.frame_base
-            )
-        elif cls is LoadIndirect:
-            address = regs[instruction.addr]
-            regs[instruction.dest] = self.memory.read(address)
-            touched = address
-        elif cls is StoreIndirect:
-            address = regs[instruction.addr]
-            src = instruction.src
-            self.memory.write(
-                address, regs[src] if src.__class__ is Reg else src
-            )
-            touched = address
-        elif cls is Return:
-            value = (
-                self._value(activation, instruction.value)
-                if instruction.value is not None
-                else None
-            )
-            if len(self._stack) == 1:
-                self._final_value = value
-            self._pop_activation(value)
-            advance = False
-        else:  # pragma: no cover - defensive
-            raise InterpreterError(f"unknown instruction {instruction!r}")
+                elif code == NEG:
+                    regs[op[2]] = -regs[op[3]]
+                elif code == NOT:
+                    regs[op[2]] = int(regs[op[3]] == 0)
+                elif code == CMP:
+                    regs[op[2]] = int(op[3](regs[op[4]], regs[op[5]]))
+                else:  # SET
+                    regs[op[2]] = op[3]
+                if deliver:
+                    if batching:
+                        buffer_instructions[count] = op[1]
+                        buffer_touched[count] = touched
+                        count += 1
+                        if count == capacity:
+                            sink(buffer_instructions, buffer_touched, count)
+                            count = 0
+                    else:
+                        emit_instruction(op[1], touched)
+            if cut:
+                if steps >= trigger_at:
+                    trigger_at = _NEVER
+                    horizon = step_limit + 1
+                    self._fire_tamper(block.label, block.start + cut)
+                block = block.rest(cut)
+                continue
 
-        if advance:
-            activation.index += 1
-        return touched
-
-    def _call(self, activation: _Activation, instruction: Call) -> bool:
-        args = [self._value(activation, a) for a in instruction.args]
-        if self._syscall_listener is not None:
-            # Keep the coarse syscall channel interleaved exactly as the
-            # per-instruction path would: drain buffered events first.
-            if self._buffer_count:
-                self._flush_events()
-            self._syscall_listener(instruction.callee, instruction.address)
-        if instruction.callee == "read_int":
-            activation.regs[instruction.dest] = self._read_input()
-            return True
-        if instruction.callee == "emit":
-            self._outputs.append(args[0])
-            return True
-        callee = self._module.function(instruction.callee)
-        # Advance the caller past the call before transferring control.
-        activation.index += 1
-        self._push_activation(callee, args, instruction.dest)
-        return False
-
-    @staticmethod
-    def _binop(op: str, lhs: int, rhs: int) -> int:
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if rhs == 0:
-            raise ZeroDivisionError
-        # C semantics: truncation toward zero.
-        quotient = abs(lhs) // abs(rhs)
-        if (lhs < 0) != (rhs < 0):
-            quotient = -quotient
-        if op == "/":
-            return quotient
-        if op == "%":
-            return lhs - quotient * rhs
-        raise InterpreterError(f"unknown binop {op!r}")
+            # The tail: its event (if any) is dispatched before the
+            # instruction itself enters the buffer.
+            tail = block.tail
+            code = tail[0]
+            if code == BRANCH:
+                if tail[4](regs[tail[2]], regs[tail[3]]):
+                    if branch_trace is not None:
+                        branch_trace.append(tail[9])
+                    if emit_branch is not None:
+                        if count:
+                            sink(buffer_instructions, buffer_touched, count)
+                            count = 0
+                        emit_branch(tail[7])
+                    block = tail[5]
+                else:
+                    if branch_trace is not None:
+                        branch_trace.append(tail[10])
+                    if emit_branch is not None:
+                        if count:
+                            sink(buffer_instructions, buffer_touched, count)
+                            count = 0
+                        emit_branch(tail[8])
+                    block = tail[6]
+            elif code == JUMP:
+                block = tail[2]
+            elif code == RETURN:
+                value = None if tail[2] is None else regs[tail[2]]
+                finished = stack.pop()
+                next_base = finished.base
+                if emit_return is not None:
+                    if count:
+                        sink(buffer_instructions, buffer_touched, count)
+                        count = 0
+                    emit_return(finished.function.return_event)
+                if stack:
+                    frame = stack[-1]
+                    call = frame.call
+                    regs = frame.regs
+                    base = frame.base
+                    regs[call[4]] = 0 if value is None else value
+                    block = call[5]
+            else:  # CALL
+                callee = tail[2]
+                args = [regs[slot] for slot in tail[3]]
+                frame.call = tail
+                base = next_base
+                next_base += callee.frame_size
+                for offset, arg in zip(callee.param_offsets, args):
+                    words[base + offset] = arg
+                regs = callee.template[:]
+                frame = _Frame(callee, base, regs)
+                stack.append(frame)
+                if emit_call is not None:
+                    if count:
+                        sink(buffer_instructions, buffer_touched, count)
+                        count = 0
+                    emit_call(callee.call_event)
+                block = callee.entry
+            if deliver:
+                if batching:
+                    buffer_instructions[count] = tail[1]
+                    buffer_touched[count] = None
+                    count += 1
+                    if count == capacity:
+                        sink(buffer_instructions, buffer_touched, count)
+                        count = 0
+                else:
+                    emit_instruction(tail[1], None)
+            if steps >= trigger_at:
+                trigger_at = _NEVER
+                horizon = step_limit + 1
+                self._fire_tamper(block.label, block.start)
+            # Only a call deepens the stack, and only a return empties it.
+            if code == CALL:
+                if len(stack) > depth_limit:
+                    return self._halt(RunStatus.CALL_DEPTH, steps, cursor, count)
+            elif code == RETURN and not stack:
+                return self._halt(RunStatus.OK, steps, cursor, count, value)
 
 
 def run_program(
@@ -608,7 +554,6 @@ def run_program(
     inputs: Sequence[int] = (),
     entry: str = "main",
     tamper: Optional[Tamper] = None,
-    event_listeners: Sequence[EventListener] = (),
     step_limit: int = 2_000_000,
     observers: Sequence[object] = (),
 ) -> RunResult:
@@ -618,7 +563,6 @@ def run_program(
         inputs=inputs,
         entry=entry,
         tamper=tamper,
-        event_listeners=event_listeners,
         step_limit=step_limit,
         observers=observers,
     )

@@ -9,7 +9,7 @@ address of a ``CondBranch`` is the PC the IPDS hash tables are keyed by.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Tuple
 
 from ..lang.errors import ReproError
 from .instructions import (
@@ -175,12 +175,22 @@ class IRFunction:
 
 @dataclass
 class IRModule:
-    """A whole program: globals plus functions, with assigned addresses."""
+    """A whole program: globals plus functions, with assigned addresses.
+
+    A run caches the interpreter's decoded form of a finalized module
+    in ``_decoded`` (see :mod:`repro.interp.decode`).  It is derived
+    data: :meth:`finalize` drops it, and pickling and copying skip it.
+    """
 
     functions: List[IRFunction] = field(default_factory=list)
     globals: List[Variable] = field(default_factory=list)
     global_inits: Dict[Variable, int] = field(default_factory=dict)
     finalized: bool = False
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_decoded", None)
+        return state
 
     def function(self, name: str) -> IRFunction:
         for fn in self.functions:
@@ -202,6 +212,8 @@ class IRModule:
                 instruction.address = address
                 address += INSTRUCTION_BYTES
         self.finalized = True
+        # A decoded form built before this call describes the old code.
+        self.__dict__.pop("_decoded", None)
 
     def function_extent(self, name: str) -> Tuple[int, int]:
         """(first, last) instruction addresses of a finalized function."""

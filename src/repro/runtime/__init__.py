@@ -13,10 +13,8 @@ from .ipds import IPDS, Alarm, IPDSError, IPDSStats
 from .observer import (
     CallbackObserver,
     ExecutionObserver,
-    InstructionCallbackObserver,
     ObserverBus,
     as_observer,
-    build_bus,
 )
 from .replay import (
     TraceFormatError,
@@ -44,13 +42,11 @@ __all__ = [
     "IPDS",
     "IPDSError",
     "IPDSStats",
-    "InstructionCallbackObserver",
     "ObserverBus",
     "ReturnEvent",
     "TraceFormatError",
     "TraceRecorder",
     "as_observer",
-    "build_bus",
     "dump_trace",
     "event_from_json",
     "event_to_json",

@@ -128,10 +128,9 @@ class ProgressObserver(ExecutionObserver):
 
 
 class CallbackObserver(ExecutionObserver):
-    """Adapts a legacy ``Callable[[Event], None]`` listener to the bus.
+    """Adapts a bare ``Callable[[Event], None]`` to the bus.
 
-    Keeps the pre-bus listener style working: the callable receives
-    every control-flow event, exactly as ``event_listeners`` used to.
+    The callable receives every control-flow event, in order.
     """
 
     def __init__(self, callback: Callable[[Event], None]) -> None:
@@ -147,23 +146,11 @@ class CallbackObserver(ExecutionObserver):
         self._callback(event)
 
 
-class InstructionCallbackObserver(ExecutionObserver):
-    """Adapts a legacy ``(instruction, touched)`` listener to the bus."""
-
-    def __init__(
-        self, callback: Callable[[Any, Optional[int]], None]
-    ) -> None:
-        self._callback = callback
-
-    def on_instruction(self, instruction: Any, touched: Optional[int]) -> None:
-        self._callback(instruction, touched)
-
-
 def as_observer(consumer: Any) -> ExecutionObserver:
     """Coerce a consumer to the observer protocol.
 
-    Observers pass through; bare callables (legacy event listeners) are
-    wrapped in a :class:`CallbackObserver`.
+    Observers pass through; bare callables (control-flow event
+    listeners) are wrapped in a :class:`CallbackObserver`.
     """
     if isinstance(consumer, ExecutionObserver):
         return consumer
@@ -321,21 +308,3 @@ class ObserverBus:
         """Signal end-of-execution to every observer."""
         for observer in self.observers:
             observer.finish()
-
-
-def build_bus(
-    observers: Sequence[Any] = (),
-    event_listeners: Sequence[Callable[[Event], None]] = (),
-    instruction_listener: Optional[Callable[[Any, Optional[int]], None]] = None,
-) -> ObserverBus:
-    """One bus from the new protocol plus legacy listener kwargs.
-
-    Ordering is stable: protocol observers first (in the order given),
-    then wrapped legacy event listeners, then the wrapped legacy
-    instruction listener — matching the pre-bus emission order.
-    """
-    members: List[Any] = list(observers)
-    members.extend(CallbackObserver(listener) for listener in event_listeners)
-    if instruction_listener is not None:
-        members.append(InstructionCallbackObserver(instruction_listener))
-    return ObserverBus(members)

@@ -68,12 +68,7 @@ def load_trace(stream: IO[str]) -> Iterator[Event]:
 
 
 class TraceRecorder(ExecutionObserver):
-    """An observer that accumulates the stream for later dumping.
-
-    Attaches to the interpreter bus as an
-    :class:`~repro.runtime.observer.ExecutionObserver`; it also stays
-    callable so legacy ``event_listeners=[recorder]`` wiring works.
-    """
+    """An observer that accumulates the stream for later dumping."""
 
     def __init__(self) -> None:
         self.events: List[Event] = []
@@ -85,9 +80,6 @@ class TraceRecorder(ExecutionObserver):
         self.events.append(event)
 
     def on_branch(self, event: BranchEvent) -> None:
-        self.events.append(event)
-
-    def __call__(self, event: Event) -> None:
         self.events.append(event)
 
 

@@ -128,7 +128,7 @@ def test_loaded_tables_drive_an_identical_ipds(packed):
     run_program(
         program.module,
         inputs=inputs,
-        event_listeners=[original_ipds.process, loaded_ipds.process],
+        observers=[original_ipds, loaded_ipds],
     )
     assert original_ipds.alarms == loaded_ipds.alarms
     assert original_ipds.stats.checks == loaded_ipds.stats.checks

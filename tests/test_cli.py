@@ -129,7 +129,7 @@ def test_replay_flags_tampered_trace(source_file, tmp_path, capsys):
         program.module,
         inputs=[5, 1],
         tamper=TamperSpec("read", 2, GLOBAL_BASE, 0),
-        event_listeners=[recorder],
+        observers=[recorder],
     )
     trace = tmp_path / "bad.jsonl"
     with open(trace, "w") as handle:

@@ -7,6 +7,10 @@ store's static definition site must be in the load's reaching set.
 call-internal writes are attributed differently and skipped — the
 direct-store case is the one the store-correlation rule of Fig. 5
 consumes.)
+
+The property watches the execution from the observer bus: under
+per-instruction delivery an observer sees each instruction right after
+it commits, with the address it touched.
 """
 
 from typing import Dict, Optional, Tuple
@@ -14,9 +18,10 @@ from typing import Dict, Optional, Tuple
 from hypothesis import HealthCheck, given, settings
 
 from repro.analysis import analyze_aliases, analyze_definitions, analyze_purity
-from repro.interp import Interpreter
+from repro.interp import Interpreter, RunStatus
 from repro.ir import Load, Store, StoreIndirect, lower_program
 from repro.lang import parse_program
+from repro.runtime import ExecutionObserver
 
 from .test_zero_false_positives import INPUT_STREAMS, programs
 
@@ -49,38 +54,25 @@ def test_dynamic_writers_are_statically_reaching(source, inputs):
     # last_writer[address] = (kind, fn name, frame_base, block, index)
     last_writer: Dict[int, Optional[Tuple]] = {}
     violations = []
+    seen = []
 
-    interpreter = Interpreter(module, inputs=inputs, step_limit=20_000)
-    original_step = interpreter._step
-
-    def instrumented(activation, instruction):
-        if isinstance(instruction, Store):
-            address = interpreter.memory.address_of(
-                instruction.var, activation.frame_base
-            )
+    class WriterWatch(ExecutionObserver):
+        def on_instruction(self, instruction, address):
+            seen.append(instruction)
+            if isinstance(instruction, StoreIndirect):
+                last_writer[address] = ("indirect",)
+                return
+            if not isinstance(instruction, (Store, Load)):
+                return
+            frame_base = interpreter.live_activations()[-1][1]
             fn_name, block, index = position_of[id(instruction)]
-            last_writer[address] = (
-                "store",
-                fn_name,
-                activation.frame_base,
-                block,
-                index,
-            )
-            return original_step(activation, instruction)
-        if isinstance(instruction, StoreIndirect):
-            result = original_step(activation, instruction)
-            address = activation.regs[instruction.addr]
-            last_writer[address] = ("indirect",)
-            return result
-        if isinstance(instruction, Load):
-            address = interpreter.memory.address_of(
-                instruction.var, activation.frame_base
-            )
+            if isinstance(instruction, Store):
+                last_writer[address] = ("store", fn_name, frame_base, block, index)
+                return
             writer = last_writer.get(address)
             if writer is not None and writer[0] == "store":
                 _, w_fn, w_base, w_block, w_index = writer
-                fn_name, block, index = position_of[id(instruction)]
-                if w_fn == fn_name and w_base == activation.frame_base:
+                if w_fn == fn_name and w_base == frame_base:
                     def_map, reaching = reaching_by_fn[fn_name]
                     matching = [
                         site
@@ -92,9 +84,15 @@ def test_dynamic_writers_are_statically_reaching(source, inputs):
                         violations.append(
                             (fn_name, w_block, w_index, block, index)
                         )
-            return original_step(activation, instruction)
-        return original_step(activation, instruction)
 
-    interpreter._step = instrumented
-    interpreter.run()
+    interpreter = Interpreter(
+        module,
+        inputs=inputs,
+        step_limit=20_000,
+        observers=[WriterWatch()],
+        batched_delivery=False,
+    )
+    result = interpreter.run()
+    # A faulting division counts as a step but is never delivered.
+    assert len(seen) == result.steps - (result.status is RunStatus.DIV_BY_ZERO)
     assert not violations, (source, violations)

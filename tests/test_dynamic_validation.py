@@ -14,6 +14,11 @@ programs:
 
 Together these are the dynamic counterpart of the zero-FP theorem: any
 bug in chain solving, outcome sets, or gap checking shows up here.
+
+Both watch the execution from the observer bus.  Under per-instruction
+delivery an observer sees each instruction right after it commits,
+with the address it touched, and each branch outcome as a
+:class:`BranchEvent` just before the branch itself.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -24,10 +29,10 @@ from repro.analysis import (
     analyze_definitions,
     analyze_purity,
 )
-from repro.interp import Interpreter
-from repro.ir import CondBranch, Load, lower_program, verify_module
+from repro.interp import Interpreter, RunStatus
+from repro.ir import Load, lower_program, verify_module
 from repro.lang import parse_program
-from repro.runtime import BranchEvent
+from repro.runtime import BranchEvent, ExecutionObserver
 
 from .test_zero_false_positives import INPUT_STREAMS, programs
 
@@ -50,6 +55,40 @@ def collect_facts(module):
     return facts
 
 
+def committed_count(result):
+    """Instructions delivered: a faulting division counts as a step
+    but is never delivered."""
+    return result.steps - (result.status is RunStatus.DIV_BY_ZERO)
+
+
+class PredicateWatch(ExecutionObserver):
+    """Checks each check predicate against the value its load read."""
+
+    def __init__(self, facts):
+        self.facts = facts
+        self.memory = None
+        self.instructions = 0
+        self.last_load_value = {}
+        self.violations = []
+
+    def on_instruction(self, instruction, touched):
+        self.instructions += 1
+        if isinstance(instruction, Load):
+            # The load left memory as it found it.
+            self.last_load_value[id(instruction)] = self.memory.read(touched)
+
+    def on_branch(self, event):
+        entry = self.facts.get(event.pc)
+        if entry is None:
+            return
+        branch_facts, load = entry
+        if load is not None and id(load) in self.last_load_value:
+            value = self.last_load_value[id(load)]
+            predicted = branch_facts.check.outcome_for_value(value)
+            if predicted != event.taken:
+                self.violations.append((event.pc, value, predicted, event.taken))
+
+
 @settings(
     max_examples=40,
     deadline=None,
@@ -59,46 +98,18 @@ def collect_facts(module):
 def test_check_predicates_match_execution(source, inputs):
     module = lower_program(parse_program(source))
     verify_module(module)
-    facts = collect_facts(module)
-
-    last_load_value = {}
-    violations = []
-
-    interpreter = Interpreter(module, inputs=inputs, step_limit=20_000)
-
-    original_step = interpreter._step
-
-    def instrumented(activation, instruction):
-        if isinstance(instruction, Load):
-            result = original_step(activation, instruction)
-            last_load_value[id(instruction)] = activation.regs[
-                instruction.dest
-            ]
-            return result
-        if isinstance(instruction, CondBranch):
-            entry = facts.get(instruction.address)
-            if entry is not None:
-                branch_facts, load = entry
-                if load is not None and id(load) in last_load_value:
-                    value = last_load_value[id(load)]
-                    predicted = branch_facts.check.outcome_for_value(value)
-                    lhs = activation.regs[instruction.lhs]
-                    rhs = (
-                        instruction.rhs
-                        if isinstance(instruction.rhs, int)
-                        else activation.regs[instruction.rhs]
-                    )
-                    actual = instruction.op.evaluate(lhs, rhs)
-                    if predicted != actual:
-                        violations.append(
-                            (instruction.address, value, predicted, actual)
-                        )
-            return original_step(activation, instruction)
-        return original_step(activation, instruction)
-
-    interpreter._step = instrumented
-    interpreter.run()
-    assert not violations, (source, violations)
+    watch = PredicateWatch(collect_facts(module))
+    interpreter = Interpreter(
+        module,
+        inputs=inputs,
+        step_limit=20_000,
+        observers=[watch],
+        batched_delivery=False,
+    )
+    watch.memory = interpreter.memory
+    result = interpreter.run()
+    assert watch.instructions == committed_count(result)
+    assert not watch.violations, (source, watch.violations)
 
 
 @settings(
@@ -120,9 +131,8 @@ def test_inference_ranges_hold_at_commit(source, inputs):
         if entry is None:
             return
         branch_facts, _ = entry
-        frame_base = (
-            interpreter._stack[-1].frame_base if interpreter._stack else None
-        )
+        frames = interpreter.live_activations()
+        frame_base = frames[-1][1] if frames else None
         for inference in branch_facts.inferences:
             implied = inference.implied_set(event.taken)
             try:
@@ -138,7 +148,7 @@ def test_inference_ranges_hold_at_commit(source, inputs):
                 )
 
     interpreter = Interpreter(
-        module, inputs=inputs, step_limit=20_000, event_listeners=[on_event]
+        module, inputs=inputs, step_limit=20_000, observers=[on_event]
     )
     interpreter.run()
     assert not violations, (source, violations)

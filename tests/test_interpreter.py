@@ -216,7 +216,7 @@ def test_call_depth_limit():
 def collect_events(source, inputs=()):
     events = []
     module = lower(source)
-    run_program(module, inputs=inputs, event_listeners=[events.append])
+    run_program(module, inputs=inputs, observers=[events.append])
     return events
 
 

@@ -25,10 +25,8 @@ from repro.runtime.ipds import IPDS, IPDSError
 from repro.runtime.observer import (
     CallbackObserver,
     ExecutionObserver,
-    InstructionCallbackObserver,
     ObserverBus,
     as_observer,
-    build_bus,
 )
 from repro.runtime.replay import TraceRecorder, dump_trace, replay
 from repro.workloads.registry import get_workload
@@ -80,11 +78,12 @@ def test_bus_prefilters_instruction_subscribers():
     assert not bus.wants_instructions
 
     instrs = []
-    bus = ObserverBus(
-        [control_flow_only, InstructionCallbackObserver(
-            lambda instruction, touched: instrs.append(instruction)
-        )]
-    )
+
+    class Instructions(ExecutionObserver):
+        def on_instruction(self, instruction, touched):
+            instrs.append(instruction)
+
+    bus = ObserverBus([control_flow_only, Instructions()])
     assert bus.wants_instructions
     bus.emit_instruction("fake-insn", None)
     assert instrs == ["fake-insn"]
@@ -110,21 +109,6 @@ def test_bus_dispatches_each_event_kind_to_the_right_hook():
     bus.emit(BranchEvent(function_name="f", pc=8, taken=True))
     bus.emit(ReturnEvent(function_name="f"))
     assert spy.seen == [("call", "f"), ("br", 8, True), ("ret", "f")]
-
-
-def test_build_bus_preserves_legacy_listener_order():
-    order = []
-
-    class First(ExecutionObserver):
-        def on_call(self, event):
-            order.append("observer")
-
-    bus = build_bus(
-        observers=[First()],
-        event_listeners=[lambda event: order.append("listener")],
-    )
-    bus.emit(CallEvent(function_name="f"))
-    assert order == ["observer", "listener"]
 
 
 def test_finish_reaches_every_observer_after_run():
@@ -161,39 +145,40 @@ def test_single_pass_timing_matches_two_pass():
     assert comp.avg_check_latency == protected.ipds_stats.avg_check_latency
 
 
-def test_single_pass_capture_trace_matches_legacy_listener():
+def test_single_pass_capture_trace_matches_per_instruction_delivery():
+    """The batched syscall capture (sharing its run with the IPDS)
+    equals the per-instruction reference delivery of a dedicated run."""
     workload = get_workload("telnetd")
     program = compile_program(workload.source, workload.name)
     inputs = workload.make_inputs(random.Random("equiv:capture"))
 
-    legacy_symbols = []
-    legacy_interp = Interpreter(
+    reference = SyscallTraceObserver()
+    reference_result = Interpreter(
         program.module,
         inputs=inputs,
-        syscall_listener=lambda callee, pc: legacy_symbols.append(
-            f"{callee}@{pc:x}"
-        ),
-    )
-    legacy_result = legacy_interp.run()
-    _, legacy_ipds = monitored_run(program, inputs=inputs)
+        observers=[reference],
+        batched_delivery=False,
+    ).run()
+    _, reference_ipds = monitored_run(program, inputs=inputs)
 
     symbols, branch_trace, detected = capture_trace(program, inputs)
-    assert symbols == legacy_symbols
-    assert branch_trace == legacy_result.branch_trace
-    assert detected == legacy_ipds.detected
+    assert symbols == reference.symbols
+    assert any(symbol.startswith("read_int@") for symbol in symbols)
+    assert branch_trace == reference_result.branch_trace
+    assert detected == reference_ipds.detected
 
 
-def test_observer_recorder_matches_legacy_event_listener():
+def test_observer_recorder_matches_bare_callable():
     program = compile_program(FIGURE1, "fig1.c")
-    legacy = TraceRecorder()
-    run_program(program.module, inputs=[5, 1], event_listeners=[legacy])
+    events = []
+    run_program(program.module, inputs=[5, 1], observers=[events.append])
 
     recorder = TraceRecorder()
     observed_run(program, observers=[recorder], inputs=[5, 1])
 
-    assert recorder.events == legacy.events
+    assert events and recorder.events == events
     old, new = io.StringIO(), io.StringIO()
-    dump_trace(legacy.events, old)
+    dump_trace(events, old)
     dump_trace(recorder.events, new)
     assert new.getvalue() == old.getvalue()
 

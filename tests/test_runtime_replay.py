@@ -39,7 +39,7 @@ def record(program, inputs, tamper=None):
         program.module,
         inputs=inputs,
         tamper=tamper,
-        event_listeners=[recorder],
+        observers=[recorder],
     )
     return recorder.events
 

@@ -28,7 +28,7 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..interp.interpreter import LazyTamper, RunStatus, Slot
+from ..interp.interpreter import LazyTamper, RunResult, RunStatus, Slot
 from ..interp.state import MemoryMap
 from ..ir.function import IRModule
 from ..lang.errors import ReproError
@@ -178,6 +178,20 @@ class AttackOutcome:
         if include_site and self.tamper_site is not None:
             record["tamper_site"] = [list(frame) for frame in self.tamper_site]
         return record
+
+
+def control_flow_changed(clean: RunResult, attacked: RunResult) -> bool:
+    """Did an attack change the program's control flow?
+
+    The one definition every front end uses: the attacked run committed
+    a different branch trace, or it ended differently (a tamper that
+    only turns a division into ``DIV_BY_ZERO`` changes no branch before
+    the fault, yet the process no longer finishes the way it did).
+    """
+    return (
+        attacked.branch_trace != clean.branch_trace
+        or attacked.status is not clean.status
+    )
 
 
 @dataclass
@@ -443,10 +457,7 @@ def run_attack_detailed(
             for report in reports
         )
 
-    changed = (
-        attacked.branch_trace != clean.branch_trace
-        or attacked.status is not clean.status
-    )
+    changed = control_flow_changed(clean, attacked)
     if metrics is not None:
         metrics.increment("campaign.attacks")
         metrics.increment("campaign.executions", 2)  # clean + attack

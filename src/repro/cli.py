@@ -61,7 +61,11 @@ import random
 import sys
 from typing import List, Optional, Sequence
 
-from .attacks.campaign import CampaignConfig, run_workload_campaign
+from .attacks.campaign import (
+    CampaignConfig,
+    control_flow_changed,
+    run_workload_campaign,
+)
 from .correlation.encoding import table_sizes
 from .cpu.simulator import normalized_performance
 from .interp.interpreter import TamperSpec
@@ -264,7 +268,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     clean = session.clean_result
     attacked = session.run_result
     ipds = session.ipds
-    changed = attacked.branch_trace != clean.branch_trace
+    changed = control_flow_changed(clean, attacked)
     print(f"tamper fired        : {attacked.tamper_fired}")
     print(f"control flow changed: {changed}")
     print(f"outputs             : {clean.outputs} -> {attacked.outputs}")

@@ -35,22 +35,6 @@ class BSVFrame:
         else:
             self._status[slot] = updated
 
-    def apply_all(self, actions: "tuple") -> None:
-        """Apply a whole BAT action list in one call.
-
-        Semantically identical to calling :meth:`apply` per entry —
-        the per-action enum dispatch is inlined because this sits on
-        the IPDS per-branch hot path.
-        """
-        status = self._status
-        for slot, action in actions:
-            if action is BranchAction.SET_T:
-                status[slot] = BranchStatus.TAKEN
-            elif action is BranchAction.SET_NT:
-                status[slot] = BranchStatus.NOT_TAKEN
-            elif action is BranchAction.SET_UN:
-                status.pop(slot, None)
-
     def snapshot(self) -> Dict[int, BranchStatus]:
         """Copy of all non-UNKNOWN statuses (diagnostics)."""
         return dict(self._status)

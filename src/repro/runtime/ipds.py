@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional
 
-from ..correlation.actions import BranchStatus
+from ..correlation.actions import BranchAction, BranchStatus
 from ..correlation.tables import ProgramTables
 from ..lang.errors import ReproError
 from .bsv import BSVFrame
@@ -41,6 +41,16 @@ from .flight_recorder import (
     FrameRecord,
 )
 from .observer import ExecutionObserver
+
+# Bound once at import: loading an enum member (``BranchStatus.TAKEN``)
+# costs several times a module-global load, and the branch path below
+# does one per status test and per BAT entry.
+_TAKEN = BranchStatus.TAKEN
+_NOT_TAKEN = BranchStatus.NOT_TAKEN
+_UNKNOWN = BranchStatus.UNKNOWN
+_SET_T = BranchAction.SET_T
+_SET_NT = BranchAction.SET_NT
+_SET_UN = BranchAction.SET_UN
 
 
 class IPDSError(ReproError):
@@ -57,9 +67,9 @@ class Alarm:
     actual_taken: bool
     event_index: int
     #: BSV slot whose expectation was violated and the activation that
-    #: held it — forensics join keys (defaulted for legacy callers).
-    slot: int = -1
-    frame_id: int = -1
+    #: held it — forensics join keys.
+    slot: int
+    frame_id: int
 
     def __str__(self) -> str:
         actual = "T" if self.actual_taken else "NT"
@@ -152,10 +162,109 @@ class IPDS(ExecutionObserver):
         return None
 
     def on_branch(self, event: BranchEvent) -> Optional[Alarm]:
+        """Verify one committed branch against the BSV, then fire its
+        BAT actions (§5.4).
+
+        This runs once per committed branch, so it reads the branch's
+        precomputed plan (``FunctionTables.branch_plan``) once, applies
+        the action list itself and loads statuses and actions from the
+        module constants above instead of the enum classes.
+        """
         if self._halted:
             return None
-        self.stats.events += 1
-        return self._branch(event)
+        stats = self.stats
+        stats.events += 1
+        stack = self._stack
+        if not stack:
+            raise IPDSError("branch event with empty table stack")
+        frame = stack[-1]
+        if frame is None:
+            # Branch inside an unprotected frame: observed, not checked.
+            stats.unprotected_branches += 1
+            return None
+        tables = frame.tables
+        if tables.function_name != event.function_name:
+            raise IPDSError(
+                f"branch event from {event.function_name!r} but active "
+                f"frame is {tables.function_name!r}"
+            )
+        stats.branch_events += 1
+        taken = event.taken
+        status = frame._status
+        checked = False
+        expected: Optional[BranchStatus] = None
+        actions: tuple = ()
+        alarm: Optional[Alarm] = None
+        plan = tables._plan_by_pc.get(event.pc)
+        if plan is not None:
+            slot, checked, taken_actions, not_taken_actions = plan
+            actions = taken_actions if taken else not_taken_actions
+            # Verify first (only branches marked in the BCV): a slot
+            # absent from the frame is UNKNOWN, which never alarms.
+            if checked:
+                stats.checks += 1
+                expected = status.get(slot, _UNKNOWN)
+                if expected is not _UNKNOWN and (expected is _TAKEN) != taken:
+                    alarm = Alarm(
+                        function_name=event.function_name,
+                        pc=event.pc,
+                        expected=expected,
+                        actual_taken=taken,
+                        event_index=stats.events,
+                        slot=slot,
+                        frame_id=frame.frame_id,
+                    )
+                    self.alarms.append(alarm)
+                    if self._halt_on_alarm:
+                        self._halted = True
+                        actions = ()  # a halted process updates nothing
+
+        # Then update, whether or not the branch is checked (§5.4).
+        recorder = self.flight_recorder
+        transitions: tuple = ()
+        if actions:
+            stats.updates += 1
+            stats.actions_fired += len(actions)
+            if recorder is None:
+                for target, action in actions:
+                    if action is _SET_T:
+                        status[target] = _TAKEN
+                    elif action is _SET_NT:
+                        status[target] = _NOT_TAKEN
+                    elif action is _SET_UN:
+                        status.pop(target, None)
+            else:
+                recorded = []
+                for target, action in actions:
+                    before = frame.status(target)
+                    frame.apply(target, action)
+                    recorded.append(
+                        BSVTransition(
+                            slot=target,
+                            target_pc=tables.pc_of_slot(target),
+                            action=action,
+                            before=before,
+                            after=frame.status(target),
+                        )
+                    )
+                transitions = tuple(recorded)
+        if recorder is not None:
+            recorder.record(
+                BranchRecord(
+                    seq=stats.events,
+                    frame_id=frame.frame_id,
+                    function=event.function_name,
+                    pc=event.pc,
+                    taken=taken,
+                    checked=checked,
+                    expected=expected,
+                    alarmed=alarm is not None,
+                    transitions=transitions,
+                )
+            )
+        if alarm is not None and self.alarm_sink is not None:
+            self.alarm_sink(alarm)
+        return alarm
 
     def run(self, events: Iterable[Event]) -> List[Alarm]:
         """Consume a whole stream; returns all alarms raised."""
@@ -232,127 +341,3 @@ class IPDS(ExecutionObserver):
                 f"return from {function_name!r} but top of stack is "
                 f"{frame.tables.function_name!r}"
             )
-
-    def _branch(self, event: BranchEvent) -> Optional[Alarm]:
-        stack = self._stack
-        if not stack:
-            raise IPDSError("branch event with empty table stack")
-        frame = stack[-1]
-        stats = self.stats
-        if frame is None:
-            # Branch inside an unprotected frame: observed, not checked.
-            stats.unprotected_branches += 1
-            return None
-        tables = frame.tables
-        if tables.function_name != event.function_name:
-            raise IPDSError(
-                f"branch event from {event.function_name!r} but active "
-                f"frame is {tables.function_name!r}"
-            )
-        stats.branch_events += 1
-        taken = event.taken
-        # One precomputed int-keyed lookup replaces slot_of + BCV
-        # membership + the (slot, taken) BAT lookup on every committed
-        # branch (see FunctionTables.branch_plan).
-        plan = tables._plan_by_pc.get(event.pc)
-        if plan is None:
-            slot: Optional[int] = None
-            checked = False
-            actions: tuple = ()
-        else:
-            slot = plan[0]
-            checked = plan[1]
-            actions = plan[2] if taken else plan[3]
-        recorder = self.flight_recorder
-        alarm: Optional[Alarm] = None
-
-        # Verify first (only branches marked in the BCV).  The status
-        # read and UNKNOWN-matches-anything test are inlined (slot
-        # absent from the frame's dict means UNKNOWN, which can never
-        # alarm) — this path runs once per committed checked branch.
-        expected: Optional[BranchStatus] = None
-        if checked:
-            stats.checks += 1
-            expected = frame._status.get(slot, BranchStatus.UNKNOWN)
-            if (
-                expected is not BranchStatus.UNKNOWN
-                and (expected is BranchStatus.TAKEN) != taken
-            ):
-                alarm = Alarm(
-                    function_name=event.function_name,
-                    pc=event.pc,
-                    expected=expected,
-                    actual_taken=taken,
-                    event_index=stats.events,
-                    slot=slot,
-                    frame_id=frame.frame_id,
-                )
-                self.alarms.append(alarm)
-                if self._halt_on_alarm:
-                    self._halted = True
-                    if recorder is not None:
-                        recorder.record(
-                            self._branch_record(event, frame, checked, expected, True, ())
-                        )
-                    if self.alarm_sink is not None:
-                        self.alarm_sink(alarm)
-                    return alarm
-
-        # Then update, whether or not the branch is checked (§5.4).
-        if actions:
-            stats.updates += 1
-            if recorder is None:
-                frame.apply_all(actions)
-                stats.actions_fired += len(actions)
-            else:
-                transitions = []
-                for target_slot, action in actions:
-                    before = frame.status(target_slot)
-                    frame.apply(target_slot, action)
-                    self.stats.actions_fired += 1
-                    transitions.append(
-                        BSVTransition(
-                            slot=target_slot,
-                            target_pc=tables.pc_of_slot(target_slot),
-                            action=action,
-                            before=before,
-                            after=frame.status(target_slot),
-                        )
-                    )
-                recorder.record(
-                    self._branch_record(
-                        event, frame, checked, expected,
-                        alarm is not None, tuple(transitions),
-                    )
-                )
-                if alarm is not None and self.alarm_sink is not None:
-                    self.alarm_sink(alarm)
-                return alarm
-        if recorder is not None:
-            recorder.record(
-                self._branch_record(event, frame, checked, expected, alarm is not None, ())
-            )
-        if alarm is not None and self.alarm_sink is not None:
-            self.alarm_sink(alarm)
-        return alarm
-
-    def _branch_record(
-        self,
-        event: BranchEvent,
-        frame: BSVFrame,
-        checked: bool,
-        expected: Optional[BranchStatus],
-        alarmed: bool,
-        transitions: tuple,
-    ) -> BranchRecord:
-        return BranchRecord(
-            seq=self.stats.events,
-            frame_id=frame.frame_id,
-            function=event.function_name,
-            pc=event.pc,
-            taken=event.taken,
-            checked=checked,
-            expected=expected,
-            alarmed=alarmed,
-            transitions=transitions,
-        )

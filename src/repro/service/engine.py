@@ -33,7 +33,11 @@ import io
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..attacks.campaign import CampaignConfig, run_attack_detailed
+from ..attacks.campaign import (
+    CampaignConfig,
+    control_flow_changed,
+    run_attack_detailed,
+)
 from ..interp.interpreter import RunResult, TamperSpec
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
@@ -409,7 +413,7 @@ class DetectionSession:
         self.run_result = attacked
         if recorder is not None:
             self.trace_events = recorder.events
-        changed = attacked.branch_trace != clean.branch_trace
+        changed = control_flow_changed(clean, attacked)
         self.metrics.increment("interp.steps", clean.steps + attacked.steps)
         self.metrics.increment("attack.tamper_fired", int(attacked.tamper_fired))
         self.metrics.increment("attack.control_flow_changed", int(changed))
@@ -570,8 +574,8 @@ class DetectionSession:
             and self.clean_result is not None
             and self.run_result is not None
         ):
-            result.control_flow_changed = (
-                self.run_result.branch_trace != self.clean_result.branch_trace
+            result.control_flow_changed = control_flow_changed(
+                self.clean_result, self.run_result
             )
         result.outcome = self.outcome_record
         result.forensics = self.forensics_json

@@ -95,6 +95,40 @@ def test_attack_noop_value(source_file, capsys):
     assert "control flow changed: False" in out
 
 
+#: Zeroing ``d`` at the second read changes no branch: the attacked run
+#: commits the clean run's (empty) branch trace, then dies dividing.
+DIVIDE = """
+int d;
+int e;
+void main() { d = read_int(); e = read_int(); emit(100 / d); }
+"""
+
+
+def test_attack_status_only_change_is_a_control_flow_change(tmp_path, capsys):
+    from repro.interp import GLOBAL_BASE
+
+    path = tmp_path / "divide.c"
+    path.write_text(DIVIDE)
+    rc = main(
+        [
+            "attack",
+            str(path),
+            "--inputs",
+            "5 7",
+            "--trigger",
+            "2",
+            "--address",
+            hex(GLOBAL_BASE),
+            "--value",
+            "0",
+        ]
+    )
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "outputs             : [20] -> []" in out
+    assert "control flow changed: True" in out
+
+
 def test_campaign_small(capsys):
     assert main(["campaign", "sysklogd", "--attacks", "5"]) == 0
     out = capsys.readouterr().out

@@ -228,6 +228,39 @@ def test_inline_source_and_explicit_tamper(daemon):
         client.shutdown()
 
 
+def test_explicit_tamper_that_only_changes_the_exit_status(daemon):
+    """Zeroing the divisor changes no branch, only how the run ends:
+    the session counts it as a control-flow change, as a campaign
+    does."""
+    from repro.interp import GLOBAL_BASE
+
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        session = client.submit(
+            {
+                "mode": "attack",
+                "source": (
+                    "int d; int e; void main() "
+                    "{ d = read_int(); e = read_int(); emit(100 / d); }"
+                ),
+                "source_name": "divide",
+                "inputs": [5, 7],
+                "tamper": {
+                    "trigger_kind": "read",
+                    "trigger": 2,
+                    "address": hex(GLOBAL_BASE),
+                    "value": 0,
+                },
+            }
+        )
+        result = client.results([session])[session]
+        assert result["state"] == "completed"
+        assert result["tamper_fired"] is True
+        assert result["status"] == "div_by_zero"
+        assert result["outputs"] == []
+        assert result["control_flow_changed"] is True
+        client.shutdown()
+
+
 def test_protocol_errors_do_not_kill_the_daemon(daemon):
     with ServeClient(socket_path=daemon.socket_path) as client:
         with pytest.raises(ProtocolError):

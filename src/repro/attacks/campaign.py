@@ -19,6 +19,11 @@ Attack recipe (two deterministic runs per attack):
 
 Zero false positives is *asserted*, not just measured: the clean run is
 also monitored, and any alarm there fails the campaign loudly.
+
+:func:`execute_attack` is the one implementation of the recipe.  A
+seeded campaign attack (:func:`run_attack_detailed`) only derives its
+inputs and its draw; ``repro attack``, the daemon's attack sessions and
+the n-gram comparison run through the same function.
 """
 
 from __future__ import annotations
@@ -26,9 +31,9 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
-from ..interp.interpreter import LazyTamper, RunResult, RunStatus, Slot
+from ..interp.interpreter import LazyTamper, RunResult, RunStatus, Slot, TamperSpec
 from ..interp.state import MemoryMap
 from ..ir.function import IRModule
 from ..lang.errors import ReproError
@@ -77,7 +82,7 @@ class CampaignConfig:
 
     * ``step_limit`` bounds both runs of an attack;
     * ``attack_model`` selects the threat model (``"input"`` or
-      ``"process"``, see :func:`run_attack`);
+      ``"process"``, see :func:`run_attack_detailed`);
     * ``forensics`` flight-records the attack run and explains its
       alarms, keeping ``flight_recorder_depth`` branches;
     * ``timing_mode`` (``"exact"`` or ``"segment"``) attaches a timing
@@ -295,14 +300,14 @@ class TargetDraw:
 
 @dataclass
 class AttackExecution:
-    """Every artifact of one attack-recipe execution (its two runs).
+    """Every artifact of one attack (its two runs).
 
-    :func:`run_attack` keeps returning the bare :class:`AttackOutcome`;
+    :func:`run_attack` returns only the :class:`AttackOutcome`;
     session-scoped callers (the detection daemon's
-    :class:`~repro.service.engine.DetectionSession`) need the live
-    objects too — the monitored IPDS, the flight recorder, the typed
-    forensics reports — so the daemon can stream alarms and quarantine
-    traces without re-running anything.
+    :class:`~repro.service.engine.DetectionSession`, ``repro attack``)
+    need the live objects too — both runs, the monitored IPDS, the
+    flight recorder, the typed forensics reports — so they can print,
+    stream alarms and quarantine traces without re-running anything.
     """
 
     outcome: AttackOutcome
@@ -316,102 +321,52 @@ class AttackExecution:
     reports: List[object] = field(default_factory=list)
 
 
-def run_attack(
+def execute_attack(
     program: ProtectedProgram,
-    workload: Workload,
-    index: int,
-    seed_prefix: str = "",
-    config: CampaignConfig = DEFAULT_CONFIG,
-    rng: Optional[random.Random] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> AttackOutcome:
-    """Run one independent attack (a clean run and an attack run).
-
-    ``config.attack_model`` selects the paper's §3 threat models:
-
-    * ``"input"`` (model 1, the Figure 7 default) — tampering fires
-      when a malicious *input* is consumed, and targets what that
-      vulnerability class reaches (live stack for overflows, any data
-      address for format strings);
-    * ``"process"`` (model 2) — a malicious co-resident process snoops
-      and tampers the victim's memory at an *arbitrary moment*
-      (step-count trigger) and an arbitrary data address.
-
-    ``rng`` defaults to :func:`attack_rng` — an explicit per-attack
-    generator, so results never depend on shared RNG state.
-
-    ``metrics`` (optional) accumulates telemetry counters — event and
-    step volumes, outcome tallies — without touching the outcome
-    itself, so metrics-on and metrics-off campaigns stay bit-identical.
-    """
-    return run_attack_detailed(
-        program,
-        workload,
-        index,
-        seed_prefix=seed_prefix,
-        config=config,
-        rng=rng,
-        metrics=metrics,
-    ).outcome
-
-
-def run_attack_detailed(
-    program: ProtectedProgram,
-    workload: Workload,
-    index: int,
+    inputs: Sequence[int],
+    tamper: Union[TamperSpec, Callable[[RunResult], LazyTamper]],
     *,
-    seed_prefix: str = "",
+    index: int = 0,
+    entry: str = "main",
     config: CampaignConfig = DEFAULT_CONFIG,
-    rng: Optional[random.Random] = None,
     metrics: Optional[MetricsRegistry] = None,
     extra_observers: Sequence[object] = (),
     alarm_sink=None,
 ) -> AttackExecution:
-    """The attack recipe, returning every artifact (see
-    :class:`AttackExecution`).
+    """The attack recipe: a clean run, then one tampered run on the
+    same inputs, both monitored by the IPDS.  An alarm on the clean run
+    raises :class:`CampaignError`.
 
-    :func:`run_attack` is a thin wrapper over this function; the two
-    extra knobs exist for session-scoped callers and never perturb the
-    outcome:
+    ``tamper`` is a fixed :class:`TamperSpec` (``repro attack``), or a
+    function of the clean run returning the :class:`LazyTamper` to fire
+    (a drawn attack: its trigger depends on how far the clean run got,
+    and its :class:`TargetDraw` names the word it hit).
 
+    The hooks never perturb the outcome:
+
+    * ``metrics`` accumulates the campaign counter block (executions,
+      steps, IPDS events and checks of both runs, outcome tallies);
     * ``extra_observers`` ride the monitored attack run's bus behind
-      the IPDS and any timing model (trace recorders, progress hooks);
-    * ``alarm_sink`` is invoked with each alarm as the IPDS raises it —
-      the online policy hook.  A sink that raises aborts the attack run
-      (the kill-session policy); the exception propagates to the
-      caller.
+      the IPDS and any timing model (trace recorders, progress hooks,
+      syscall capture);
+    * ``alarm_sink`` is invoked with each alarm of the attack run as
+      the IPDS raises it — the online policy hook.  A sink that raises
+      aborts the attack run (the kill-session policy); the exception
+      propagates to the caller.
     """
-    if rng is None:
-        rng = attack_rng(seed_prefix, workload.name, index)
-    inputs = workload.make_inputs(rng)
-
     # 1. Clean monitored run: reference trace + zero-FP assertion.
     clean, clean_ipds = monitored_run(
-        program, inputs=inputs, step_limit=config.step_limit
+        program, inputs=inputs, entry=entry, step_limit=config.step_limit
     )
     if clean_ipds.detected:
         raise CampaignError(
-            f"false positive on clean run of {workload.name}: "
+            f"false positive on clean run of {program.source_name}: "
             f"{clean_ipds.alarms[0]}"
         )
+    if not isinstance(tamper, TamperSpec):
+        tamper = tamper(clean)
 
-    # 2. Choose the trigger; the target is drawn when it fires.
-    if config.attack_model == "process":
-        trigger_kind = "step"
-        trigger = rng.randint(1, max(2, clean.steps - 1))
-    else:
-        trigger_kind = "read"
-        max_trigger = max(clean.reads_consumed, workload.min_trigger_read)
-        trigger = rng.randint(
-            workload.min_trigger_read,
-            max(workload.min_trigger_read, max_trigger),
-        )
-    draw = TargetDraw(
-        rng,
-        widen=config.attack_model == "process" or workload.vuln_kind == "fmt",
-    )
-
-    # 3. The attack run (flight-recorded when forensics is on, timed
+    # 2. The attack run (flight-recorded when forensics is on, timed
     # when a timing mode is selected).
     recorder = (
         FlightRecorder(config.flight_recorder_depth)
@@ -434,14 +389,18 @@ def run_attack_detailed(
     attacked, ipds = monitored_run(
         program,
         inputs=inputs,
-        tamper=LazyTamper(trigger_kind, trigger, draw),
+        entry=entry,
+        tamper=tamper,
         step_limit=config.step_limit,
         flight_recorder=recorder,
         observers=observers,
         alarm_sink=alarm_sink,
     )
     attack_seconds = time.perf_counter() - attack_started
-    address, target_label, value = draw.drawn(program.module)
+    if isinstance(tamper, TamperSpec):
+        address, target_label, value = tamper.address, f"{tamper.address:#x}", tamper.value
+    else:
+        address, target_label, value = tamper.choose.drawn(program.module)
     reports: List[object] = []
     explanations: Tuple[str, ...] = ()
     proof_reasons: Tuple[str, ...] = ()
@@ -478,7 +437,7 @@ def run_attack_detailed(
             )
     outcome = AttackOutcome(
         index=index,
-        trigger_read=trigger,
+        trigger_read=tamper.trigger_value,
         address=address,
         target_label=target_label,
         value=value,
@@ -500,6 +459,76 @@ def run_attack_detailed(
         ipds=ipds,
         flight_recorder=recorder,
         reports=reports,
+    )
+
+
+def run_attack(
+    program: ProtectedProgram,
+    workload: Workload,
+    index: int,
+    seed_prefix: str = "",
+    config: CampaignConfig = DEFAULT_CONFIG,
+    metrics: Optional[MetricsRegistry] = None,
+) -> AttackOutcome:
+    """Run attack ``index`` against one workload; see
+    :func:`run_attack_detailed`."""
+    return run_attack_detailed(
+        program,
+        workload,
+        index,
+        seed_prefix=seed_prefix,
+        config=config,
+        metrics=metrics,
+    ).outcome
+
+
+def run_attack_detailed(
+    program: ProtectedProgram,
+    workload: Workload,
+    index: int,
+    *,
+    seed_prefix: str = "",
+    config: CampaignConfig = DEFAULT_CONFIG,
+    metrics: Optional[MetricsRegistry] = None,
+    extra_observers: Sequence[object] = (),
+    alarm_sink=None,
+) -> AttackExecution:
+    """Run one independent, seeded attack through :func:`execute_attack`.
+
+    Only the inputs and the draw are derived here, all from
+    :func:`attack_rng`, so results never depend on shared RNG state.
+    ``config.attack_model`` selects the paper's §3 threat models:
+
+    * ``"input"`` (model 1, the Figure 7 default) — tampering fires
+      when a malicious *input* is consumed (a read the clean run
+      reached), and targets what that vulnerability class reaches
+      (live stack for overflows, any data address for format strings);
+    * ``"process"`` (model 2) — a malicious co-resident process snoops
+      and tampers the victim's memory at an *arbitrary moment*
+      (step-count trigger) and an arbitrary data address.
+    """
+    rng = attack_rng(seed_prefix, workload.name, index)
+    inputs = workload.make_inputs(rng)
+    lowest = workload.min_trigger_read
+
+    def draw(clean: RunResult) -> LazyTamper:
+        if config.attack_model == "process":
+            kind, trigger = "step", rng.randint(1, max(2, clean.steps - 1))
+        else:
+            kind = "read"
+            trigger = rng.randint(lowest, max(lowest, clean.reads_consumed))
+        widen = config.attack_model == "process" or workload.vuln_kind == "fmt"
+        return LazyTamper(kind, trigger, TargetDraw(rng, widen))
+
+    return execute_attack(
+        program,
+        inputs,
+        draw,
+        index=index,
+        config=config,
+        metrics=metrics,
+        extra_observers=extra_observers,
+        alarm_sink=alarm_sink,
     )
 
 

@@ -6,8 +6,10 @@ For one workload:
 2. measure its **false-positive rate** on fresh clean sessions (IPDS
    is zero-FP by construction, so any baseline FP is the contrast the
    paper draws);
-3. replay the same seeded attack recipe the Figure 7 campaign uses and
-   measure both detectors on identical tampered executions.
+3. run seeded attacks through the Figure 7 recipe itself
+   (:func:`~repro.attacks.campaign.run_attack_detailed`, seed prefix
+   ``"cmp:"``) with the syscall capture riding the attack run, and
+   measure both detectors on the attacks that changed control flow.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..attacks.campaign import CampaignError, TargetDraw
-from ..interp.interpreter import LazyTamper, Tamper
+from ..attacks.campaign import CampaignConfig, CampaignError, run_attack_detailed
+from ..interp.interpreter import Tamper
 from ..ir.instructions import Call, Instruction
 from ..pipeline import ProtectedProgram, compile_program, observed_run
 from ..runtime.observer import ExecutionObserver
@@ -124,8 +126,8 @@ def compare_detectors(
     """Run the full head-to-head for one workload.
 
     Raises :class:`~repro.attacks.campaign.CampaignError` if the IPDS
-    alarms on a clean test session — the zero-false-positive guarantee
-    is checked, not assumed.
+    alarms on a clean test session or on an attack's clean run — the
+    zero-false-positive guarantee is checked, not assumed.
     """
     from .ngram import NGramDetector
 
@@ -154,28 +156,21 @@ def compare_detectors(
             false_positives += 1
 
     changed = ipds_hits = ngram_hits = 0
+    config = CampaignConfig(step_limit=step_limit)
     for index in range(attacks):
-        rng = random.Random(f"cmp:{workload.name}:{index}")
-        inputs = workload.make_inputs(rng)
-        clean_sys, clean_branches, _ = capture_trace(
-            program, inputs, step_limit=step_limit
-        )
-        trigger = rng.randint(
-            workload.min_trigger_read,
-            max(workload.min_trigger_read, len(inputs)),
-        )
-        # The Figure-7 input-model target, drawn when the trigger fires.
-        draw = TargetDraw(rng, widen=workload.vuln_kind == "fmt")
-        attacked_sys, attacked_branches, ipds_detected = capture_trace(
+        syscalls = SyscallTraceObserver()
+        outcome = run_attack_detailed(
             program,
-            inputs,
-            tamper=LazyTamper("read", trigger, draw),
-            step_limit=step_limit,
-        )
-        if attacked_branches != clean_branches:
+            workload,
+            index,
+            seed_prefix="cmp:",
+            config=config,
+            extra_observers=(syscalls,),
+        ).outcome
+        if outcome.control_flow_changed:
             changed += 1
-            ipds_hits += int(ipds_detected)
-            ngram_hits += int(detector.detects(attacked_sys))
+            ipds_hits += int(outcome.detected)
+            ngram_hits += int(detector.detects(syscalls.symbols))
 
     return ComparisonResult(
         workload=workload.name,

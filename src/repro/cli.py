@@ -61,11 +61,7 @@ import random
 import sys
 from typing import List, Optional, Sequence
 
-from .attacks.campaign import (
-    CampaignConfig,
-    control_flow_changed,
-    run_workload_campaign,
-)
+from .attacks.campaign import CampaignConfig, run_workload_campaign
 from .correlation.encoding import table_sizes
 from .cpu.simulator import normalized_performance
 from .interp.interpreter import TamperSpec
@@ -103,6 +99,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _address(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a word address (decimal or 0x...): {text!r}"
+        ) from None
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
@@ -250,7 +255,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     tamper = TamperSpec(
         trigger_kind=args.trigger_kind,
         trigger_value=args.trigger,
-        address=int(args.address, 0),
+        address=args.address,
         value=args.value,
     )
     spec = SessionSpec(
@@ -265,13 +270,11 @@ def cmd_attack(args: argparse.Namespace) -> int:
         tamper=tamper,
     )
     session = _run_session(spec)
-    clean = session.clean_result
-    attacked = session.run_result
-    ipds = session.ipds
-    changed = control_flow_changed(clean, attacked)
-    print(f"tamper fired        : {attacked.tamper_fired}")
-    print(f"control flow changed: {changed}")
-    print(f"outputs             : {clean.outputs} -> {attacked.outputs}")
+    attack = session.attack
+    outcome = attack.outcome
+    print(f"tamper fired        : {outcome.fired}")
+    print(f"control flow changed: {outcome.control_flow_changed}")
+    print(f"outputs             : {attack.clean.outputs} -> {attack.attacked.outputs}")
     if args.trace_out:
         count = export_trace(session.trace_events, args.trace_out)
         print(f"trace               : {count} events -> {args.trace_out}")
@@ -279,17 +282,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
         args,
         manifest,
         session.tracer,
-        tamper_fired=attacked.tamper_fired,
-        control_flow_changed=changed,
-        detected=ipds.detected,
-        alarms=[str(alarm) for alarm in ipds.alarms],
+        tamper_fired=outcome.fired,
+        control_flow_changed=outcome.control_flow_changed,
+        detected=outcome.detected,
+        alarms=list(outcome.alarms),
     )
-    if ipds.detected:
-        print(f"DETECTED            : {ipds.alarms[0]}")
-        _report_forensics(args, ipds)
+    if outcome.detected:
+        print(f"DETECTED            : {outcome.alarms[0]}")
+        _report_forensics(args, attack.ipds)
         return 2
     print("detected            : no")
-    _report_forensics(args, ipds)
+    _report_forensics(args, attack.ipds)
     return 0
 
 
@@ -919,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trigger-kind", choices=["read", "step"], default="read")
     p.add_argument("--trigger", type=int, required=True,
                    help="input index / step count that fires the tamper")
-    p.add_argument("--address", required=True,
+    p.add_argument("--address", type=_address, required=True,
                    help="word address to corrupt (accepts 0x..)")
     p.add_argument("--value", type=int, required=True)
     _add_forensics_args(p)

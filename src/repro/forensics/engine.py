@@ -60,17 +60,15 @@ def _explain_one(
     history_limit: int,
 ) -> AlarmReport:
     fn_tables = tables.tables_for(alarm.function_name)
-    slot = alarm.slot
-    if slot < 0:  # legacy alarm without the join key: recover from pc
-        recovered = fn_tables.slot_of(alarm.pc)
-        slot = -1 if recovered is None else recovered
     notes: List[str] = []
     history: tuple = ()
     setter = transition = None
     if recorder is None:
         notes.append("no flight recorder attached — run with --forensics")
     else:
-        found = recorder.find_setter(alarm.frame_id, slot, alarm.event_index)
+        found = recorder.find_setter(
+            alarm.frame_id, alarm.slot, alarm.event_index
+        )
         if found is not None:
             setter, transition = found
         history = tuple(

@@ -25,9 +25,9 @@ from .correlation.tables import ProgramTables
 from .interp.interpreter import Interpreter, RunResult, Tamper, TamperSpec, run_program
 from .ir.function import IRModule
 from .ir.builder import lower_program
-from .ir.validate import verify_module
 from .lang.parser import parse_program
 from .runtime.ipds import IPDS
+from .staticcheck.irverify import verify_module
 
 
 @dataclass

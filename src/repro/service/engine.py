@@ -12,12 +12,14 @@ detection run from the command line.
 Three modes, mirroring the CLI verbs:
 
 * ``run``    — one monitored execution of a program on given inputs;
-* ``attack`` — either an *explicit* tampering (``spec.tamper`` set: the
-  ``repro attack`` shape — unmonitored clean run, monitored tampered
-  run, control-flow diff) or an *indexed* campaign attack
-  (``spec.attack_index`` set: the full §6 recipe via
-  :func:`repro.attacks.campaign.run_attack_detailed`, byte-identical to
-  the serial campaign for the same seed prefix and index);
+* ``attack`` — the §6 recipe of
+  :func:`repro.attacks.campaign.execute_attack` (a monitored clean run
+  that must not alarm, then a monitored tampered run on the same
+  inputs), with either an *explicit* tampering (``spec.tamper`` set:
+  the ``repro attack`` shape) or an *indexed* campaign attack
+  (``spec.attack_index`` set: inputs and target drawn from the seed,
+  byte-identical to the serial campaign for the same seed prefix and
+  index);
 * ``replay`` — offline re-check of a recorded event trace.
 
 The policy hook rides the IPDS ``alarm_sink``: it fires synchronously
@@ -34,8 +36,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..attacks.campaign import (
+    AttackExecution,
     CampaignConfig,
-    control_flow_changed,
+    execute_attack,
     run_attack_detailed,
 )
 from ..interp.interpreter import RunResult, TamperSpec
@@ -47,7 +50,6 @@ from ..pipeline import (
     compile_program_cached,
     observed_run,
     resolve_target,
-    unmonitored_run,
 )
 from ..runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
 from ..runtime.ipds import IPDS, Alarm
@@ -283,10 +285,10 @@ class DetectionSession:
         self.program_name: str = spec.source_name or spec.workload or "<session>"
         self.ipds: Optional[IPDS] = None
         self.run_result: Optional[RunResult] = None
-        self.clean_result: Optional[RunResult] = None
+        #: Both runs and the outcome of an attack session.
+        self.attack: Optional[AttackExecution] = None
         self.reports: List[object] = []
         self.forensics_json: Optional[str] = None
-        self.outcome_record: Optional[Dict[str, Any]] = None
 
     # -- plumbing ---------------------------------------------------------
 
@@ -385,80 +387,52 @@ class DetectionSession:
         record_ipds_metrics(self.metrics, ipds)
         self._explain()
 
-    def _execute_attack_explicit(self) -> None:
-        program = self._compile()
-        with self.tracer.span("session.clean"):
-            clean = unmonitored_run(
-                program,
-                inputs=self.spec.inputs,
-                entry=self.spec.entry,
-                step_limit=self.spec.effective_step_limit,
-            )
-        self.clean_result = clean
-        ipds = program.new_ipds(
-            flight_recorder=self._new_flight_recorder(),
-            alarm_sink=self._on_alarm,
-        )
-        self.ipds = ipds
-        extra, recorder = self._session_observers()
-        with self.tracer.span("session.attack"):
-            attacked = observed_run(
-                program,
-                observers=[ipds, *extra],
-                inputs=self.spec.inputs,
-                entry=self.spec.entry,
-                tamper=self.spec.tamper,
-                step_limit=self.spec.effective_step_limit,
-            )
-        self.run_result = attacked
-        if recorder is not None:
-            self.trace_events = recorder.events
-        changed = control_flow_changed(clean, attacked)
-        self.metrics.increment("interp.steps", clean.steps + attacked.steps)
-        self.metrics.increment("attack.tamper_fired", int(attacked.tamper_fired))
-        self.metrics.increment("attack.control_flow_changed", int(changed))
-        self.metrics.increment("attack.detected", int(ipds.detected))
-        record_ipds_metrics(self.metrics, ipds)
-        self._explain()
-
-    def _execute_attack_indexed(self) -> None:
+    def _execute_attack(self) -> None:
         from ..workloads.registry import get_workload
 
         spec = self.spec
-        workload = get_workload(spec.workload)
+        workload = None if spec.tamper is not None else get_workload(spec.workload)
         program = self._compile()
         extra, recorder = self._session_observers()
-        with self.tracer.span(
-            "session.attack",
-            workload=workload.name,
-            attack_index=spec.attack_index,
-        ):
-            execution = run_attack_detailed(
-                program,
-                workload,
-                spec.attack_index,
-                seed_prefix=spec.seed_prefix,
-                # Built from the spec's wire fields; raises ValueError
-                # on an unknown attack model or timing mode.
-                config=CampaignConfig(
-                    step_limit=spec.effective_step_limit,
-                    attack_model=spec.attack_model,
-                    opt_level=spec.opt_level,
-                    forensics=spec.forensics,
-                    flight_recorder_depth=spec.flight_recorder_depth,
-                    timing_mode=spec.timing_mode,
-                ),
-                metrics=self.metrics,
-                extra_observers=extra,
-                alarm_sink=self._on_alarm,
-            )
+        hooks = dict(
+            # Built from the spec's wire fields; raises ValueError on
+            # an unknown attack model or timing mode.
+            config=CampaignConfig(
+                step_limit=spec.effective_step_limit,
+                attack_model=spec.attack_model,
+                opt_level=spec.opt_level,
+                forensics=spec.forensics,
+                flight_recorder_depth=spec.flight_recorder_depth,
+                timing_mode=spec.timing_mode,
+            ),
+            metrics=self.metrics,
+            extra_observers=extra,
+            alarm_sink=self._on_alarm,
+        )
+        if workload is None:
+            with self.tracer.span("session.attack"):
+                execution = execute_attack(
+                    program, spec.inputs, spec.tamper, entry=spec.entry, **hooks
+                )
+        else:
+            with self.tracer.span(
+                "session.attack",
+                workload=workload.name,
+                attack_index=spec.attack_index,
+            ):
+                execution = run_attack_detailed(
+                    program,
+                    workload,
+                    spec.attack_index,
+                    seed_prefix=spec.seed_prefix,
+                    **hooks,
+                )
+        self.attack = execution
         self.ipds = execution.ipds
         self.run_result = execution.attacked
-        self.clean_result = execution.clean
         self.reports = list(execution.reports)
         if recorder is not None:
             self.trace_events = recorder.events
-        self.outcome_record = execution.outcome.to_record(workload.name)
         if self.reports:
             from ..forensics import reports_to_json
 
@@ -499,10 +473,8 @@ class DetectionSession:
                     self._execute_run()
                 elif self.spec.mode == "replay":
                     self._execute_replay()
-                elif self.spec.tamper is not None:
-                    self._execute_attack_explicit()
                 else:
-                    self._execute_attack_indexed()
+                    self._execute_attack()
         except SessionKilled as kill:
             killed = True
             self.error = str(kill)
@@ -567,17 +539,13 @@ class DetectionSession:
             result.steps = self.run_result.steps
             result.status = self.run_result.status.value
             result.outputs = list(self.run_result.outputs)
-            if self.spec.mode == "attack":
-                result.tamper_fired = self.run_result.tamper_fired
-        if (
-            self.spec.tamper is not None
-            and self.clean_result is not None
-            and self.run_result is not None
-        ):
-            result.control_flow_changed = control_flow_changed(
-                self.clean_result, self.run_result
-            )
-        result.outcome = self.outcome_record
+        if self.attack is not None:
+            outcome = self.attack.outcome
+            result.tamper_fired = outcome.fired
+            if self.spec.tamper is not None:
+                result.control_flow_changed = outcome.control_flow_changed
+            else:
+                result.outcome = outcome.to_record(self.spec.workload)
         result.forensics = self.forensics_json
         if self.session_span is not None:
             # Finished spans stay mutable until export; stamp the final

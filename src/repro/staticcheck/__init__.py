@@ -7,8 +7,8 @@ The subsystem hosts three pass families behind one diagnostics engine:
   paper's zero-false-positive guarantee), plus binary image integrity;
 * ``dead-branch`` — infeasible/dead branch and unreachable code
   warnings from fixpoint range reasoning;
-* ``ir-verify`` — structural IR validation (absorbed from
-  ``ir/validate.py``).
+* ``ir-verify`` — structural IR validation (every compile runs its
+  raise-on-first-error form, :func:`~repro.staticcheck.irverify.verify_module`).
 
 Entry points: :func:`run_passes` (programmatic), ``repro audit`` and
 ``repro lint`` (CLI), and ``compile_program(..., check=True)``.
@@ -44,7 +44,7 @@ from .emit import (
     sarif_report,
     write_output,
 )
-from .irverify import verify_function_diagnostics, verify_module_diagnostics
+from .irverify import verify_module_diagnostics
 from .registry import (
     AUDIT_PASSES,
     COVERAGE_PASSES,
@@ -89,7 +89,6 @@ __all__ = [
     "render_text",
     "run_passes",
     "sarif_report",
-    "verify_function_diagnostics",
     "verify_module_diagnostics",
     "write_output",
 ]

@@ -1,11 +1,12 @@
 """IR well-formedness verification as a diagnostics pass.
 
-Absorbs the checks of the old ``ir/validate.py`` stub (which now wraps
-this module) and extends them with call-graph consistency, CFG edge
-agreement, and structural-unreachability warnings.  Unlike the old
-raise-on-first-error verifier, every violation becomes a
-:class:`~repro.staticcheck.diagnostics.Diagnostic`, so one run reports
-all of them.
+Checks terminator placement, register SSA, defs-dominate-uses, frame
+membership, jump targets, address monotonicity, call-graph
+consistency, CFG edge agreement, and structural unreachability.  Every
+violation becomes a :class:`~repro.staticcheck.diagnostics.Diagnostic`,
+so one run of :func:`verify_module_diagnostics` reports all of them;
+:func:`verify_module`, which every compile runs, raises on the first
+error instead.
 
 Checking is staged: dominance-based use-def verification only runs on
 functions whose structure (terminators, targets, labels) checked out —
@@ -15,11 +16,11 @@ malformed CFGs.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.builder import BUILTINS
 from ..ir.dominators import DominatorTree, instruction_dominates
-from ..ir.function import BasicBlock, IRFunction, IRModule
+from ..ir.function import BasicBlock, IRError, IRFunction, IRModule
 from ..ir.instructions import (
     Call,
     CondBranch,
@@ -47,19 +48,19 @@ def verify_module_diagnostics(module: IRModule) -> List[Diagnostic]:
     return sink.diagnostics
 
 
-def verify_function_diagnostics(fn: IRFunction) -> List[Diagnostic]:
-    """Check one function with no module context (no call-graph or
-    address checks; every variable is treated as in scope via frame)."""
-    sink = DiagnosticSink(PASS_NAME)
-    _check_function(sink, fn, set(), module=None)
-    return sink.diagnostics
+def verify_module(module: IRModule) -> None:
+    """Raise :class:`IRError` on the first error-severity finding;
+    warnings (e.g. unreachable blocks) never raise."""
+    for diag in verify_module_diagnostics(module):
+        if diag.severity is Severity.ERROR:
+            raise IRError(f"{diag.span}: {diag.message}")
 
 
 def _check_function(
     sink: DiagnosticSink,
     fn: IRFunction,
     global_vars: set,
-    module: Optional[IRModule],
+    module: IRModule,
 ) -> None:
     if not fn.blocks:
         sink.emit("IR101", f"function {fn.name} has no blocks", function=fn.name)
@@ -103,7 +104,7 @@ def _check_function(
                         function=fn.name,
                         block=block.label,
                     )
-            if isinstance(instruction, Call) and module is not None:
+            if isinstance(instruction, Call):
                 _check_call(sink, fn, block, instruction, module)
         last = block.instructions[-1]
         if isinstance(last, Jump):
@@ -130,7 +131,7 @@ def _check_function(
                         function=fn.name,
                         block=block.label,
                     )
-        if targets is not None and module is not None and module.finalized:
+        if targets is not None and module.finalized:
             _check_edges(sink, fn, block, targets)
 
     structurally_clean = _error_count(sink) == errors_before

@@ -129,6 +129,24 @@ def test_attack_status_only_change_is_a_control_flow_change(tmp_path, capsys):
     assert "control flow changed: True" in out
 
 
+def test_attack_bad_address_is_a_usage_error(source_file, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [
+                "attack",
+                source_file,
+                "--trigger",
+                "2",
+                "--address",
+                "zz",
+                "--value",
+                "0",
+            ]
+        )
+    assert excinfo.value.code == 2
+    assert "argument --address" in capsys.readouterr().err
+
+
 def test_campaign_small(capsys):
     assert main(["campaign", "sysklogd", "--attacks", "5"]) == 0
     out = capsys.readouterr().out

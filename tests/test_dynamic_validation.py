@@ -30,9 +30,10 @@ from repro.analysis import (
     analyze_purity,
 )
 from repro.interp import Interpreter, RunStatus
-from repro.ir import Load, lower_program, verify_module
+from repro.ir import Load, lower_program
 from repro.lang import parse_program
 from repro.runtime import BranchEvent, ExecutionObserver
+from repro.staticcheck.irverify import verify_module
 
 from .test_zero_false_positives import INPUT_STREAMS, programs
 

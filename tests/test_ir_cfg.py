@@ -3,7 +3,8 @@
 import pytest
 
 from repro.lang import parse_program
-from repro.ir import BasicBlock, CondBranch, Const, DominatorTree, IRError, IRFunction, IRModule, Jump, Reg, RelOp, Return, Store, Variable, VarKind, branch_free_region, cond_edges, edge_target, edges_covering_block, entry_region, format_function, format_module, iter_rpo, lower_program, verify_module
+from repro.ir import BasicBlock, CondBranch, Const, DominatorTree, IRError, IRFunction, IRModule, Jump, Reg, RelOp, Return, Store, Variable, VarKind, branch_free_region, cond_edges, edge_target, edges_covering_block, entry_region, format_function, format_module, iter_rpo, lower_program
+from repro.staticcheck.irverify import verify_module
 
 
 def lower(source):

@@ -21,8 +21,8 @@ from repro.ir import (
     UnOp,
     VarKind,
     lower_program,
-    verify_module,
 )
+from repro.staticcheck.irverify import verify_module
 
 
 def lower(source):

@@ -16,7 +16,8 @@ from repro.lang import (
     parse_program,
     tokenize,
 )
-from repro.ir import lower_program, verify_module
+from repro.ir import lower_program
+from repro.staticcheck.irverify import verify_module
 
 from .test_zero_false_positives import programs
 

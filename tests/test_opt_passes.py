@@ -3,10 +3,11 @@
 from hypothesis import HealthCheck, given, settings
 
 from repro.lang import parse_program
-from repro.ir import BinOp, CondBranch, Load, lower_program, verify_module
+from repro.ir import BinOp, CondBranch, Load, lower_program
 from repro.opt import optimize_module
 from repro.pipeline import compile_program, monitored_run
 from repro.interp import run_program
+from repro.staticcheck.irverify import verify_module
 
 
 def optimized(source):

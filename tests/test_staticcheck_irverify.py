@@ -1,9 +1,9 @@
 """Tests for the diagnostics-based IR verifier (pass: ir-verify).
 
-The legacy raise-on-first-error behavior of ``ir/validate.py`` is
-covered by the existing IR test suite; these tests exercise what the
-rewrite added — multiple findings per run, call-graph checks, CFG edge
-agreement, and unreachability warnings.
+The raise-on-first-error :func:`verify_module` every compile runs is
+also covered by the IR test suite; these tests exercise multiple
+findings per run, call-graph checks, CFG edge agreement, and
+unreachability warnings.
 """
 
 import pytest
@@ -14,10 +14,10 @@ from repro.ir import (
     IRError,
     Return,
     lower_program,
-    verify_module,
 )
 from repro.lang import parse_program
 from repro.staticcheck import Severity, verify_module_diagnostics
+from repro.staticcheck.irverify import verify_module
 
 SOURCE = """
 int x;
@@ -92,7 +92,7 @@ def test_unreachable_block_is_a_warning_not_an_error():
     [diag] = [d for d in diagnostics if d.code == "IR114"]
     assert diag.severity is Severity.WARNING
     assert diag.span.block == "orphan"
-    # The compat shim only raises on errors; warnings pass through.
+    # verify_module only raises on errors; warnings pass through.
     verify_module(module)
 
 

@@ -20,7 +20,10 @@ Measures what attaching observers costs one interpreter execution:
   histogram instrumentation a traced session adds at run boundaries
   (one hierarchical span, two histogram observations per run), so the
   bench-diff gate pins both that tracing-off stays free and that
-  tracing-on overhead stays bounded.
+  tracing-on overhead stays bounded.  It is timed in interleaved pairs
+  with ``full_stack`` (``test_tracing_overhead_pairs``): the overhead
+  is the median of the per-pair time ratios, so host speed drifting
+  between two separately timed configs cannot read as overhead.
 
 Run with ``pytest benchmarks/bench_observer_overhead.py --benchmark-only``.
 Writes ``BENCH_observer_overhead.json`` at the repo root with per-config
@@ -35,6 +38,7 @@ bench-diff gate watches direction-aware.
 """
 
 import json
+import statistics
 import time
 from pathlib import Path
 
@@ -59,14 +63,18 @@ CONSUMER_CONFIGS = [
 CONFIGS = (
     ["bare", "noop_events", "noop_instr"]
     + CONSUMER_CONFIGS
-    + ["full_stack", "full_stack_segment", "full_stack_traced"]
+    + ["full_stack", "full_stack_segment"]
 )
+#: Interleaved (full_stack, full_stack_traced) pairs behind the
+#: tracing overhead: one ratio per pair, the median reported.
+PAIRS = 31
 
 BENCH_OUT = (
     Path(__file__).resolve().parent.parent / "BENCH_observer_overhead.json"
 )
 
 _TIMINGS = {}
+_TRACING_PAIRS = {}
 
 
 class _NoopInstructionObserver(ExecutionObserver):
@@ -122,12 +130,8 @@ def _observers(config):
     raise ValueError(config)
 
 
-@pytest.mark.parametrize("config", CONFIGS)
-def test_observer_overhead(benchmark, compiled_workloads, workload_inputs,
-                           config):
-    workload, program = compiled_workloads[WORKLOAD]
-    inputs = workload_inputs(WORKLOAD, SCALE)
-
+def _executor(config, program, inputs):
+    """One fresh execution of ``config`` per call."""
     # Long-lived across rounds like a campaign's tracer/registry: the
     # per-run cost measured is span recording + histogram observation,
     # not object construction.
@@ -156,6 +160,23 @@ def test_observer_overhead(benchmark, compiled_workloads, workload_inputs,
             )
         return result
 
+    return execute
+
+
+def _record(config, best, steps):
+    _TIMINGS[config] = {
+        "seconds_per_run": round(best, 6),
+        "steps": steps,
+        "steps_per_sec": round(steps / best) if best else 0,
+    }
+
+
+@pytest.mark.parametrize("config", CONFIGS)
+def test_observer_overhead(benchmark, compiled_workloads, workload_inputs,
+                           config):
+    workload, program = compiled_workloads[WORKLOAD]
+    execute = _executor(config, program, workload_inputs(WORKLOAD, SCALE))
+
     # Warm outside the timed region (allocator, caches, CPU frequency).
     reference = execute()
     result = benchmark.pedantic(
@@ -164,15 +185,55 @@ def test_observer_overhead(benchmark, compiled_workloads, workload_inputs,
     assert result.steps == reference.steps
     # The harness's own best-of-rounds measurement, not wall clock
     # around it — minimum is the standard low-noise micro number.
-    best = benchmark.stats.stats.min
-    _TIMINGS[config] = {
-        "seconds_per_run": round(best, 6),
-        "steps": result.steps,
-        "steps_per_sec": round(result.steps / best) if best else 0,
-    }
+    _record(config, benchmark.stats.stats.min, result.steps)
     benchmark.extra_info["steps_per_sec"] = _TIMINGS[config]["steps_per_sec"]
-    if config == CONFIGS[-1]:
-        _write_report()
+
+
+def test_tracing_overhead_pairs(benchmark, compiled_workloads,
+                                workload_inputs):
+    """Tracing's cost over the untraced full stack, from interleaved
+    pairs.  Each pair times one untraced and one traced run back to
+    back (alternating which goes first), so the pair's ratio sees one
+    host speed; the median ratio ignores the pairs a noisy neighbour
+    hit.  Two best-of-N times taken in separate tests could not tell
+    unchanged code from a regression on a shared host."""
+    workload, program = compiled_workloads[WORKLOAD]
+    inputs = workload_inputs(WORKLOAD, SCALE)
+    untraced = _executor("full_stack", program, inputs)
+    traced = _executor("full_stack_traced", program, inputs)
+
+    def timed(execute):
+        started = time.perf_counter()
+        result = execute()
+        return time.perf_counter() - started, result
+
+    def pairs():
+        rows = []
+        for index in range(PAIRS):
+            if index % 2:
+                traced_s, result = timed(traced)
+                untraced_s, _ = timed(untraced)
+            else:
+                untraced_s, _ = timed(untraced)
+                traced_s, result = timed(traced)
+            rows.append((untraced_s, traced_s))
+        return rows, result
+
+    untraced()  # warm both paths outside the pairs
+    reference = traced()
+    rows, result = benchmark.pedantic(pairs, rounds=1, iterations=1)
+    assert result.steps == reference.steps
+    ratios = [traced_s / untraced_s for untraced_s, traced_s in rows]
+    _record("full_stack_traced", min(t for _, t in rows), result.steps)
+    _TRACING_PAIRS.update(
+        pairs=PAIRS,
+        median_ratio=round(statistics.median(ratios), 4),
+        quartile_ratios=[
+            round(q, 4) for q in statistics.quantiles(ratios, n=4)[::2]
+        ],
+    )
+    benchmark.extra_info["median_ratio"] = _TRACING_PAIRS["median_ratio"]
+    _write_report()
 
 
 def _write_report():
@@ -217,14 +278,8 @@ def _write_report():
             else 0.0
         ),
         "full_stack_traced_steps_per_sec": traced["steps_per_sec"],
-        "tracing_overhead_vs_full_stack_pct": (
-            round(
-                100.0
-                * (traced["seconds_per_run"] / full["seconds_per_run"] - 1.0),
-                2,
-            )
-            if full["seconds_per_run"]
-            else 0.0
+        "tracing_overhead_vs_full_stack_pct": round(
+            100.0 * (_TRACING_PAIRS["median_ratio"] - 1.0), 2
         ),
     }
     BENCH_OUT.write_text(
@@ -236,6 +291,7 @@ def _write_report():
                 "rounds": ROUNDS,
                 "configs": _TIMINGS,
                 "breakdown": breakdown,
+                "tracing_pairs": _TRACING_PAIRS,
                 "summary": summary,
             },
             indent=2,

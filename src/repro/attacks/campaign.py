@@ -332,6 +332,7 @@ def execute_attack(
     metrics: Optional[MetricsRegistry] = None,
     extra_observers: Sequence[object] = (),
     alarm_sink=None,
+    progress: Optional[object] = None,
 ) -> AttackExecution:
     """The attack recipe: a clean run, then one tampered run on the
     same inputs, both monitored by the IPDS.  An alarm on the clean run
@@ -347,16 +348,23 @@ def execute_attack(
     * ``metrics`` accumulates the campaign counter block (executions,
       steps, IPDS events and checks of both runs, outcome tallies);
     * ``extra_observers`` ride the monitored attack run's bus behind
-      the IPDS and any timing model (trace recorders, progress hooks,
-      syscall capture);
+      the IPDS and any timing model (trace recorders, syscall capture);
+    * ``progress`` rides *both* runs, last on each bus (the daemon's
+      progress and kill hook: a kill raised from it stops the clean run
+      as promptly as the attack run);
     * ``alarm_sink`` is invoked with each alarm of the attack run as
       the IPDS raises it — the online policy hook.  A sink that raises
       aborts the attack run (the kill-session policy); the exception
       propagates to the caller.
     """
     # 1. Clean monitored run: reference trace + zero-FP assertion.
+    hooks = (progress,) if progress is not None else ()
     clean, clean_ipds = monitored_run(
-        program, inputs=inputs, entry=entry, step_limit=config.step_limit
+        program,
+        inputs=inputs,
+        entry=entry,
+        step_limit=config.step_limit,
+        observers=hooks,
     )
     if clean_ipds.detected:
         raise CampaignError(
@@ -382,9 +390,9 @@ def execute_attack(
         timing_model = TimingModel(
             ipds=IPDSHardwareModel(program.tables), mode=config.timing_mode
         )
-        observers = (TimingObserver(timing_model), *extra_observers)
+        observers = (TimingObserver(timing_model), *extra_observers, *hooks)
     else:
-        observers = tuple(extra_observers)
+        observers = (*extra_observers, *hooks)
     attack_started = time.perf_counter()
     attacked, ipds = monitored_run(
         program,
@@ -492,6 +500,7 @@ def run_attack_detailed(
     metrics: Optional[MetricsRegistry] = None,
     extra_observers: Sequence[object] = (),
     alarm_sink=None,
+    progress: Optional[object] = None,
 ) -> AttackExecution:
     """Run one independent, seeded attack through :func:`execute_attack`.
 
@@ -529,6 +538,7 @@ def run_attack_detailed(
         metrics=metrics,
         extra_observers=extra_observers,
         alarm_sink=alarm_sink,
+        progress=progress,
     )
 
 

@@ -30,26 +30,30 @@ class Cache:
         self.params = params
         self.name = name
         self.stats = CacheStats()
+        # The geometry, bound once: ``access`` runs per fetch and per
+        # data reference.
+        self._block_bytes = params.block_bytes
+        self._set_count = params.sets
+        self._associativity = params.associativity
         # set index -> OrderedDict of tags (LRU order: oldest first).
         self._sets: Dict[int, "OrderedDict[int, bool]"] = {}
 
-    def _locate(self, address: int) -> Tuple[int, int]:
-        block = address // self.params.block_bytes
-        index = block % self.params.sets
-        tag = block // self.params.sets
-        return index, tag
-
     def access(self, address: int) -> bool:
         """Touch an address; returns True on hit.  Fills on miss."""
-        self.stats.accesses += 1
-        index, tag = self._locate(address)
-        ways = self._sets.setdefault(index, OrderedDict())
-        if tag in ways:
+        stats = self.stats
+        stats.accesses += 1
+        block = address // self._block_bytes
+        index = block % self._set_count
+        tag = block // self._set_count
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = OrderedDict()
+        elif tag in ways:
             ways.move_to_end(tag)
             return True
-        self.stats.misses += 1
+        stats.misses += 1
         ways[tag] = True
-        if len(ways) > self.params.associativity:
+        if len(ways) > self._associativity:
             ways.popitem(last=False)
         return False
 
@@ -85,32 +89,26 @@ class MemoryHierarchy:
         self.l1d = Cache(params.l1d, "L1D")
         self.l2 = Cache(params.l2, "L2")
         self.dtlb = TLB(params.tlb_entries, params.page_bytes)
+        # Latency of an L1 hit, an L2 hit and a DRAM fill, per side.
+        self._fetch_levels = self._levels(params.l1i)
+        self._data_levels = self._levels(params.l1d)
+
+    def _levels(self, l1: CacheParams) -> Tuple[int, int, int]:
+        l2 = l1.latency + self._params.l2.latency
+        return l1.latency, l2, l2 + self._params.memory_latency(l1.block_bytes)
 
     def fetch_latency(self, pc: int) -> int:
         """Instruction-fetch latency for one PC."""
+        l1, l2, dram = self._fetch_levels
         if self.l1i.access(pc):
-            return self._params.l1i.latency
-        if self.l2.access(pc):
-            return self._params.l1i.latency + self._params.l2.latency
-        return (
-            self._params.l1i.latency
-            + self._params.l2.latency
-            + self._params.memory_latency(self._params.l1i.block_bytes)
-        )
+            return l1
+        return l2 if self.l2.access(pc) else dram
 
     def data_latency(self, address: int) -> int:
         """Data access latency for one word address (byte-scaled)."""
         byte_address = address * 8  # word-addressed memory, 8-byte words
-        latency = 0
-        if not self.dtlb.access(byte_address):
-            latency += self._params.tlb_miss_latency
+        l1, l2, dram = self._data_levels
+        tlb = 0 if self.dtlb.access(byte_address) else self._params.tlb_miss_latency
         if self.l1d.access(byte_address):
-            return latency + self._params.l1d.latency
-        if self.l2.access(byte_address):
-            return latency + self._params.l1d.latency + self._params.l2.latency
-        return (
-            latency
-            + self._params.l1d.latency
-            + self._params.l2.latency
-            + self._params.memory_latency(self._params.l1d.block_bytes)
-        )
+            return tlb + l1
+        return tlb + (l2 if self.l2.access(byte_address) else dram)

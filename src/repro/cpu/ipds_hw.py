@@ -74,8 +74,13 @@ class IPDSHardwareModel:
                 sizes.bcv_bits,
                 sizes.bat_bits,
             )
+        #: (function, pc, taken) -> ``_branch_cost``: fixed per key.
+        self._costs: Dict[Tuple[str, int, bool], tuple] = {}
         self._stack: List[_Frame] = []
         self._onchip = [0, 0, 0]  # bsv, bcv, bat bits resident
+        self._capacities = (
+            params.bsv_stack_bits, params.bcv_stack_bits, params.bat_stack_bits
+        )
         self._engine_free = 0
         self._pending: Deque[int] = deque()  # finish times, FIFO
         self._next_switch = (
@@ -160,11 +165,7 @@ class IPDSHardwareModel:
         for i, bits in enumerate((bsv, bcv, bat)):
             self._onchip[i] += bits
         spill_bits = 0
-        capacities = (
-            self._params.bsv_stack_bits,
-            self._params.bcv_stack_bits,
-            self._params.bat_stack_bits,
-        )
+        capacities = self._capacities
         if any(used > cap for used, cap in zip(self._onchip, capacities)):
             # Spill the deepest unspilled frames (below the top) until
             # everything fits; the active frame always stays on chip.
@@ -208,16 +209,14 @@ class IPDSHardwareModel:
             self._engine_work(cycle, cost)
         return 0
 
-    def on_branch(
-        self, function_name: str, pc: int, taken: bool, cycle: int
-    ) -> int:
-        """A committed conditional branch; returns commit stall cycles."""
+    def _branch_cost(self, function_name: str, pc: int, taken: bool) -> tuple:
+        """``(checked, occupancy, latency)`` of one branch request, or
+        ``()`` when the function has no tables (no request at all)."""
         try:
             tables = self._tables.tables_for(function_name)
         except KeyError:
-            return 0
+            return ()
         access = self._params.table_access_latency
-        checked = tables.is_checked(pc)
         actions = tables.actions_for(pc, taken)
         # BCV, BSV and the BAT head are separate SRAMs read in parallel
         # in the request's first cycle; linked-list entries beyond the
@@ -227,14 +226,27 @@ class IPDSHardwareModel:
         per = max(1, self._params.bat_entries_per_access)
         batches = (len(actions) + per - 1) // per if actions else 0
         occupancy = access * max(1, batches)
-        latency = occupancy + 2 * access
-        self.stats.requests += 1
+        return tables.is_checked(pc), occupancy, occupancy + 2 * access
+
+    def on_branch(
+        self, function_name: str, pc: int, taken: bool, cycle: int
+    ) -> int:
+        """A committed conditional branch; returns commit stall cycles."""
+        key = (function_name, pc, taken)
+        cost = self._costs.get(key)
+        if cost is None:
+            cost = self._costs[key] = self._branch_cost(function_name, pc, taken)
+        if not cost:
+            return 0
+        checked, occupancy, latency = cost
+        stats = self.stats
+        stats.requests += 1
         stall_until, finish = self._engine_work(cycle, occupancy, latency)
         if checked:
-            self.stats.checks += 1
-            self.stats.total_check_latency += finish - cycle
+            stats.checks += 1
+            stats.total_check_latency += finish - cycle
         if stall_until > cycle:
-            self.stats.commit_stalls += 1
-            self.stats.stall_cycles += stall_until - cycle
+            stats.commit_stalls += 1
+            stats.stall_cycles += stall_until - cycle
             return stall_until - cycle
         return 0

@@ -18,23 +18,29 @@ the Table 1 constraints:
 It is *trace-driven*, so wrong-path instructions are modeled as a fixed
 redirect penalty rather than simulated — the standard fidelity
 trade-off for this class of model.  Figure 9 reports a ratio of two
-such runs (IPDS / baseline), which this preserves.
+configurations (IPDS / baseline), which this preserves.
 
-Implementation notes (the fast path):
+One model, one or two cycle lanes.  The caches see only committed
+addresses and gshare only committed (pc, outcome) pairs; the IPDS
+hardware's spills pay a fixed latency and never touch the caches.  So
+the baseline and IPDS configurations of one execution compute the same
+hits, misses and predictions, and ``baseline_lane=True`` times both
+over one :class:`MemoryHierarchy` and one :class:`TwoLevelPredictor`.
+Per batch a shared front end looks up each instruction's static record,
+I-cache latency (on a block change) and data latency once; the one copy
+of the cycle arithmetic, :meth:`_Lane.advance`, then runs once per
+lane.  A mispredict redirects both lanes; only the IPDS lane consults
+the IPDS hardware model and takes its stalls.  Each lane's cycles equal
+a one-lane model's (``tests/test_timing_lanes.py``).
 
-* The RUU window and the LSQ are preallocated ring buffers indexed by
-  slot, not deques of per-op objects — commit cycles are monotonically
-  nondecreasing, so ready entries always pop from the head.
-* Register-ready tracking keys on the integer register index, not the
-  ``Reg`` object.
-* Everything static about an instruction (register indices, fetch PC,
-  execution latency, operation class) is computed once and cached by
-  object identity; the cache pins the instruction object so an id can
-  never be recycled while the entry lives.
-* ``on_instructions`` accounts a whole committed batch in one call
-  with all model state held in locals — this is the target of the
-  interpreter's flat event buffer.  ``on_instruction`` remains the
-  per-instruction reference path and produces bit-identical cycles.
+Fast-path notes: the RUU window and the LSQ are preallocated rings of
+commit cycles (commits are nondecreasing, so ready entries pop from the
+head); register readiness keys on the integer register index; the
+static record of an instruction is cached by object identity (pinning
+the object, so its id is never recycled); and ``on_instructions``
+accounts a whole committed batch per call with lane state in locals.
+``on_instruction`` is the per-instruction reference path and produces
+bit-identical cycles.
 
 Opt-in approximation (``mode="segment"``): straight-line trace
 segments (a batch is flushed at every control-flow event, so the
@@ -43,8 +49,9 @@ are timed exactly for a few warm visits, then replayed as a memoized
 cycle delta.  Cache/predictor state stops evolving inside replayed
 segments, so this is *not* cycle-exact — its per-workload error
 against the exact model is pinned by ``tests/test_timing_segment_mode``
-and documented in EXPERIMENTS.md.  Figure 9 numbers in the paper
-reproduction always use the default exact mode.
+and documented in EXPERIMENTS.md.  Visit counts depend only on the
+batch sequence, so lanes share each segment's replay decision and keep
+their own memoized deltas.  Figure 9 uses the default exact mode.
 """
 
 from __future__ import annotations
@@ -83,25 +90,8 @@ SEGMENT_WARMUP_VISITS = 1
 #: with warm caches and a trained predictor; mispredict-inflated visits
 #: would otherwise bias every replay upward.
 SEGMENT_TRAIN_SAMPLES = 3
-
-# Field indices of a segment-memo record (a mutable list; see
-# ``TimingModel._segments``).  _SEG_FIRST pins the batch's first
-# instruction so its id can't be recycled while the key lives.  Two
-# anchored deltas are memoized: commit-to-commit (the steady-state
-# advance) and fetch-to-commit (binding right after a mispredict
-# redirect raises the fetch frontier above the commit frontier, so the
-# refill bubble still propagates through replays).  _SEG_LAG is how far
-# fetch trailed commit when the segment ended.
-_SEG_FIRST = 0
-_SEG_VISITS = 1
-_SEG_SAMPLES = 2
-_SEG_DELTA_COMMIT = 3
-_SEG_DELTA_FETCH = 4
-_SEG_LAG = 5
-_SEG_LOADS = 6
-_SEG_STORES = 7
-_SEG_BRANCHES = 8
-_SEG_TRAINED = 9
+#: Exact visits after which a segment replays.
+_TRAINED_AFTER = SEGMENT_WARMUP_VISITS + SEGMENT_TRAIN_SAMPLES
 
 
 @dataclass
@@ -119,209 +109,48 @@ class TimingStats:
         return self.instructions / self.cycles if self.cycles else 0.0
 
 
-class TimingModel:
-    """Assigns cycles to a committed instruction stream."""
+class _Lane:
+    """The cycle state of one configuration (baseline or IPDS): fetch
+    and commit frontiers, register readiness and the RUU/LSQ rings.
+    :meth:`advance` is the one copy of the exact cycle arithmetic.
+    Commits never move backwards, so ``last_commit`` is the lane's
+    cycle count."""
 
-    def __init__(
-        self,
-        params: ProcessorParams = ProcessorParams(),
-        ipds: Optional[IPDSHardwareModel] = None,
-        mode: str = "exact",
-    ):
-        if mode not in ("exact", "segment"):
-            raise ValueError(f"unknown timing mode {mode!r}")
+    __slots__ = (
+        "_params", "_reg_ready", "_rob", "_rob_head", "_rob_len",
+        "_lsq", "_lsq_head", "_lsq_len", "fetch_free", "_fetched",
+        "fetch_cycle", "last_commit", "_committed", "commit_cycle",
+    )
+
+    def __init__(self, params: ProcessorParams) -> None:
         self._params = params
-        self._ipds = ipds
-        self.mode = mode
-        self.memory = MemoryHierarchy(params)
-        self.predictor = TwoLevelPredictor(params.history_bits)
-        self.stats = TimingStats()
-
-        #: reg index -> cycle its value is ready (int keys hash faster
-        #: than frozen-dataclass Reg objects).
+        #: reg index -> cycle its value is ready.
         self._reg_ready: Dict[int, int] = {}
-        # RUU / LSQ occupancy as rings of commit cycles: values enter
-        # in nondecreasing order, so freeing slots is a head scan.
-        self._ruu_size = params.ruu_size
         self._rob: List[int] = [0] * params.ruu_size
-        self._rob_head = 0
-        self._rob_len = 0
-        self._lsq_size = params.lsq_size
         self._lsq: List[int] = [0] * params.lsq_size
-        self._lsq_head = 0
-        self._lsq_len = 0
-        self._fetch_free = 0
-        self._fetched_this_cycle = 0
-        self._fetch_cycle = -1
-        self._last_fetch_block = -1
-        self._last_commit = 0
-        self._committed_this_cycle = 0
-        self._commit_cycle = -1
-        #: id(instruction) -> (used reg indices, dest index or -1,
-        #: fetch pc, exec latency, memflag 0/1/2, is_branch,
-        #: instruction ref).  The trailing ref keeps the id valid.
-        self._info: Dict[int, tuple] = {}
-        #: (id(first instruction), count) -> segment-memo record.
-        self._segments: Dict[Tuple[int, int], list] = {}
+        self._rob_head = self._rob_len = self._lsq_head = self._lsq_len = 0
+        self.fetch_free = self._fetched = self.last_commit = self._committed = 0
+        self.fetch_cycle = self.commit_cycle = -1
 
-    # -- static instruction description --------------------------------------
-
-    def _describe(self, instruction: Instruction) -> tuple:
-        """Compute and cache everything static about one instruction."""
-        cls = instruction.__class__
-        used = tuple(reg.index for reg in used_regs(instruction))
-        dest = defined_reg(instruction)
-        if cls is Load or cls is LoadIndirect:
-            memflag = 1
-        elif cls is Store or cls is StoreIndirect:
-            memflag = 2
-        else:
-            memflag = 0
-        if cls is BinOp and instruction.op == "*":
-            latency = self._params.mul_latency
-        elif cls is BinOp and instruction.op in ("/", "%"):
-            latency = self._params.div_latency
-        else:
-            latency = self._params.alu_latency
-        info = (
-            used,
-            dest.index if dest is not None else -1,
-            max(instruction.address, 0),
-            latency,
-            memflag,
-            cls is CondBranch,
-            instruction,
-        )
-        self._info[id(instruction)] = info
-        return info
-
-    # -- the instruction hooks -------------------------------------------------
-
-    def on_instruction(
-        self, instruction: Instruction, touched: Optional[int]
-    ) -> None:
-        """Account one committed instruction (the reference path)."""
-        self._account((instruction,), (touched,), 1)
-
-    def on_instructions(
-        self,
-        instructions: Sequence[Instruction],
-        touched: Sequence[Optional[int]],
-        count: int,
-    ) -> None:
-        """Account one committed batch (the interpreter's flat buffer).
-
-        Exact mode produces cycle counts bit-identical to ``count``
-        calls of :meth:`on_instruction` — batching changes only the
-        call granularity.  Segment mode may replay a memoized delta for
-        a previously-trained segment instead of re-timing it.
-        """
-        if self.mode == "segment" and count >= SEGMENT_MIN_LENGTH:
-            key = (id(instructions[0]), count)
-            segment = self._segments.get(key)
-            if segment is None:
-                segment = [instructions[0], 0, 0, 0, 0, 0, 0, 0, 0, False]
-                self._segments[key] = segment
-            if segment[_SEG_TRAINED]:
-                # Replay (inlined on purpose: this runs once per batch).
-                last_commit = self._last_commit + segment[_SEG_DELTA_COMMIT]
-                from_fetch = self._fetch_free + segment[_SEG_DELTA_FETCH]
-                if from_fetch > last_commit:
-                    last_commit = from_fetch
-                self._last_commit = last_commit
-                self._fetch_free = last_commit - segment[_SEG_LAG]
-                self._fetch_cycle = -1
-                self._commit_cycle = -1
-                stats = self.stats
-                stats.instructions += count
-                stats.loads += segment[_SEG_LOADS]
-                stats.stores += segment[_SEG_STORES]
-                stats.branch_instructions += segment[_SEG_BRANCHES]
-                if last_commit > stats.cycles:
-                    stats.cycles = last_commit
-                return
-            segment[_SEG_VISITS] += 1
-            commit_before = self._last_commit
-            fetch_before = self._fetch_free
-            loads, stores, branches = self._account(
-                instructions, touched, count
-            )
-            if segment[_SEG_VISITS] > SEGMENT_WARMUP_VISITS:
-                commit_after = self._last_commit
-                d_commit = commit_after - commit_before
-                d_fetch = commit_after - fetch_before
-                if segment[_SEG_SAMPLES] == 0:
-                    segment[_SEG_DELTA_COMMIT] = d_commit
-                    segment[_SEG_DELTA_FETCH] = d_fetch
-                    segment[_SEG_LAG] = commit_after - self._fetch_free
-                else:
-                    # Keep the minimum of each anchored delta — the
-                    # segment's steady-state cost with warm caches.
-                    if d_commit < segment[_SEG_DELTA_COMMIT]:
-                        segment[_SEG_DELTA_COMMIT] = d_commit
-                        segment[_SEG_LAG] = commit_after - self._fetch_free
-                    if d_fetch < segment[_SEG_DELTA_FETCH]:
-                        segment[_SEG_DELTA_FETCH] = d_fetch
-                segment[_SEG_SAMPLES] += 1
-                segment[_SEG_LOADS] = loads
-                segment[_SEG_STORES] = stores
-                segment[_SEG_BRANCHES] = branches
-                if segment[_SEG_SAMPLES] >= SEGMENT_TRAIN_SAMPLES:
-                    segment[_SEG_TRAINED] = True
-            return
-        self._account(instructions, touched, count)
-
-    def _account(
-        self,
-        instructions: Sequence[Instruction],
-        touched: Sequence[Optional[int]],
-        count: int,
-    ) -> Tuple[int, int, int]:
-        """Exact cycle accounting for ``count`` committed instructions.
-
-        All model state lives in locals for the duration of the batch
-        and is written back once.  Returns the batch's (loads, stores,
-        branches) so segment training can memoize them.
-        """
+    def advance(self, ops: List[tuple]) -> None:
+        """Exact cycles for one batch of front-end records ``(used reg
+        indices, dest index or -1, I-cache latency, execution or data
+        latency, memflag 0/1/2)``.  All state lives in locals for the
+        batch and is written back once."""
         params = self._params
-        decode_width = params.decode_width
-        commit_width = params.commit_width
-        iblock_bytes = params.l1i.block_bytes
-        fetch_latency = self.memory.fetch_latency
-        data_latency = self.memory.data_latency
+        decode_width, commit_width = params.decode_width, params.commit_width
+        ruu_size, lsq_size = params.ruu_size, params.lsq_size
         reg_ready = self._reg_ready
         reg_ready_get = reg_ready.get
-        info_cache = self._info
-        info_get = info_cache.get
-        describe = self._describe
-        ruu_size = self._ruu_size
-        rob = self._rob
-        rob_head = self._rob_head
-        rob_len = self._rob_len
-        lsq_size = self._lsq_size
-        lsq = self._lsq
-        lsq_head = self._lsq_head
-        lsq_len = self._lsq_len
-        fetch_free = self._fetch_free
-        fetched = self._fetched_this_cycle
-        fetch_cycle = self._fetch_cycle
-        last_block = self._last_fetch_block
-        last_commit = self._last_commit
-        committed = self._committed_this_cycle
-        commit_cycle = self._commit_cycle
-        loads = 0
-        stores = 0
-        branches = 0
+        rob, rob_head, rob_len = self._rob, self._rob_head, self._rob_len
+        lsq, lsq_head, lsq_len = self._lsq, self._lsq_head, self._lsq_len
+        fetch_free, fetched = self.fetch_free, self._fetched
+        last_commit, committed = self.last_commit, self._committed
+        fetch_cycle, commit_cycle = self.fetch_cycle, self.commit_cycle
 
-        for index in range(count):
-            instruction = instructions[index]
-            info = info_get(id(instruction))
-            if info is None:
-                info = describe(instruction)
-            used, dest, pc, latency, memflag, is_branch, _ = info
-
-            # Fetch: decode-width slotting plus I-cache latency on
-            # block changes.
+        for used, dest, fetch_latency, latency, memflag in ops:
+            # Fetch: decode-width slotting plus the I-cache latency the
+            # front end charged on a block change.
             cycle = fetch_free
             if cycle != fetch_cycle:
                 fetch_cycle = cycle
@@ -332,10 +161,7 @@ class TimingModel:
                 fetched = 0
                 fetch_free = cycle
             fetched += 1
-            block = pc // iblock_bytes
-            if block != last_block:
-                last_block = block
-                cycle += fetch_latency(pc)
+            cycle += fetch_latency
 
             # Issue: true register dependencies, then an RUU slot (the
             # oldest in-flight op must commit when the window is full).
@@ -357,8 +183,8 @@ class TimingModel:
                 rob_len -= 1
 
             if memflag:
-                # Memory ops additionally wait for an LSQ slot and pay
-                # the hierarchy latency.
+                # Memory ops additionally wait for an LSQ slot; their
+                # latency is the hierarchy's.
                 while lsq_len and lsq[lsq_head] <= ready:
                     lsq_head += 1
                     if lsq_head == lsq_size:
@@ -370,12 +196,6 @@ class TimingModel:
                     if lsq_head == lsq_size:
                         lsq_head = 0
                     lsq_len -= 1
-                address = touched[index]
-                latency = data_latency(address if address else 0)
-                if memflag == 1:
-                    loads += 1
-                else:
-                    stores += 1
 
             complete = ready + latency
             if dest >= 0:
@@ -404,29 +224,218 @@ class TimingModel:
                 tail -= ruu_size
             rob[tail] = cycle
             rob_len += 1
+
+        self._rob_head, self._rob_len = rob_head, rob_len
+        self._lsq_head, self._lsq_len = lsq_head, lsq_len
+        self.fetch_free, self._fetched = fetch_free, fetched
+        self.last_commit, self._committed = last_commit, committed
+        self.fetch_cycle, self.commit_cycle = fetch_cycle, commit_cycle
+
+    def sample(self, memo: list, commit: int, fetch: int, first: bool) -> None:
+        """Fold one exactly-timed visit into a segment's replay memo
+        ``[commit-to-commit, fetch-to-commit, lag]``, keeping the
+        minimum of each anchored delta — the segment's steady-state
+        cost with warm caches.  ``commit`` and ``fetch`` are the
+        frontiers before the visit.  The fetch-anchored delta matters
+        right after a mispredict redirect, when the fetch frontier is
+        above the commit frontier: the refill bubble still propagates
+        through replays.  ``lag`` is how far fetch trailed commit when
+        the segment ended."""
+        last_commit = self.last_commit
+        d_commit = last_commit - commit
+        d_fetch = last_commit - fetch
+        if first or d_commit < memo[0]:
+            memo[0] = d_commit
+            memo[2] = last_commit - self.fetch_free
+        if first or d_fetch < memo[1]:
+            memo[1] = d_fetch
+
+    def redirect(self, penalty: int) -> None:
+        """A mispredict: fetch resumes after resolution plus the
+        front-end refill penalty."""
+        resume = self.last_commit + penalty
+        if resume > self.fetch_free:
+            self.fetch_free = resume
+
+
+class TimingModel:
+    """Assigns cycles to a committed instruction stream.
+
+    ``stats`` times the configuration ``ipds`` describes (unprotected
+    when it is ``None``).  With ``baseline_lane=True`` an unprotected
+    lane rides the same front end, and ``baseline_stats`` times it.
+    """
+
+    def __init__(
+        self,
+        params: ProcessorParams = ProcessorParams(),
+        ipds: Optional[IPDSHardwareModel] = None,
+        mode: str = "exact",
+        baseline_lane: bool = False,
+    ):
+        if mode not in ("exact", "segment"):
+            raise ValueError(f"unknown timing mode {mode!r}")
+        self._params = params
+        self._ipds = ipds
+        self.mode = mode
+        self.memory = MemoryHierarchy(params)
+        self.predictor = TwoLevelPredictor(params.history_bits)
+        self._lane = _Lane(params)
+        self._lanes = (_Lane(params), self._lane) if baseline_lane else (self._lane,)
+        #: Committed instructions, loads, stores and branches (every
+        #: lane commits the same stream).
+        self._instructions = self._loads = self._stores = self._branches = 0
+        self._last_fetch_block = -1
+        #: id(instruction) -> (lane record, fetch block, fetch pc,
+        #: memflag 0/1/2, is_branch, instruction ref).  The lane record
+        #: is the front end's output when no cache is touched; the
+        #: trailing ref keeps the id valid.
+        self._info: Dict[int, tuple] = {}
+        #: (id(first instruction), count) -> [first instruction (pins
+        #: the id), exact visits, (loads, stores, branches), a
+        #: ``(lane, _Lane.sample memo)`` pair per lane].
+        self._segments: Dict[Tuple[int, int], list] = {}
+
+    @property
+    def stats(self) -> TimingStats:
+        return self._stats(self._lane)
+
+    @property
+    def baseline_stats(self) -> Optional[TimingStats]:
+        return self._stats(self._lanes[0]) if len(self._lanes) > 1 else None
+
+    def _stats(self, lane: _Lane) -> TimingStats:
+        return TimingStats(
+            instructions=self._instructions, cycles=lane.last_commit,
+            branch_instructions=self._branches, loads=self._loads, stores=self._stores,
+        )
+
+    # -- static instruction description --------------------------------------
+
+    def _describe(self, instruction: Instruction) -> tuple:
+        """Compute and cache everything static about one instruction."""
+        params = self._params
+        cls = instruction.__class__
+        dest = defined_reg(instruction)
+        memflag = (
+            1 if cls is Load or cls is LoadIndirect
+            else 2 if cls is Store or cls is StoreIndirect
+            else 0
+        )
+        op = instruction.op if cls is BinOp else None
+        latency = (
+            params.mul_latency if op == "*"
+            else params.div_latency if op in ("/", "%")
+            else params.alu_latency
+        )
+        used = tuple(reg.index for reg in used_regs(instruction))
+        record = (used, -1 if dest is None else dest.index, 0, latency, memflag)
+        pc = max(instruction.address, 0)
+        block = pc // params.l1i.block_bytes
+        info = (record, block, pc, memflag, cls is CondBranch, instruction)
+        self._info[id(instruction)] = info
+        return info
+
+    # -- the instruction hooks -------------------------------------------------
+
+    def on_instruction(
+        self, instruction: Instruction, touched: Optional[int]
+    ) -> None:
+        """Account one committed instruction (the reference path)."""
+        self._account((instruction,), (touched,), 1)
+
+    def on_instructions(
+        self,
+        instructions: Sequence[Instruction],
+        touched: Sequence[Optional[int]],
+        count: int,
+    ) -> None:
+        """Account one committed batch (the interpreter's flat buffer).
+
+        Exact mode produces cycle counts bit-identical to ``count``
+        calls of :meth:`on_instruction` — batching changes only the
+        call granularity.  Segment mode may replay a memoized delta for
+        a previously-trained segment instead of re-timing it.
+        """
+        if self.mode != "segment" or count < SEGMENT_MIN_LENGTH:
+            self._account(instructions, touched, count)
+            return
+        key = (id(instructions[0]), count)
+        segment = self._segments.get(key)
+        if segment is None:
+            memos = tuple((lane, [0, 0, 0]) for lane in self._lanes)
+            segment = self._segments[key] = [instructions[0], 0, None, memos]
+        _, visits, counts, memos = segment
+        if visits >= _TRAINED_AFTER:
+            # Replay (inlined on purpose: this runs once per batch).
+            for lane, (d_commit, d_fetch, lag) in memos:
+                last_commit = lane.last_commit + d_commit
+                from_fetch = lane.fetch_free + d_fetch
+                if from_fetch > last_commit:
+                    last_commit = from_fetch
+                lane.last_commit = last_commit
+                lane.fetch_free = last_commit - lag
+                lane.fetch_cycle = lane.commit_cycle = -1
+            self._instructions += count
+            self._loads += counts[0]
+            self._stores += counts[1]
+            self._branches += counts[2]
+            return
+        segment[1] = visits = visits + 1
+        before = [(lane.last_commit, lane.fetch_free) for lane in self._lanes]
+        segment[2] = self._account(instructions, touched, count)
+        if visits > SEGMENT_WARMUP_VISITS:
+            first = visits == SEGMENT_WARMUP_VISITS + 1
+            for (lane, memo), (commit, fetch) in zip(memos, before):
+                lane.sample(memo, commit, fetch, first)
+
+    def _account(self, instructions, touched, count) -> Tuple[int, int, int]:
+        """Exact accounting for ``count`` committed instructions.
+
+        The shared front end resolves each instruction's lane record —
+        its static record plus the I-cache latency on a block change
+        and a memory op's data latency, each computed once — then every
+        lane advances over the same records.  Returns the batch's
+        (loads, stores, branches) for segment training.
+        """
+        fetch_latency = self.memory.fetch_latency
+        data_latency = self.memory.data_latency
+        info_get = self._info.get
+        describe = self._describe
+        last_block = self._last_fetch_block
+        ops: List[tuple] = []
+        append = ops.append
+        loads = stores = branches = 0
+        for index in range(count):
+            instruction = instructions[index]
+            info = info_get(id(instruction))
+            if info is None:
+                info = describe(instruction)
+            record, block, pc, memflag, is_branch, _ = info
+            if block != last_block or memflag:
+                fetch = 0
+                if block != last_block:
+                    last_block = block
+                    fetch = fetch_latency(pc)
+                latency = record[3]
+                if memflag:
+                    address = touched[index]
+                    latency = data_latency(address if address else 0)
+                    if memflag == 1:
+                        loads += 1
+                    else:
+                        stores += 1
+                record = (record[0], record[1], fetch, latency, memflag)
             if is_branch:
                 branches += 1
-
-        self._rob_head = rob_head
-        self._rob_len = rob_len
-        self._lsq_head = lsq_head
-        self._lsq_len = lsq_len
-        self._fetch_free = fetch_free
-        self._fetched_this_cycle = fetched
-        self._fetch_cycle = fetch_cycle
+            append(record)
         self._last_fetch_block = last_block
-        self._last_commit = last_commit
-        self._committed_this_cycle = committed
-        self._commit_cycle = commit_cycle
-        stats = self.stats
-        stats.instructions += count
-        stats.loads += loads
-        stats.stores += stores
-        stats.branch_instructions += branches
-        # Commit cycles are nondecreasing, so the batch maximum is the
-        # final commit; an earlier IPDS stall may still be ahead of it.
-        if last_commit > stats.cycles:
-            stats.cycles = last_commit
+        for lane in self._lanes:
+            lane.advance(ops)
+        self._instructions += count
+        self._loads += loads
+        self._stores += stores
+        self._branches += branches
         return loads, stores, branches
 
     # -- control-flow hooks (event listener) -----------------------------------
@@ -437,31 +446,25 @@ class TimingModel:
         """Called when a conditional branch commits.
 
         The interpreter flushes the event buffer before dispatching the
-        branch event, so the model's commit frontier is exact here even
+        branch event, so every lane's commit frontier is exact here even
         under batched delivery.
         """
-        correct = self.predictor.update(pc, taken)
-        if not correct:
-            # Redirect: fetch resumes after resolution plus the
-            # front-end refill penalty.
-            self._fetch_free = max(
-                self._fetch_free,
-                self._last_commit + self._params.branch_mispredict_penalty,
-            )
+        if not self.predictor.update(pc, taken):
+            penalty = self._params.branch_mispredict_penalty
+            for lane in self._lanes:
+                lane.redirect(penalty)
             self._last_fetch_block = -1
-        if self._ipds is not None:
-            stall = self._ipds.on_branch(
-                function_name, pc, taken, self._last_commit
-            )
-            stall += self._ipds.maybe_context_switch(self._last_commit + stall)
-            if stall:
-                self._last_commit += stall
-                self.stats.cycles = max(self.stats.cycles, self._last_commit)
+        ipds = self._ipds
+        if ipds is not None:
+            lane = self._lane
+            stall = ipds.on_branch(function_name, pc, taken, lane.last_commit)
+            stall += ipds.maybe_context_switch(lane.last_commit + stall)
+            lane.last_commit += stall  # only the IPDS lane waits
 
     def on_call(self, function_name: str) -> None:
         if self._ipds is not None:
-            self._ipds.on_call(function_name, self._last_commit)
+            self._ipds.on_call(function_name, self._lane.last_commit)
 
     def on_return(self) -> None:
         if self._ipds is not None:
-            self._ipds.on_return(self._last_commit)
+            self._ipds.on_return(self._lane.last_commit)

@@ -3,12 +3,14 @@
 :class:`TimingObserver` adapts a :class:`TimingModel` to the
 execution-observer protocol, so timing rides the same event bus as the
 IPDS checker and trace recorders.  :func:`timed_run` executes one
-program once, with or without the IPDS hardware attached, and returns
-timing plus IPDS statistics.  :func:`normalized_performance` performs
-the Figure 9 experiment for one workload in a **single pass**: one
-execution drives the baseline timing model and the IPDS-attached
-timing model simultaneously (the model is trace-driven, so both see
-the identical committed stream the two separate runs used to produce).
+program once under a one-lane model, with or without the IPDS hardware
+attached, and returns timing plus IPDS statistics.
+:func:`normalized_performance` performs the Figure 9 experiment for one
+workload in a **single pass** through **one** model with two cycle
+lanes, baseline and IPDS.  The model is trace-driven and its caches and
+predictor depend only on the committed stream, so the lanes share one
+memory hierarchy and one predictor and each computes exactly the
+cycles of a separate one-lane run of its configuration.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..interp.interpreter import Interpreter, RunResult
-from ..ir.instructions import Instruction
 from ..pipeline import ProtectedProgram
 from ..runtime.events import BranchEvent, CallEvent, ReturnEvent
 from ..runtime.observer import ExecutionObserver
@@ -27,20 +28,15 @@ from .pipeline import TimingModel, TimingStats
 
 
 class TimingObserver(ExecutionObserver):
-    """Feeds one :class:`TimingModel` from the execution bus.
-
-    Each committed control-flow event and instruction is forwarded to
-    the model's cycle-accounting hooks; several independent observers
-    (e.g. baseline and IPDS-attached models) can ride one execution.
-    """
+    """Feeds one :class:`TimingModel` from the execution bus: each
+    committed control-flow event and instruction is forwarded to the
+    model's cycle-accounting hooks."""
 
     def __init__(self, model: TimingModel) -> None:
         self.model = model
         # The bus binds hooks per instance (``getattr`` at sink-build
         # time), so shadowing the class methods with the model's bound
-        # methods removes one call frame from every dispatch.  The
-        # class-level overrides below still exist — they are what makes
-        # the bus's override detection subscribe this observer.
+        # methods removes one call frame from every dispatch.
         self.on_instruction = model.on_instruction
         self.on_instruction_batch = model.on_instructions
         outcome = model.on_branch_outcome
@@ -50,6 +46,8 @@ class TimingObserver(ExecutionObserver):
 
         self.on_branch = _on_branch
 
+    # The class-level hooks below are shadowed per instance; they exist
+    # for the bus's override detection.
     def on_branch(self, event: BranchEvent) -> None:
         self.model.on_branch_outcome(event.function_name, event.pc, event.taken)
 
@@ -59,19 +57,10 @@ class TimingObserver(ExecutionObserver):
     def on_return(self, event: ReturnEvent) -> None:
         self.model.on_return()
 
-    def on_instruction(
-        self, instruction: Instruction, touched: Optional[int]
-    ) -> None:
+    def on_instruction(self, instruction, touched) -> None:
         self.model.on_instruction(instruction, touched)
 
-    def on_instruction_batch(
-        self,
-        instructions: Sequence[Instruction],
-        touched: Sequence[Optional[int]],
-        count: int,
-    ) -> None:
-        # The model's batch loop holds pipeline state in locals for the
-        # whole buffer — this is the timing fast path.
+    def on_instruction_batch(self, instructions, touched, count) -> None:
         self.model.on_instructions(instructions, touched, count)
 
 
@@ -174,36 +163,30 @@ def normalized_performance(
 ) -> PerformanceComparison:
     """Baseline and IPDS configurations measured from **one** execution.
 
-    The timing model is trace-driven, so the baseline model and the
-    IPDS-attached model consume the identical committed stream; running
-    them as two observers of a single execution halves the experiment's
-    interpreter work while producing cycle counts identical to the old
-    two-pass protocol.  Extra ``observers`` (recorders, metrics taps)
-    ride the same pass.  ``timing_mode="segment"`` applies the memoized
-    segment approximation to *both* models; ``batched_delivery=False``
-    forces per-instruction event delivery (the equivalence reference).
+    One two-lane :class:`TimingModel` times both configurations over
+    one memory hierarchy and one predictor; each lane's cycles equal
+    a separate :func:`timed_run` of its configuration.  Extra
+    ``observers`` (recorders, metrics taps) ride the same pass.
+    ``timing_mode="segment"`` applies the memoized segment
+    approximation to *both* lanes; ``batched_delivery=False`` forces
+    per-instruction event delivery (the equivalence reference).
     """
-    baseline_model = TimingModel(processor, None, mode=timing_mode)
     ipds_hw = IPDSHardwareModel(program.tables, ipds_params)
-    protected_model = TimingModel(processor, ipds_hw, mode=timing_mode)
+    model = TimingModel(processor, ipds_hw, mode=timing_mode, baseline_lane=True)
     interpreter = Interpreter(
         program.module,
         inputs=inputs,
         step_limit=step_limit,
-        observers=[
-            TimingObserver(baseline_model),
-            TimingObserver(protected_model),
-            *observers,
-        ],
+        observers=[TimingObserver(model), *observers],
         trace_branches=False,
         batched_delivery=batched_delivery,
     )
     interpreter.run()
     return PerformanceComparison(
         workload=workload_name,
-        baseline_cycles=baseline_model.stats.cycles,
-        ipds_cycles=protected_model.stats.cycles,
-        instructions=protected_model.stats.instructions,
+        baseline_cycles=model.baseline_stats.cycles,
+        ipds_cycles=model.stats.cycles,
+        instructions=model.stats.instructions,
         avg_check_latency=ipds_hw.stats.avg_check_latency,
         commit_stalls=ipds_hw.stats.commit_stalls,
     )

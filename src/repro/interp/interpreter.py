@@ -6,7 +6,7 @@ to any number of observers (the IPDS, tracers, the timing model) over
 a single-dispatch :class:`~repro.runtime.observer.ObserverBus`, and
 can corrupt one memory word mid-run to simulate a memory-tampering
 attack.  One execution can drive every consumer simultaneously — the
-checker, two timing models, an n-gram capture and an audit recorder
+checker, the timing model, an n-gram capture and an audit recorder
 all see the same committed stream without re-running the program.
 
 The attack trigger mirrors the paper's methodology: the tampering fires

@@ -324,16 +324,19 @@ class DetectionSession:
             raise SessionKilled("killed by operator request")
         self.emit("progress", {"events": events_seen})
 
-    def _session_observers(self) -> Tuple[List[object], Optional[TraceRecorder]]:
+    def _session_observers(
+        self,
+    ) -> Tuple[List[object], Optional[TraceRecorder], ProgressObserver]:
         """The passive bus riders every mode attaches: optional trace
-        recorder (requested or required by the policy) + progress hook."""
+        recorder (requested or required by the policy) + progress hook
+        (last, so it sees each event after the recorder)."""
         observers: List[object] = []
         recorder: Optional[TraceRecorder] = None
         if self.spec.record_trace or self.policy.wants_trace:
             recorder = TraceRecorder()
             observers.append(recorder)
-        observers.append(ProgressObserver(self._on_progress, PROGRESS_EVERY))
-        return observers, recorder
+        progress = ProgressObserver(self._on_progress, PROGRESS_EVERY)
+        return observers, recorder, progress
 
     def _new_flight_recorder(self) -> Optional[FlightRecorder]:
         if not self.spec.forensics:
@@ -371,11 +374,11 @@ class DetectionSession:
             alarm_sink=self._on_alarm,
         )
         self.ipds = ipds
-        extra, recorder = self._session_observers()
+        extra, recorder, progress = self._session_observers()
         with self.tracer.span("session.execute"):
             result = observed_run(
                 program,
-                observers=[ipds, *extra],
+                observers=[ipds, *extra, progress],
                 inputs=self.spec.inputs,
                 entry=self.spec.entry,
                 step_limit=self.spec.effective_step_limit,
@@ -393,7 +396,7 @@ class DetectionSession:
         spec = self.spec
         workload = None if spec.tamper is not None else get_workload(spec.workload)
         program = self._compile()
-        extra, recorder = self._session_observers()
+        extra, recorder, progress = self._session_observers()
         hooks = dict(
             # Built from the spec's wire fields; raises ValueError on
             # an unknown attack model or timing mode.
@@ -406,7 +409,10 @@ class DetectionSession:
                 timing_mode=spec.timing_mode,
             ),
             metrics=self.metrics,
+            # The recorder traces the attack run; the progress hook
+            # rides the clean run too, so a kill never waits it out.
             extra_observers=extra,
+            progress=progress,
             alarm_sink=self._on_alarm,
         )
         if workload is None:

@@ -108,3 +108,53 @@ def test_comparison_counts_the_campaign_outcomes():
         len(changed),
         sum(outcome.detected for outcome in changed),
     )
+
+
+#: A clean run three progress intervals long (one branch per iteration).
+LOOP = """
+int total;
+void main() {
+  int n = read_int();
+  int i = 0;
+  while (i < n) { total = total + i; i = i + 1; }
+  emit(total);
+}
+"""
+LONG_EXPLICIT = SessionSpec(
+    mode="attack",
+    source=LOOP,
+    source_name="loop",
+    inputs=(3 * engine.PROGRESS_EVERY,),
+    tamper=TamperSpec("read", 1, GLOBAL_BASE, 0),
+)
+
+
+@pytest.mark.parametrize(
+    "spec,every",
+    # An indexed telnetd clean run has ~200 control-flow events, so its
+    # checkpoint interval is shortened to fall inside it.
+    [(LONG_EXPLICIT, engine.PROGRESS_EVERY), (INDEXED, 50)],
+    ids=["explicit", "indexed"],
+)
+def test_operator_kill_stops_the_clean_run(spec, every, monkeypatch):
+    """A kill requested before an attack session starts stops it at the
+    clean run's first progress checkpoint; the attack run never starts."""
+    from repro.attacks import campaign
+
+    monkeypatch.setattr(engine, "PROGRESS_EVERY", every)
+    tampers = []
+    monitored = campaign.monitored_run
+
+    def spy(*args, **kwargs):
+        tampers.append(kwargs.get("tamper"))
+        return monitored(*args, **kwargs)
+
+    monkeypatch.setattr(campaign, "monitored_run", spy)
+    session = DetectionSession(spec)
+    session.request_kill()
+    result = session.execute()
+    assert session.state is SessionState.KILLED
+    assert result.error == "killed by operator request"
+    assert session.events_seen == every
+    assert tampers == [None]  # only the clean run was entered
+    assert session.attack is None and result.outcome is None

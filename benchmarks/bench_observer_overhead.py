@@ -6,7 +6,7 @@ Measures what attaching observers costs one interpreter execution:
 * ``noop_events`` — one control-flow-only no-op observer (call /
   return / branch dispatch, no per-instruction hook);
 * ``noop_instr``  — a no-op observer that also subscribes to the
-  per-instruction stream (the expensive hot path);
+  instruction stream, in batches (the expensive hot path);
 * ``ipds_only`` / ``timing_only`` / ``syscall_only`` /
   ``recorder_only`` — each real consumer attached alone, so the cost
   of the full stack can be attributed per consumer;
@@ -24,6 +24,11 @@ Measures what attaching observers costs one interpreter execution:
   with ``full_stack`` (``test_tracing_overhead_pairs``): the overhead
   is the median of the per-pair time ratios, so host speed drifting
   between two separately timed configs cannot read as overhead.
+
+The two gated noop overheads are measured the same way, each in
+interleaved pairs with ``bare`` (``test_noop_overhead_pairs``): their
+runs take one or two milliseconds, so two best-of-N times taken
+apart swing far wider than the overhead they are meant to show.
 
 Run with ``pytest benchmarks/bench_observer_overhead.py --benchmark-only``.
 Writes ``BENCH_observer_overhead.json`` at the repo root with per-config
@@ -68,6 +73,10 @@ CONFIGS = (
 #: Interleaved (full_stack, full_stack_traced) pairs behind the
 #: tracing overhead: one ratio per pair, the median reported.
 PAIRS = 31
+#: The noop configs whose overhead over ``bare`` is gated, and the
+#: interleaved (bare, config) pairs behind each (runs of 1-2 ms).
+NOOP_CONFIGS = ["noop_events", "noop_instr"]
+NOOP_PAIRS = 101
 
 BENCH_OUT = (
     Path(__file__).resolve().parent.parent / "BENCH_observer_overhead.json"
@@ -75,12 +84,13 @@ BENCH_OUT = (
 
 _TIMINGS = {}
 _TRACING_PAIRS = {}
+_NOOP_PAIRS = {}
 
 
 class _NoopInstructionObserver(ExecutionObserver):
-    """Subscribes to every instruction, does nothing with it."""
+    """Subscribes to every instruction batch, does nothing with it."""
 
-    def on_instruction(self, instruction, touched):
+    def on_instruction_batch(self, instructions, touched, count):
         pass
 
 
@@ -189,60 +199,96 @@ def test_observer_overhead(benchmark, compiled_workloads, workload_inputs,
     benchmark.extra_info["steps_per_sec"] = _TIMINGS[config]["steps_per_sec"]
 
 
-def test_tracing_overhead_pairs(benchmark, compiled_workloads,
-                                workload_inputs):
-    """Tracing's cost over the untraced full stack, from interleaved
-    pairs.  Each pair times one untraced and one traced run back to
-    back (alternating which goes first), so the pair's ratio sees one
-    host speed; the median ratio ignores the pairs a noisy neighbour
-    hit.  Two best-of-N times taken in separate tests could not tell
-    unchanged code from a regression on a shared host."""
-    workload, program = compiled_workloads[WORKLOAD]
-    inputs = workload_inputs(WORKLOAD, SCALE)
-    untraced = _executor("full_stack", program, inputs)
-    traced = _executor("full_stack_traced", program, inputs)
+def _paired(benchmark, base, other, pairs):
+    """Time ``pairs`` interleaved (base, other) runs.
+
+    Each pair times one run of each back to back (alternating which
+    goes first), so the pair's ratio sees one host speed; the median
+    ratio ignores the pairs a noisy neighbour hit.  Two best-of-N times
+    taken in separate tests could not tell unchanged code from a
+    regression on a shared host.  Returns the summary block, the
+    fastest ``other`` run and ``other``'s last result.
+    """
 
     def timed(execute):
         started = time.perf_counter()
         result = execute()
         return time.perf_counter() - started, result
 
-    def pairs():
+    def run_pairs():
         rows = []
-        for index in range(PAIRS):
+        for index in range(pairs):
             if index % 2:
-                traced_s, result = timed(traced)
-                untraced_s, _ = timed(untraced)
+                other_s, result = timed(other)
+                base_s, _ = timed(base)
             else:
-                untraced_s, _ = timed(untraced)
-                traced_s, result = timed(traced)
-            rows.append((untraced_s, traced_s))
+                base_s, _ = timed(base)
+                other_s, result = timed(other)
+            rows.append((base_s, other_s))
         return rows, result
 
-    untraced()  # warm both paths outside the pairs
-    reference = traced()
-    rows, result = benchmark.pedantic(pairs, rounds=1, iterations=1)
+    base()  # warm both paths outside the pairs
+    reference = other()
+    rows, result = benchmark.pedantic(run_pairs, rounds=1, iterations=1)
     assert result.steps == reference.steps
-    ratios = [traced_s / untraced_s for untraced_s, traced_s in rows]
-    _record("full_stack_traced", min(t for _, t in rows), result.steps)
-    _TRACING_PAIRS.update(
-        pairs=PAIRS,
-        median_ratio=round(statistics.median(ratios), 4),
-        quartile_ratios=[
+    ratios = [other_s / base_s for base_s, other_s in rows]
+    summary = {
+        "pairs": pairs,
+        "median_ratio": round(statistics.median(ratios), 4),
+        "quartile_ratios": [
             round(q, 4) for q in statistics.quantiles(ratios, n=4)[::2]
         ],
+    }
+    benchmark.extra_info["median_ratio"] = summary["median_ratio"]
+    return summary, min(other_s for _, other_s in rows), result
+
+
+@pytest.mark.parametrize("config", NOOP_CONFIGS)
+def test_noop_overhead_pairs(benchmark, compiled_workloads, workload_inputs,
+                             config):
+    """A gated noop config's cost over ``bare``, from interleaved
+    pairs."""
+    workload, program = compiled_workloads[WORKLOAD]
+    inputs = workload_inputs(WORKLOAD, SCALE)
+    summary, _, _ = _paired(
+        benchmark,
+        _executor("bare", program, inputs),
+        _executor(config, program, inputs),
+        NOOP_PAIRS,
     )
-    benchmark.extra_info["median_ratio"] = _TRACING_PAIRS["median_ratio"]
+    _NOOP_PAIRS[config] = summary
+
+
+def test_tracing_overhead_pairs(benchmark, compiled_workloads,
+                                workload_inputs):
+    """Tracing's cost over the untraced full stack, from interleaved
+    pairs."""
+    workload, program = compiled_workloads[WORKLOAD]
+    inputs = workload_inputs(WORKLOAD, SCALE)
+    summary, fastest, result = _paired(
+        benchmark,
+        _executor("full_stack", program, inputs),
+        _executor("full_stack_traced", program, inputs),
+        PAIRS,
+    )
+    _record("full_stack_traced", fastest, result.steps)
+    _TRACING_PAIRS.update(summary)
     _write_report()
 
 
 def _write_report():
     assert set(CONFIGS) <= set(_TIMINGS), "all overhead cases must run"
+    assert set(NOOP_CONFIGS) <= set(_NOOP_PAIRS), "all noop pairs must run"
     bare = _TIMINGS["bare"]["seconds_per_run"]
     for timing in _TIMINGS.values():
         timing["overhead_vs_bare_pct"] = (
             round(100.0 * (timing["seconds_per_run"] / bare - 1.0), 2)
             if bare else 0.0
+        )
+    # The gated noop overheads come from their interleaved pairs.
+    for config, pairs in _NOOP_PAIRS.items():
+        _TIMINGS[config]["overhead_vs_bare_pct"] = round(
+            100.0 * (pairs["median_ratio"] - 1.0), 2
         )
     # Attribute the full stack's cost to individual consumers: each
     # consumer's lone marginal cost over bare, as absolute seconds and
@@ -291,6 +337,7 @@ def _write_report():
                 "rounds": ROUNDS,
                 "configs": _TIMINGS,
                 "breakdown": breakdown,
+                "noop_pairs": _NOOP_PAIRS,
                 "tracing_pairs": _TRACING_PAIRS,
                 "summary": summary,
             },

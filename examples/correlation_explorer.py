@@ -11,9 +11,8 @@ branch event with the BSV status it was verified against.
 from repro.analysis import analyze_branches, analyze_definitions, analyze_purity, analyze_aliases
 from repro.ir import format_function, lower_program
 from repro.lang import parse_program
-from repro.pipeline import compile_program
-from repro.runtime import BranchEvent
-from repro.interp import run_program
+from repro.pipeline import compile_program, observed_run
+from repro.runtime import ExecutionObserver
 
 SOURCE = """
 int x;
@@ -63,8 +62,11 @@ def main() -> None:
     print("\n=== monitored replay ===")
     ipds = program.new_ipds()
 
-    def narrate(event):
-        if isinstance(event, BranchEvent):
+    class Narrator(ExecutionObserver):
+        """Prints each branch with the status the IPDS, next on the
+        bus, is about to verify it against."""
+
+        def on_branch(self, event):
             frame = ipds.current_frame()
             slot = frame.tables.slot_of(event.pc) if frame else None
             status = frame.status(slot).value if slot is not None else "-"
@@ -74,12 +76,11 @@ def main() -> None:
                 f"  branch {event.pc:#x} {event.direction:>2s} "
                 f"{mark} expected={status}"
             )
-        ipds.process(event)
 
-    run_program(
-        program.module,
+    observed_run(
+        program,
+        observers=[Narrator(), ipds],
         inputs=[3, 2, 1, 7, 1, 20, 1, 4, 0],
-        observers=[narrate],
     )
     print(f"\nalarms: {ipds.alarms or 'none (clean run)'}")
 

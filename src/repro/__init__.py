@@ -22,7 +22,6 @@ from .pipeline import (
     compile_program_cached,
     monitored_run,
     observed_run,
-    unmonitored_run,
 )
 from .runtime.ipds import IPDS, Alarm
 from .runtime.observer import ExecutionObserver, ObserverBus
@@ -77,6 +76,5 @@ __all__ = [
     "compile_program_cached",
     "monitored_run",
     "observed_run",
-    "unmonitored_run",
     "__version__",
 ]

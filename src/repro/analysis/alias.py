@@ -32,7 +32,7 @@ treated as touching anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..ir.function import IRModule
 from ..ir.instructions import (
@@ -63,16 +63,6 @@ class AliasResult:
     #: Every variable whose address is ever taken (may be accessed
     #: indirectly from anywhere).
     address_taken: FrozenSet[Variable] = frozenset()
-
-    def targets_of(
-        self, fn_name: str, addr: Reg
-    ) -> Optional[FrozenSet[Variable]]:
-        """Variables an indirect access through ``addr`` may touch.
-
-        ``None`` means unknown (could touch anything).
-        """
-        pts = self.reg_points_to.get((fn_name, addr), frozenset())
-        return pts if pts else None
 
 
 def analyze_aliases(module: IRModule) -> AliasResult:

@@ -105,9 +105,6 @@ class VariableLiveness:
 
     # -- queries -----------------------------------------------------------------
 
-    def live_out_of_block(self, label: str) -> FrozenSet[Variable]:
-        return self._live_out[label]
-
     def live_after(self, block_label: str, index: int) -> FrozenSet[Variable]:
         """Variables live immediately *after* ``block[index]``."""
         block = self._fn.block(block_label)

@@ -39,22 +39,14 @@ class SyscallTraceObserver(ExecutionObserver):
     def __init__(self) -> None:
         self.symbols: List[str] = []
 
-    def on_instruction(
-        self, instruction: Instruction, touched: Optional[int]
-    ) -> None:
-        if isinstance(instruction, Call):
-            self.symbols.append(
-                f"{instruction.callee}@{instruction.address:x}"
-            )
-
     def on_instruction_batch(
         self,
         instructions: Sequence[Instruction],
         touched: Sequence[Optional[int]],
         count: int,
     ) -> None:
-        # Batched delivery: scan the flat buffer for calls in one call
-        # frame instead of paying a Python call per instruction.
+        # Scan the flat buffer for calls in one call frame instead of
+        # paying a Python call per instruction.
         append = self.symbols.append
         for index in range(count):
             instruction = instructions[index]

@@ -36,6 +36,11 @@ Subcommands:
 
 ``--version`` prints the package version (sourced from pyproject.toml).
 
+Every ``FILE`` is a mini-C file or the name of a built-in workload
+(:func:`repro.pipeline.resolve_target`).  A tool error in any verb — a
+missing file, a parse error, a malformed trace — prints ``error: ...``
+on stderr and exits 2.
+
 Forensics: ``run``, ``attack`` and ``campaign`` accept ``--forensics``
 (attach a bounded flight recorder and print a causal explanation for
 every alarm) and ``--flight-recorder-depth N``; the single-run commands
@@ -66,6 +71,7 @@ from .correlation.encoding import table_sizes
 from .cpu.simulator import normalized_performance
 from .interp.interpreter import TamperSpec
 from .ir.printer import format_module
+from .lang.errors import ReproError
 from .observability import (
     JsonlWriter,
     MetricsRegistry,
@@ -77,15 +83,15 @@ from .observability import (
     write_spans,
 )
 from .parallel.engine import run_campaign
-from .pipeline import compile_program, compile_program_cached
-from .runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
+from .pipeline import (
+    compile_program,
+    compile_program_cached,
+    observed_run,
+    resolve_target,
+)
+from .runtime.flight_recorder import DEFAULT_DEPTH
 from .runtime.replay import TraceRecorder
 from .workloads.registry import get_workload, workload_names
-
-
-def _read_source(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _parse_inputs(text: str) -> List[int]:
@@ -111,9 +117,8 @@ def _address(text: str) -> int:
 
 
 def cmd_compile(args: argparse.Namespace) -> int:
-    program = compile_program(
-        _read_source(args.file), args.file, args.opt, check=args.check
-    )
+    source, name = resolve_target(args.file)
+    program = compile_program(source, name, args.opt, check=args.check)
     if args.ir:
         print(format_module(program.module, show_addresses=True))
         print()
@@ -155,25 +160,20 @@ def _emit_telemetry(
         print(f"metrics: manifest -> {args.metrics_out}")
 
 
-def _new_flight_recorder(args: argparse.Namespace) -> Optional[FlightRecorder]:
-    if not getattr(args, "forensics", False):
-        return None
-    return FlightRecorder(args.flight_recorder_depth)
-
-
-def _report_forensics(args: argparse.Namespace, ipds) -> None:
-    """Explain a recorder-carrying IPDS's alarms on stdout (and to
-    ``--forensics-out`` as JSON when requested)."""
-    if ipds.flight_recorder is None:
+def _report_forensics(args: argparse.Namespace, session) -> None:
+    """Print the session's alarm explanations (and write them to
+    ``--forensics-out`` as JSON when requested) under ``--forensics``;
+    the session explained its alarms once already."""
+    if not args.forensics:
         return
-    from .forensics import explain_ipds, render_reports_text, reports_to_json
+    from .forensics import render_reports_text, reports_to_json
     from .staticcheck import write_output
 
-    reports = explain_ipds(ipds)
     print("forensics:")
-    print(render_reports_text(reports))
+    print(render_reports_text(session.reports))
     if args.forensics_out:
-        write_output(reports_to_json(reports), args.forensics_out)
+        document = session.forensics_json or reports_to_json(session.reports)
+        write_output(document, args.forensics_out)
         if args.forensics_out != "-":
             print(f"forensics report -> {args.forensics_out}")
 
@@ -232,10 +232,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     if ipds.detected:
         for alarm in ipds.alarms:
             print(f"ALARM  : {alarm}")
-        _report_forensics(args, ipds)
+        _report_forensics(args, session)
         return 2
     print("alarms : none")
-    _report_forensics(args, ipds)
+    _report_forensics(args, session)
     return 0
 
 
@@ -289,16 +289,17 @@ def cmd_attack(args: argparse.Namespace) -> int:
     )
     if outcome.detected:
         print(f"DETECTED            : {outcome.alarms[0]}")
-        _report_forensics(args, attack.ipds)
+        _report_forensics(args, session)
         return 2
     print("detected            : no")
-    _report_forensics(args, attack.ipds)
+    _report_forensics(args, session)
     return 0
 
 
 #: ``audit``/``lint`` exit codes: 0 = clean, 1 = diagnostics at or above
 #: the --fail-on severity, 2 = the tool itself failed (bad file, parse
-#: error, ...).  Distinct from ``run``/``attack``, whose exit 2 means
+#: error, ...; every verb maps ``OSError``/``ReproError`` to it in
+#: :func:`main`).  Distinct from ``run``/``attack``, whose exit 2 means
 #: "IPDS alarm" on an otherwise successful run.
 EXIT_CLEAN = 0
 EXIT_DIAGNOSTICS = 1
@@ -307,20 +308,16 @@ EXIT_TOOL_ERROR = 2
 
 def _staticcheck_targets(args: argparse.Namespace):
     """Resolve the audit/lint target into [(label, source, name)]."""
-    target = args.target
-    if target == "all":
+    if args.target == "all":
         return [
             (f"{name}@opt{args.opt}", get_workload(name).source, name)
             for name in workload_names()
         ]
-    if target in workload_names():
-        workload = get_workload(target)
-        return [(f"{target}@opt{args.opt}", workload.source, target)]
-    return [(f"{target}@opt{args.opt}", _read_source(target), target)]
+    source, name = resolve_target(args.target)
+    return [(f"{name}@opt{args.opt}", source, name)]
 
 
 def _run_staticcheck(args: argparse.Namespace, passes, fail_on: str) -> int:
-    from .lang.errors import ReproError
     from .staticcheck import (
         Severity,
         json_report,
@@ -335,18 +332,14 @@ def _run_staticcheck(args: argparse.Namespace, passes, fail_on: str) -> int:
     manifest = RunManifest.begin(
         args.command, target=args.target, opt=args.opt, fail_on=fail_on
     )
-    try:
-        groups = []
-        for label, source, name in _staticcheck_targets(args):
-            with tracer.span("compile"):
-                program = compile_program(source, name, args.opt)
-            diagnostics = run_passes(
-                program, names=passes, metrics=metrics, tracer=tracer
-            )
-            groups.append((label, diagnostics))
-    except (OSError, ReproError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_TOOL_ERROR
+    groups = []
+    for label, source, name in _staticcheck_targets(args):
+        with tracer.span("compile"):
+            program = compile_program(source, name, args.opt)
+        diagnostics = run_passes(
+            program, names=passes, metrics=metrics, tracer=tracer
+        )
+        groups.append((label, diagnostics))
 
     for label, diagnostics in groups:
         print(f"== {label}")
@@ -426,28 +419,17 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
     the IR itself (folding stores that were correlation evidence), so
     branches protected at opt 0 can legitimately disappear.
     """
-    from .lang.errors import ReproError
-
     tracer = Tracer(metrics=MetricsRegistry())
     manifest = RunManifest.begin(
         args.command, target=args.target, compare_opt=True
     )
     violations = []
-    try:
-        targets = _staticcheck_targets(args)
-    except (OSError, ReproError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_TOOL_ERROR
+    targets = _staticcheck_targets(args)
     for label, source, name in targets:
-        try:
-            with tracer.span("compile"):
-                programs = {
-                    opt: compile_program(source, name, opt)
-                    for opt in (0, 1, 2, 3)
-                }
-        except (OSError, ReproError) as error:
-            print(f"error: {error}", file=sys.stderr)
-            return EXIT_TOOL_ERROR
+        with tracer.span("compile"):
+            programs = {
+                opt: compile_program(source, name, opt) for opt in (0, 1, 2, 3)
+            }
         sets = {
             opt: _protected_branch_labels(program)
             for opt, program in programs.items()
@@ -497,15 +479,13 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    from .interp.interpreter import run_program
-    from .runtime.replay import TraceRecorder, dump_trace
+    from .runtime.replay import dump_trace
 
-    program = compile_program(_read_source(args.file), args.file, args.opt)
+    source, name = resolve_target(args.file)
+    program = compile_program(source, name, args.opt)
     recorder = TraceRecorder()
-    result = run_program(
-        program.module,
-        inputs=_parse_inputs(args.inputs),
-        observers=[recorder],
+    result = observed_run(
+        program, observers=[recorder], inputs=_parse_inputs(args.inputs)
     )
     with open(args.out, "w", encoding="utf-8") as handle:
         count = dump_trace(recorder.events, handle)
@@ -571,7 +551,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """
     from .correlation.binary_image import load_program
     from .forensics import explain_trace, render_reports_text, reports_to_json
-    from .lang.errors import ReproError
     from .runtime.replay import load_trace
     from .staticcheck import sarif_report, write_output
 
@@ -580,27 +559,20 @@ def cmd_explain(args: argparse.Namespace) -> int:
     manifest = RunManifest.begin(
         "explain", file=args.file, trace=args.trace, opt=args.opt
     )
-    try:
-        if args.file in workload_names():
-            source, name = get_workload(args.file).source, args.file
-        else:
-            source, name = _read_source(args.file), args.file
-        with tracer.span("compile"):
-            program = compile_program(source, name, args.opt)
-        tables, _ = load_program(program.to_image())
-        with open(args.trace, "r", encoding="utf-8") as handle:
-            events = list(load_trace(handle))
-        with tracer.span("replay"):
-            _, reports = explain_trace(
-                tables,
-                events,
-                depth=args.depth,
-                allow_unprotected=args.allow_unprotected,
-                history_limit=args.history,
-            )
-    except (OSError, ReproError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return EXIT_TOOL_ERROR
+    source, name = resolve_target(args.file)
+    with tracer.span("compile"):
+        program = compile_program(source, name, args.opt)
+    tables, _ = load_program(program.to_image())
+    with open(args.trace, "r", encoding="utf-8") as handle:
+        events = list(load_trace(handle))
+    with tracer.span("replay"):
+        _, reports = explain_trace(
+            tables,
+            events,
+            depth=args.depth,
+            allow_unprotected=args.allow_unprotected,
+            history_limit=args.history,
+        )
     print(render_reports_text(reports))
     if args.json:
         write_output(reports_to_json(reports), args.json)
@@ -1065,6 +1037,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except (OSError, ReproError) as error:
+        # A missing file, a parse error, a malformed trace or image:
+        # the tool failed, whatever the verb.
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_TOOL_ERROR
     except KeyboardInterrupt:
         # Ctrl-C during a campaign (or any verb) exits with the
         # conventional 130 instead of a executor traceback; in-flight

@@ -39,8 +39,8 @@ head); register readiness keys on the integer register index; the
 static record of an instruction is cached by object identity (pinning
 the object, so its id is never recycled); and ``on_instructions``
 accounts a whole committed batch per call with lane state in locals.
-``on_instruction`` is the per-instruction reference path and produces
-bit-identical cycles.
+``on_instruction`` accounts one instruction as a batch of one, so in
+exact mode it produces bit-identical cycles.
 
 Opt-in approximation (``mode="segment"``): straight-line trace
 segments (a batch is flushed at every control-flow event, so the
@@ -341,8 +341,8 @@ class TimingModel:
     def on_instruction(
         self, instruction: Instruction, touched: Optional[int]
     ) -> None:
-        """Account one committed instruction (the reference path)."""
-        self._account((instruction,), (touched,), 1)
+        """Account one committed instruction: a batch of one."""
+        self.on_instructions((instruction,), (touched,), 1)
 
     def on_instructions(
         self,
@@ -355,7 +355,9 @@ class TimingModel:
         Exact mode produces cycle counts bit-identical to ``count``
         calls of :meth:`on_instruction` — batching changes only the
         call granularity.  Segment mode may replay a memoized delta for
-        a previously-trained segment instead of re-timing it.
+        a previously-trained segment instead of re-timing it; its
+        segments are the batches as delivered, so one-at-a-time
+        delivery memoizes single instructions.
         """
         if self.mode != "segment" or count < SEGMENT_MIN_LENGTH:
             self._account(instructions, touched, count)

@@ -37,7 +37,6 @@ class TimingObserver(ExecutionObserver):
         # The bus binds hooks per instance (``getattr`` at sink-build
         # time), so shadowing the class methods with the model's bound
         # methods removes one call frame from every dispatch.
-        self.on_instruction = model.on_instruction
         self.on_instruction_batch = model.on_instructions
         outcome = model.on_branch_outcome
 
@@ -56,9 +55,6 @@ class TimingObserver(ExecutionObserver):
 
     def on_return(self, event: ReturnEvent) -> None:
         self.model.on_return()
-
-    def on_instruction(self, instruction, touched) -> None:
-        self.model.on_instruction(instruction, touched)
 
     def on_instruction_batch(self, instructions, touched, count) -> None:
         self.model.on_instructions(instructions, touched, count)
@@ -91,18 +87,15 @@ def timed_run(
     processor: ProcessorParams = ProcessorParams(),
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
     step_limit: int = 2_000_000,
-    observers: Sequence[object] = (),
+    observers: Sequence[ExecutionObserver] = (),
     timing_mode: str = "exact",
-    batched_delivery: bool = True,
 ) -> TimedRun:
     """Execute once under the timing model.
 
     Extra ``observers`` share the same execution — e.g. a
     :class:`~repro.runtime.replay.TraceRecorder` for an audit trace of
     the timed run.  ``timing_mode="segment"`` opts into the memoized
-    segment approximation; ``batched_delivery=False`` forces the
-    per-instruction reference path (the differential-equivalence
-    baseline).
+    segment approximation.
     """
     ipds_hw = (
         IPDSHardwareModel(program.tables, ipds_params) if with_ipds else None
@@ -115,7 +108,6 @@ def timed_run(
         step_limit=step_limit,
         observers=[TimingObserver(model), *observers],
         trace_branches=False,
-        batched_delivery=batched_delivery,
     )
     result = interpreter.run()
     return TimedRun(
@@ -157,9 +149,8 @@ def normalized_performance(
     processor: ProcessorParams = ProcessorParams(),
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
     step_limit: int = 2_000_000,
-    observers: Sequence[object] = (),
+    observers: Sequence[ExecutionObserver] = (),
     timing_mode: str = "exact",
-    batched_delivery: bool = True,
 ) -> PerformanceComparison:
     """Baseline and IPDS configurations measured from **one** execution.
 
@@ -168,8 +159,7 @@ def normalized_performance(
     a separate :func:`timed_run` of its configuration.  Extra
     ``observers`` (recorders, metrics taps) ride the same pass.
     ``timing_mode="segment"`` applies the memoized segment
-    approximation to *both* lanes; ``batched_delivery=False`` forces
-    per-instruction event delivery (the equivalence reference).
+    approximation to *both* lanes.
     """
     ipds_hw = IPDSHardwareModel(program.tables, ipds_params)
     model = TimingModel(processor, ipds_hw, mode=timing_mode, baseline_lane=True)
@@ -179,7 +169,6 @@ def normalized_performance(
         step_limit=step_limit,
         observers=[TimingObserver(model), *observers],
         trace_branches=False,
-        batched_delivery=batched_delivery,
     )
     interpreter.run()
     return PerformanceComparison(

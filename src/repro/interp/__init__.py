@@ -7,7 +7,6 @@ from .interpreter import (
     RunResult,
     RunStatus,
     TamperSpec,
-    run_program,
 )
 from .state import FrameLayout, GLOBAL_BASE, MemoryMap, STACK_BASE, layout_frame
 
@@ -23,5 +22,4 @@ __all__ = [
     "STACK_BASE",
     "TamperSpec",
     "layout_frame",
-    "run_program",
 ]

@@ -31,7 +31,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..ir.function import IRModule
 from ..ir.instructions import Instruction
-from ..runtime.observer import ObserverBus
+from ..runtime.observer import ExecutionObserver, ObserverBus
 from .decode import (
     ADD,
     ADDR_LOCAL,
@@ -175,10 +175,9 @@ class _Frame:
 class Interpreter:
     """Executes one module from its entry function.
 
-    Consumers attach through ``observers`` — objects implementing the
-    :class:`~repro.runtime.observer.ExecutionObserver` protocol, or bare
-    callables, which receive every control-flow event.  Each event is
-    dispatched exactly once through one bus.
+    Consumers attach through ``observers`` —
+    :class:`~repro.runtime.observer.ExecutionObserver` instances.  Each
+    event is dispatched exactly once through one bus.
     """
 
     def __init__(
@@ -190,8 +189,7 @@ class Interpreter:
         call_depth_limit: int = 256,
         tamper: Optional[Tamper] = None,
         trace_branches: bool = True,
-        observers: Sequence[object] = (),
-        batched_delivery: bool = True,
+        observers: Sequence[ExecutionObserver] = (),
     ):
         if not module.finalized:
             raise InterpreterError("module must be finalized before execution")
@@ -210,26 +208,15 @@ class Interpreter:
         self._tamper_site: Optional[
             Tuple[Tuple[str, str, int, int], ...]
         ] = None
+        # Instruction delivery follows the subscribers' hooks: the bus
+        # sets ``batch_sink`` when every instruction subscriber takes
+        # batches, and then the loop appends committed instructions into
+        # a preallocated flat buffer (two parallel lists — object refs
+        # and touched addresses, no per-event allocation) and flushes it
+        # through one call; otherwise ``instruction_sink`` takes each
+        # instruction as it commits.
         self._bus = ObserverBus(observers)
-        # Dispatch targets are resolved once per hook: None means "no
-        # subscriber", so the loop skips both the call and the flush.
-        self._emit_call = self._bus.call_sink()
-        self._emit_return = self._bus.return_sink()
-        self._emit_branch = self._bus.branch_sink()
-        # Batched delivery: the loop appends committed instructions
-        # into a preallocated flat buffer (two parallel lists — object
-        # refs and touched addresses, no per-event allocation) and
-        # flushes it through one instruction_batch_sink call, so
-        # consumers see the exact per-instruction interleaving.
-        # ``batched_delivery=False`` delivers each instruction as it
-        # commits instead: the differential-equivalence reference.
-        self._batch_sink = (
-            self._bus.instruction_batch_sink() if batched_delivery else None
-        )
-        self._emit_instruction = (
-            None if batched_delivery else self._bus.instruction_sink()
-        )
-        size = EVENT_BUFFER_CAPACITY if self._batch_sink is not None else 0
+        size = EVENT_BUFFER_CAPACITY if self._bus.batch_sink is not None else 0
         self._buffer_instructions: List[Optional[Instruction]] = [None] * size
         self._buffer_touched: List[Optional[int]] = [None] * size
         self._buffer_count = 0
@@ -252,7 +239,7 @@ class Interpreter:
         # Deliver any instructions still buffered at exit (normal
         # return, step/depth limits, faults) before end-of-execution.
         if self._buffer_count:
-            self._batch_sink(
+            self._bus.batch_sink(
                 self._buffer_instructions, self._buffer_touched, self._buffer_count
             )
             self._buffer_count = 0
@@ -338,11 +325,12 @@ class Interpreter:
         input_count = len(inputs)
         cursor = 0
         branch_trace = self._branch_trace if self._trace_branches else None
-        emit_call = self._emit_call
-        emit_return = self._emit_return
-        emit_branch = self._emit_branch
-        sink = self._batch_sink
-        emit_instruction = self._emit_instruction
+        bus = self._bus
+        emit_call = bus.call_sink
+        emit_return = bus.return_sink
+        emit_branch = bus.branch_sink
+        sink = bus.batch_sink
+        emit_instruction = bus.instruction_sink
         batching = sink is not None
         deliver = batching or emit_instruction is not None
         buffer_instructions = self._buffer_instructions
@@ -547,23 +535,3 @@ class Interpreter:
                     return self._halt(RunStatus.CALL_DEPTH, steps, cursor, count)
             elif code == RETURN and not stack:
                 return self._halt(RunStatus.OK, steps, cursor, count, value)
-
-
-def run_program(
-    module: IRModule,
-    inputs: Sequence[int] = (),
-    entry: str = "main",
-    tamper: Optional[Tamper] = None,
-    step_limit: int = 2_000_000,
-    observers: Sequence[object] = (),
-) -> RunResult:
-    """Convenience wrapper: build an interpreter and run it."""
-    interpreter = Interpreter(
-        module,
-        inputs=inputs,
-        entry=entry,
-        tamper=tamper,
-        step_limit=step_limit,
-        observers=observers,
-    )
-    return interpreter.run()

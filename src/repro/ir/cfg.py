@@ -107,16 +107,6 @@ def reachable_blocks(fn: IRFunction, start: BasicBlock) -> Set[str]:
     return seen
 
 
-def block_pairs_on_path(
-    fn: IRFunction, source: BasicBlock, target: BasicBlock
-) -> bool:
-    """True if ``target`` is reachable from ``source`` (inclusive of a
-    loop back to source itself via its successors)."""
-    if source is target:
-        return True
-    return target.label in reachable_blocks(fn, source)
-
-
 def iter_rpo(fn: IRFunction) -> Iterator[BasicBlock]:
     """Blocks in reverse post-order from entry (a good dataflow order)."""
     seen: Set[str] = set()

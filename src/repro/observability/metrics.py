@@ -196,9 +196,6 @@ class MetricsRegistry:
         """Set a point-in-time value (overwrites any previous reading)."""
         self.gauges[name] = value
 
-    def gauge_value(self, name: str, default: float = 0.0) -> float:
-        return self.gauges.get(name, default)
-
     # -- histograms -------------------------------------------------------
 
     def histogram(

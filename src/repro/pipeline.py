@@ -22,11 +22,12 @@ from typing import List, Optional, Sequence, Tuple
 
 from .correlation.bat_builder import BuildStats, build_program_tables
 from .correlation.tables import ProgramTables
-from .interp.interpreter import Interpreter, RunResult, Tamper, TamperSpec, run_program
+from .interp.interpreter import Interpreter, RunResult, Tamper
 from .ir.function import IRModule
 from .ir.builder import lower_program
 from .lang.parser import parse_program
 from .runtime.ipds import IPDS
+from .runtime.observer import ExecutionObserver
 from .staticcheck.irverify import verify_module
 
 
@@ -151,7 +152,7 @@ def compile_program_cached(
 
 def observed_run(
     program: ProtectedProgram,
-    observers: Sequence[object] = (),
+    observers: Sequence[ExecutionObserver] = (),
     inputs: Sequence[int] = (),
     entry: str = "main",
     tamper: Optional[Tamper] = None,
@@ -193,7 +194,7 @@ def monitored_run(
     halt_on_alarm: bool = False,
     allow_unprotected: bool = False,
     flight_recorder=None,
-    observers: Sequence[object] = (),
+    observers: Sequence[ExecutionObserver] = (),
     alarm_sink=None,
 ) -> Tuple[RunResult, IPDS]:
     """Run a protected program with the IPDS attached.
@@ -239,20 +240,3 @@ def resolve_target(target: str, read_files: bool = True) -> Tuple[str, str]:
         )
     with open(target, "r", encoding="utf-8") as handle:
         return handle.read(), target
-
-
-def unmonitored_run(
-    program: ProtectedProgram,
-    inputs: Sequence[int] = (),
-    entry: str = "main",
-    tamper: Optional[TamperSpec] = None,
-    step_limit: int = 2_000_000,
-) -> RunResult:
-    """Run without the IPDS (baseline behaviour / clean trace capture)."""
-    return run_program(
-        program.module,
-        inputs=inputs,
-        entry=entry,
-        tamper=tamper,
-        step_limit=step_limit,
-    )

@@ -24,11 +24,6 @@ from .pipeline import compile_program_cached
 from .workloads.registry import Workload, all_workloads
 
 
-def _bar(value: float, scale: float = 1.0, width: int = 40) -> str:
-    filled = int(round(min(value * scale, 100.0) / 100.0 * width))
-    return "#" * filled
-
-
 # ----------------------------------------------------------------------
 # Figure 7: detection rate for simulated attacks
 # ----------------------------------------------------------------------

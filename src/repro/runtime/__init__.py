@@ -10,12 +10,7 @@ from .flight_recorder import (
     FrameRecord,
 )
 from .ipds import IPDS, Alarm, IPDSError, IPDSStats
-from .observer import (
-    CallbackObserver,
-    ExecutionObserver,
-    ObserverBus,
-    as_observer,
-)
+from .observer import ExecutionObserver, ObserverBus
 from .replay import (
     TraceFormatError,
     TraceRecorder,
@@ -23,7 +18,6 @@ from .replay import (
     event_from_json,
     event_to_json,
     load_trace,
-    replay,
 )
 
 __all__ = [
@@ -33,7 +27,6 @@ __all__ = [
     "BranchEvent",
     "BranchRecord",
     "CallEvent",
-    "CallbackObserver",
     "DEFAULT_DEPTH",
     "Event",
     "ExecutionObserver",
@@ -46,10 +39,8 @@ __all__ = [
     "ReturnEvent",
     "TraceFormatError",
     "TraceRecorder",
-    "as_observer",
     "dump_trace",
     "event_from_json",
     "event_to_json",
     "load_trace",
-    "replay",
 ]

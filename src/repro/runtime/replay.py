@@ -3,8 +3,9 @@
 The IPDS is an online checker, but its event stream is small and
 serializable — which enables an audit-log deployment style: record the
 committed control-flow events cheaply, re-check them offline (or on
-another machine) against the program's tables.  Alarms from a replay
-are identical to online alarms because the checker is deterministic.
+another machine) against the program's tables with
+``IPDS(tables).run(events)``.  Alarms from a replay are identical to
+online alarms because the checker is deterministic.
 
 Format: one JSON object per line (`jsonl`), tagged by event kind.
 """
@@ -14,10 +15,8 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable, Iterator, List
 
-from ..correlation.tables import ProgramTables
 from ..lang.errors import ReproError
 from .events import BranchEvent, CallEvent, Event, ReturnEvent
-from .ipds import IPDS, Alarm
 from .observer import ExecutionObserver
 
 
@@ -81,23 +80,3 @@ class TraceRecorder(ExecutionObserver):
 
     def on_branch(self, event: BranchEvent) -> None:
         self.events.append(event)
-
-
-def replay(
-    tables: ProgramTables,
-    events: Iterable[Event],
-    halt_on_alarm: bool = False,
-    allow_unprotected: bool = False,
-) -> List[Alarm]:
-    """Re-check a recorded event stream offline.
-
-    ``allow_unprotected`` tolerates calls into functions absent from
-    ``tables`` (e.g. a trace recorded against a build with more
-    functions than the replaying tables cover).
-    """
-    checker = IPDS(
-        tables,
-        halt_on_alarm=halt_on_alarm,
-        allow_unprotected=allow_unprotected,
-    )
-    return checker.run(events)

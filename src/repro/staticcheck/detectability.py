@@ -592,10 +592,6 @@ class WalkGraph:
         self._forced = forced_outcomes if tables is not None else None
         self._expansions: Dict[_WalkState, _Expansion] = {}
 
-    @property
-    def forcing_enabled(self) -> bool:
-        return self._forced is not None
-
     def expand(self, state: _WalkState) -> _Expansion:
         cached = self._expansions.get(state)
         if cached is None:

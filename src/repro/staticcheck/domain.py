@@ -190,9 +190,3 @@ def env_widen(old: Env, new: Env) -> Env:
         if not value.is_top:
             widened[var] = value
     return widened
-
-
-def env_is_infeasible(env: Env) -> bool:
-    """An environment with any empty binding describes no concrete
-    state — the edge that produced it is statically infeasible."""
-    return any(value.is_empty for value in env.values())

@@ -16,7 +16,6 @@ drive varied but realistic sessions from a seeded RNG.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Union
@@ -39,18 +38,6 @@ class Workload:
     def __post_init__(self) -> None:
         if self.vuln_kind not in ("bof", "fmt"):
             raise ValueError(f"bad vulnerability kind {self.vuln_kind!r}")
-
-    def fingerprint(self) -> str:
-        """Content address of this workload's program source.
-
-        Stable across processes and sessions; campaign shards and the
-        compile cache key off the source text this digest covers, so
-        two workloads with equal fingerprints compile identically.
-        """
-        digest = hashlib.sha256()
-        digest.update(f"{self.name}\n{self.vuln_kind}\n".encode("utf-8"))
-        digest.update(self.source.encode("utf-8"))
-        return digest.hexdigest()
 
 
 _REGISTRY: Dict[str, Workload] = {}

@@ -14,7 +14,9 @@ program at one opt level — the ten workloads on seeded inputs, plus two
 handwritten sources (a division by zero in the middle of a block, and
 recursion under a small call-depth limit) — and covers:
 
-* the full run, batched and with per-instruction delivery;
+* the full run, batched and with per-instruction delivery (selected by
+  attaching :class:`OneAtATime`, an observer with only
+  ``on_instruction``);
 * step limits that end mid-block (the Fibonacci numbers below the run's
   length, the length itself and one less);
 * ``LazyTamper`` step triggers spread over the run, each also under a
@@ -119,6 +121,14 @@ class StreamRecorder(ExecutionObserver):
         )
 
 
+class OneAtATime(ExecutionObserver):
+    """Defines only ``on_instruction``, so the bus delivers every
+    instruction as it commits (the recorder gets batches of one)."""
+
+    def on_instruction(self, instruction, touched) -> None:
+        pass
+
+
 def lazy_tamper(kind: str, value: int, seed: str, seen: list) -> LazyTamper:
     """A tampering that draws its word from the live stack and the
     globals, and logs a digest of the live slots it was offered."""
@@ -149,8 +159,7 @@ def run_record(
         step_limit=step_limit,
         call_depth_limit=call_depth_limit,
         tamper=tamper,
-        observers=[ipds, recorder],
-        batched_delivery=batched,
+        observers=[ipds, recorder] if batched else [ipds, recorder, OneAtATime()],
     ).run()
     site = result.tamper_site
     return {

@@ -8,7 +8,7 @@ catches the resulting infeasible path.
 """
 
 
-from repro import TamperSpec, compile_program, monitored_run, unmonitored_run
+from repro import TamperSpec, compile_program, monitored_run, observed_run
 from repro.interp import MemoryMap, STACK_BASE
 from repro.workloads import get_workload
 
@@ -23,7 +23,7 @@ def stack_address(program, fn_name, var_name):
 
 
 def attack(program, inputs, trigger, address, value):
-    clean = unmonitored_run(program, inputs=inputs)
+    clean = observed_run(program, inputs=inputs)
     tampered, ipds = monitored_run(
         program,
         inputs=inputs,

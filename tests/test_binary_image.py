@@ -12,7 +12,7 @@ from repro.correlation.binary_image import (
     pack_program,
 )
 from repro.correlation.encoding import table_sizes
-from repro.pipeline import compile_program
+from repro.pipeline import compile_program, observed_run
 from repro.runtime import IPDS
 from repro.workloads import all_workloads
 
@@ -121,15 +121,9 @@ def test_loaded_tables_drive_an_identical_ipds(packed):
     program, _, image = packed
     loaded, _ = load_program(image)
     inputs = [3, 2, 1, 7, 1, 4, 1, 12, 0]
-    from repro.interp import run_program
-
     original_ipds = IPDS(program.tables)
     loaded_ipds = IPDS(loaded)
-    run_program(
-        program.module,
-        inputs=inputs,
-        observers=[original_ipds, loaded_ipds],
-    )
+    observed_run(program, observers=[original_ipds, loaded_ipds], inputs=inputs)
     assert original_ipds.alarms == loaded_ipds.alarms
     assert original_ipds.stats.checks == loaded_ipds.stats.checks
     assert original_ipds.stats.actions_fired == loaded_ipds.stats.actions_fired

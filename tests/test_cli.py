@@ -172,16 +172,17 @@ def test_record_and_replay_clean(source_file, tmp_path, capsys):
 def test_replay_flags_tampered_trace(source_file, tmp_path, capsys):
     # Record a tampered run's events manually, then replay offline.
     from repro import TamperSpec, compile_program
-    from repro.interp import GLOBAL_BASE, run_program
+    from repro.interp import GLOBAL_BASE
+    from repro.pipeline import observed_run
     from repro.runtime.replay import TraceRecorder, dump_trace
 
     program = compile_program(FIGURE1)
     recorder = TraceRecorder()
-    run_program(
-        program.module,
+    observed_run(
+        program,
+        observers=[recorder],
         inputs=[5, 1],
         tamper=TamperSpec("read", 2, GLOBAL_BASE, 0),
-        observers=[recorder],
     )
     trace = tmp_path / "bad.jsonl"
     with open(trace, "w") as handle:
@@ -363,6 +364,24 @@ def test_audit_clean_file_exits_zero(source_file, capsys):
 
 def test_audit_missing_file_is_tool_error(capsys):
     assert main(["audit", "/nonexistent/prog.c"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_compile_finds_a_workload_by_name(capsys):
+    assert main(["compile", "telnetd"]) == 0
+    assert "tables for main" in capsys.readouterr().out
+
+
+def test_record_finds_a_workload_by_name(tmp_path, capsys):
+    trace = tmp_path / "t.jsonl"
+    assert main(["record", "telnetd", "--out", str(trace)]) == 0
+    assert "status : ok" in capsys.readouterr().out
+    assert trace.read_text().startswith('{"k": "call", "fn": "main"}')
+
+
+@pytest.mark.parametrize("verb", ["compile", "run"])
+def test_missing_program_file_is_tool_error(verb, capsys):
+    assert main([verb, "/nonexistent.c"]) == 2
     assert "error:" in capsys.readouterr().err
 
 
@@ -603,6 +622,39 @@ def test_attack_forensics_flag_and_report(source_file, tmp_path, capsys):
     assert "violated correlation" in out
     document = json.loads(report.read_text())
     assert document["explained"] == document["alarms"] >= 1
+
+
+def test_attack_forensics_explains_each_alarm_once(
+    source_file, tmp_path, monkeypatch, capsys
+):
+    """The CLI renders the explanations its session already made."""
+    import repro.forensics
+    from repro.interp import GLOBAL_BASE
+
+    calls = []
+    explain_ipds = repro.forensics.explain_ipds
+
+    def counting(ipds, *args, **kwargs):
+        calls.append(ipds)
+        return explain_ipds(ipds, *args, **kwargs)
+
+    monkeypatch.setattr(repro.forensics, "explain_ipds", counting)
+    report = tmp_path / "forensics.json"
+    rc = main(
+        [
+            "attack", source_file,
+            "--inputs", "5 1",
+            "--trigger", "2",
+            "--address", hex(GLOBAL_BASE),
+            "--value", "0",
+            "--forensics",
+            "--forensics-out", str(report),
+        ]
+    )
+    assert rc == 2
+    assert len(calls) == 1
+    assert "violated correlation" in capsys.readouterr().out
+    assert report.read_text().startswith("{")
 
 
 def test_run_forensics_clean_reports_no_alarms(source_file, capsys):

@@ -8,9 +8,9 @@ call-internal writes are attributed differently and skipped — the
 direct-store case is the one the store-correlation rule of Fig. 5
 consumes.)
 
-The property watches the execution from the observer bus: under
-per-instruction delivery an observer sees each instruction right after
-it commits, with the address it touched.
+The property watches the execution from the observer bus: its observer
+defines ``on_instruction`` and no batch hook, so it sees each
+instruction right after it commits, with the address it touched.
 """
 
 from typing import Dict, Optional, Tuple
@@ -90,7 +90,6 @@ def test_dynamic_writers_are_statically_reaching(source, inputs):
         inputs=inputs,
         step_limit=20_000,
         observers=[WriterWatch()],
-        batched_delivery=False,
     )
     result = interpreter.run()
     # A faulting division counts as a step but is never delivered.

@@ -15,10 +15,11 @@ programs:
 Together these are the dynamic counterpart of the zero-FP theorem: any
 bug in chain solving, outcome sets, or gap checking shows up here.
 
-Both watch the execution from the observer bus.  Under per-instruction
-delivery an observer sees each instruction right after it commits,
-with the address it touched, and each branch outcome as a
-:class:`BranchEvent` just before the branch itself.
+Both watch the execution from the observer bus.  Their observers
+define ``on_instruction`` and no batch hook, so the bus delivers each
+instruction right after it commits, with the address it touched, and
+each branch outcome as a :class:`BranchEvent` just before the branch
+itself.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -32,7 +33,7 @@ from repro.analysis import (
 from repro.interp import Interpreter, RunStatus
 from repro.ir import Load, lower_program
 from repro.lang import parse_program
-from repro.runtime import BranchEvent, ExecutionObserver
+from repro.runtime import ExecutionObserver
 from repro.staticcheck.irverify import verify_module
 
 from .test_zero_false_positives import INPUT_STREAMS, programs
@@ -105,7 +106,6 @@ def test_check_predicates_match_execution(source, inputs):
         inputs=inputs,
         step_limit=20_000,
         observers=[watch],
-        batched_delivery=False,
     )
     watch.memory = interpreter.memory
     result = interpreter.run()
@@ -125,31 +125,30 @@ def test_inference_ranges_hold_at_commit(source, inputs):
     facts = collect_facts(module)
     violations = []
 
-    def on_event(event):
-        if not isinstance(event, BranchEvent):
-            return
-        entry = facts.get(event.pc)
-        if entry is None:
-            return
-        branch_facts, _ = entry
-        frames = interpreter.live_activations()
-        frame_base = frames[-1][1] if frames else None
-        for inference in branch_facts.inferences:
-            implied = inference.implied_set(event.taken)
-            try:
-                address = interpreter.memory.address_of(
-                    inference.var, frame_base
-                )
-            except KeyError:
-                continue
-            value = interpreter.memory.read(address)
-            if not implied.contains_value(value):
-                violations.append(
-                    (event.pc, inference.var.name, value, str(implied))
-                )
+    class BranchWatch(ExecutionObserver):
+        def on_branch(self, event):
+            entry = facts.get(event.pc)
+            if entry is None:
+                return
+            branch_facts, _ = entry
+            frames = interpreter.live_activations()
+            frame_base = frames[-1][1] if frames else None
+            for inference in branch_facts.inferences:
+                implied = inference.implied_set(event.taken)
+                try:
+                    address = interpreter.memory.address_of(
+                        inference.var, frame_base
+                    )
+                except KeyError:
+                    continue
+                value = interpreter.memory.read(address)
+                if not implied.contains_value(value):
+                    violations.append(
+                        (event.pc, inference.var.name, value, str(implied))
+                    )
 
     interpreter = Interpreter(
-        module, inputs=inputs, step_limit=20_000, observers=[on_event]
+        module, inputs=inputs, step_limit=20_000, observers=[BranchWatch()]
     )
     interpreter.run()
     assert not violations, (source, violations)

@@ -7,7 +7,7 @@ false positives); detection implies a control-flow change.
 
 import pytest
 
-from repro import TamperSpec, compile_program, monitored_run, unmonitored_run
+from repro import TamperSpec, compile_program, monitored_run, observed_run
 from repro.interp import MemoryMap
 
 
@@ -142,7 +142,7 @@ def test_fig3a_tampering_y_between_checks_detected():
     program = compile_program(FIGURE_3A)
     address = global_address(program, "y")
     inputs = [20, 2, 1, 99, 1, 98, 0]
-    clean = unmonitored_run(program, inputs=inputs)
+    clean = observed_run(program, inputs=inputs)
     changed_count = detected_count = 0
     for step in range(10, min(clean.steps, 160), 5):
         tamper = TamperSpec("step", step, address, 50)
@@ -231,7 +231,7 @@ def test_detection_implies_control_flow_change():
     program = compile_program(FIGURE_1)
     address = global_address(program, "user")
     inputs = [5, 1]
-    clean = unmonitored_run(program, inputs=inputs)
+    clean = observed_run(program, inputs=inputs)
     for value in (-2, 0, 1, 5, 99):
         for trigger in (1, 2):
             tamper = TamperSpec("read", trigger, address, value)

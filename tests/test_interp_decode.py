@@ -15,7 +15,7 @@ import threading
 
 import pytest
 
-from repro.interp import Interpreter, InterpreterError, run_program
+from repro.interp import Interpreter, InterpreterError
 from repro.ir import (
     BasicBlock,
     CondBranch,
@@ -47,42 +47,45 @@ def _inputs(workload):
 def test_running_leaves_the_pickled_program_unchanged(workload):
     program = compile_program(workload.source, workload.name)
     before = pickle.dumps(program)
-    result = run_program(program.module, inputs=_inputs(workload))
+    result = Interpreter(program.module, inputs=_inputs(workload)).run()
     assert "_decoded" in program.module.__dict__
     assert pickle.dumps(program) == before
     loaded = pickle.loads(before)
     assert "_decoded" not in loaded.module.__dict__
-    assert run_program(loaded.module, inputs=_inputs(workload)) == result
+    assert Interpreter(loaded.module, inputs=_inputs(workload)).run() == result
 
 
 @pytest.mark.parametrize("workload", WORKLOADS, ids=lambda w: w.name)
 def test_refinalized_module_runs_like_a_fresh_compile(workload):
     module = lower_program(parse_program(workload.source, workload.name))
     inputs = _inputs(workload)
-    run_program(module, inputs=inputs)
+    Interpreter(module, inputs=inputs).run()
     optimize_module(module)  # rewrites the module in place, then finalizes
     assert "_decoded" not in module.__dict__
 
     fresh = lower_program(parse_program(workload.source, workload.name))
     optimize_module(fresh)
-    assert run_program(module, inputs=inputs) == run_program(fresh, inputs=inputs)
+    assert (
+        Interpreter(module, inputs=inputs).run()
+        == Interpreter(fresh, inputs=inputs).run()
+    )
 
 
 def test_copies_do_not_share_the_decoded_form():
     workload = WORKLOADS[0]
     program = compile_program(workload.source, workload.name)
-    result = run_program(program.module, inputs=_inputs(workload))
+    result = Interpreter(program.module, inputs=_inputs(workload)).run()
     clone = copy.deepcopy(program.module)
     assert "_decoded" not in clone.__dict__
-    assert run_program(clone, inputs=_inputs(workload)) == result
+    assert Interpreter(clone, inputs=_inputs(workload)).run() == result
 
 
 def test_threads_decoding_one_module_agree():
     workload = WORKLOADS[1]
     inputs = _inputs(workload)
-    reference = run_program(
+    reference = Interpreter(
         compile_program(workload.source, workload.name).module, inputs=inputs
-    )
+    ).run()
     module = compile_program(workload.source, workload.name).module
     results = [None] * 6
     interval = sys.getswitchinterval()
@@ -91,7 +94,7 @@ def test_threads_decoding_one_module_agree():
         threads = [
             threading.Thread(
                 target=lambda i=i: results.__setitem__(
-                    i, run_program(module, inputs=inputs)
+                    i, Interpreter(module, inputs=inputs).run()
                 )
             )
             for i in range(len(results))
@@ -133,8 +136,8 @@ def _diamond(define_on_both_arms: bool) -> IRModule:
 def test_decode_rejects_a_register_read_before_it_is_written():
     # The taken arm never runs, so t0 would be read unwritten.
     with pytest.raises(InterpreterError, match="t0 may be read before"):
-        run_program(_diamond(define_on_both_arms=False))
-    assert run_program(_diamond(define_on_both_arms=True)).ok
+        Interpreter(_diamond(define_on_both_arms=False)).run()
+    assert Interpreter(_diamond(define_on_both_arms=True)).run().ok
 
 
 def test_call_depth_limit_must_admit_the_entry_frame():

@@ -11,10 +11,10 @@ from repro.interp import (
     MemoryMap,
     RunStatus,
     TamperSpec,
-    run_program,
 )
 from repro.runtime import BranchEvent, CallEvent, ReturnEvent
 from repro.runtime.observer import ExecutionObserver
+from repro.runtime.replay import TraceRecorder
 
 
 def lower(source):
@@ -22,7 +22,7 @@ def lower(source):
 
 
 def run(source, inputs=(), entry="main", **kwargs):
-    return run_program(lower(source), inputs=inputs, entry=entry, **kwargs)
+    return Interpreter(lower(source), inputs=inputs, entry=entry, **kwargs).run()
 
 
 # ----------------------------------------------------------------------
@@ -214,10 +214,9 @@ def test_call_depth_limit():
 
 
 def collect_events(source, inputs=()):
-    events = []
-    module = lower(source)
-    run_program(module, inputs=inputs, observers=[events.append])
-    return events
+    recorder = TraceRecorder()
+    Interpreter(lower(source), inputs=inputs, observers=[recorder]).run()
+    return recorder.events
 
 
 def test_call_return_event_pairing():
@@ -279,11 +278,11 @@ def test_tamper_overwrites_global():
     mm = MemoryMap(module)
     (secret_var,) = [v for v in module.globals if v.name == "secret"]
     address = mm.global_addresses[secret_var]
-    result = run_program(
+    result = Interpreter(
         module,
         inputs=[1],
         tamper=TamperSpec("read", 1, address, 666),
-    )
+    ).run()
     assert result.tamper_fired
     assert result.outputs == [666]
 
@@ -296,9 +295,9 @@ def test_tamper_on_step_trigger():
     address = mm.global_addresses[g]
     # Trigger early enough to hit before the first load completes its
     # surrounding sequence; step 1 fires after the first instruction.
-    result = run_program(
+    result = Interpreter(
         module, tamper=TamperSpec("step", 1, address, -1)
-    )
+    ).run()
     assert result.tamper_fired
     assert result.outputs[-1] == -1
 
@@ -315,10 +314,10 @@ def test_tamper_changes_control_flow():
     mm = MemoryMap(module)
     (user,) = [v for v in module.globals if v.name == "user"]
     address = mm.global_addresses[user]
-    clean = run_program(module, inputs=[1])
-    attacked = run_program(
+    clean = Interpreter(module, inputs=[1]).run()
+    attacked = Interpreter(
         module, inputs=[1], tamper=TamperSpec("read", 1, address, 1)
-    )
+    ).run()
     assert clean.outputs == [1]
     assert attacked.outputs == [2]
     assert clean.branch_trace != attacked.branch_trace
@@ -337,9 +336,9 @@ def test_lazy_tamper_hook_sees_live_stack_slots():
         (param,) = [address for address, fn, var in live if var == "a"]
         return param, 10
 
-    result = run_program(
+    result = Interpreter(
         module, inputs=[4], tamper=LazyTamper("read", 1, choose)
-    )
+    ).run()
     assert len(seen) == 1
     names = {(fn, var) for _, fn, var in seen[0]}
     assert ("main", "x") in names
@@ -372,7 +371,9 @@ def test_lazy_step_trigger_fires_at_the_tamper_step():
     (g,) = [v for v in module.globals if v.name == "g"]
     address = MemoryMap(module).global_addresses[g]
     for step in (1, 5, 12, 20):
-        fixed = run_program(module, tamper=TamperSpec("step", step, address, 7))
+        fixed = Interpreter(
+            module, tamper=TamperSpec("step", step, address, 7)
+        ).run()
         counter = _InstructionCounter()
         fired_at = []
 
@@ -384,7 +385,6 @@ def test_lazy_step_trigger_fires_at_the_tamper_step():
             module,
             tamper=LazyTamper("step", step, choose),
             observers=[counter],
-            batched_delivery=False,
         ).run()
         # The hook runs once, right after the trigger step commits —
         # the moment the fixed tamper writes its word.

@@ -87,9 +87,9 @@ def test_long_operator_chain():
     source = "void main() { emit(" + " + ".join(["1"] * 300) + "); }"
     program = parse_program(source)
     module = lower_program(program)
-    from repro.interp import run_program
+    from repro.interp import Interpreter
 
-    assert run_program(module).outputs == [300]
+    assert Interpreter(module).run().outputs == [300]
 
 
 def test_block_comments_do_not_nest():
@@ -97,14 +97,14 @@ def test_block_comments_do_not_nest():
     # inner /* markers.
     source = "void main() { /* outer /* inner */ emit(1); }"
     module = lower_program(parse_program(source))
-    from repro.interp import run_program
+    from repro.interp import Interpreter
 
-    assert run_program(module).outputs == [1]
+    assert Interpreter(module).run().outputs == [1]
 
 
 def test_very_long_comment():
     source = "void main() { /* " + "x" * 10_000 + " */ emit(1); }"
     module = lower_program(parse_program(source))
-    from repro.interp import run_program
+    from repro.interp import Interpreter
 
-    assert run_program(module).outputs == [1]
+    assert Interpreter(module).run().outputs == [1]

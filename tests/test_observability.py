@@ -211,7 +211,8 @@ def test_write_manifest_jsonl_appends(tmp_path):
 
 def test_export_trace_round_trips_through_replay(tmp_path):
     from repro.pipeline import compile_program, observed_run
-    from repro.runtime.replay import TraceRecorder, load_trace, replay
+    from repro.runtime.ipds import IPDS
+    from repro.runtime.replay import TraceRecorder, load_trace
 
     source = """
     int g;
@@ -230,7 +231,7 @@ def test_export_trace_round_trips_through_replay(tmp_path):
     with open(path, "r", encoding="utf-8") as handle:
         events = list(load_trace(handle))
     assert events == recorder.events
-    assert replay(program.tables, events) == []
+    assert IPDS(program.tables).run(events) == []
 
     stream = io.StringIO()
     assert export_trace(recorder.events, stream) == count

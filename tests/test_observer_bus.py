@@ -18,18 +18,18 @@ from repro.correlation.tables import ProgramTables
 from repro.cpu.params import ProcessorParams
 from repro.cpu.pipeline import TimingModel
 from repro.cpu.simulator import TimingObserver, normalized_performance, timed_run
-from repro.interp.interpreter import Interpreter, RunStatus, run_program
+from repro.interp.interpreter import Interpreter, RunStatus
+from repro.ir import lower_program
+from repro.ir.instructions import Load
+from repro.lang import parse_program
 from repro.pipeline import compile_program, monitored_run, observed_run
 from repro.runtime.events import BranchEvent, CallEvent, ReturnEvent
 from repro.runtime.ipds import IPDS, IPDSError
-from repro.runtime.observer import (
-    CallbackObserver,
-    ExecutionObserver,
-    ObserverBus,
-    as_observer,
-)
-from repro.runtime.replay import TraceRecorder, dump_trace, replay
+from repro.runtime.observer import ExecutionObserver, ObserverBus
+from repro.runtime.replay import TraceRecorder, dump_trace
 from repro.workloads.registry import get_workload
+
+from .test_event_buffer_properties import OneAtATime
 
 FIGURE1 = """
 int user;
@@ -62,53 +62,136 @@ void main() {
 # ----------------------------------------------------------------------
 
 
-def test_as_observer_passthrough_wrap_and_reject():
-    ipds_like = ExecutionObserver()
-    assert as_observer(ipds_like) is ipds_like
-    wrapped = as_observer(lambda event: None)
-    assert isinstance(wrapped, CallbackObserver)
-    with pytest.raises(TypeError):
-        as_observer(42)
+class Spy(ExecutionObserver):
+    """Logs every control-flow event with the hook it came through."""
+
+    def __init__(self):
+        self.seen = []
+
+    def on_call(self, event):
+        self.seen.append((CallEvent, event))
+
+    def on_return(self, event):
+        self.seen.append((ReturnEvent, event))
+
+    def on_branch(self, event):
+        self.seen.append((BranchEvent, event))
+
+    @property
+    def events(self):
+        return [event for _, event in self.seen]
+
+
+class Batches(ExecutionObserver):
+    """Batch hook only: records each delivered batch's size."""
+
+    def __init__(self):
+        self.counts = []
+
+    def on_instruction_batch(self, instructions, touched, count):
+        self.counts.append(count)
+
+
+class BothHooks(Batches):
+    """Takes batches, and single instructions when delivery needs them."""
+
+    def __init__(self):
+        super().__init__()
+        self.singles = 0
+
+    def on_instruction(self, instruction, touched):
+        self.singles += 1
+
+
+def test_bus_rejects_non_observers():
+    for consumer in (42, lambda event: None, [].append):
+        with pytest.raises(TypeError, match="not an ExecutionObserver"):
+            ObserverBus([ExecutionObserver(), consumer])
+
+
+def test_hook_sets_are_computed_once_per_class():
+    assert ExecutionObserver._overrides == frozenset()
+    assert Spy._overrides == {"on_call", "on_return", "on_branch"}
+    assert Batches._overrides == {"on_instruction_batch"}
+    assert BothHooks._overrides == {"on_instruction", "on_instruction_batch"}
+    assert OneAtATime._overrides == {"on_instruction"}
+    assert TimingObserver._overrides == {
+        "on_call", "on_return", "on_branch", "on_instruction_batch",
+    }
 
 
 def test_bus_prefilters_instruction_subscribers():
-    control_flow_only = ExecutionObserver()
-    bus = ObserverBus([control_flow_only])
-    assert len(bus) == 1
-    assert not bus.wants_instructions
+    bus = ObserverBus([ExecutionObserver()])
+    sinks = (bus.call_sink, bus.return_sink, bus.branch_sink)
+    assert sinks == (None, None, None)
+    assert bus.batch_sink is None and bus.instruction_sink is None
 
-    instrs = []
-
-    class Instructions(ExecutionObserver):
-        def on_instruction(self, instruction, touched):
-            instrs.append(instruction)
-
-    bus = ObserverBus([control_flow_only, Instructions()])
-    assert bus.wants_instructions
-    bus.emit_instruction("fake-insn", None)
-    assert instrs == ["fake-insn"]
+    spy, batches = Spy(), Batches()
+    bus = ObserverBus([ExecutionObserver(), spy, batches])
+    # A lone subscriber's bound hook is the sink itself.
+    assert bus.branch_sink == spy.on_branch
+    assert bus.batch_sink == batches.on_instruction_batch
+    assert bus.instruction_sink is None
 
 
-def test_bus_dispatches_each_event_kind_to_the_right_hook():
-    class Spy(ExecutionObserver):
+def test_instruction_delivery_follows_the_subscribers_hooks():
+    """Batches while every instruction subscriber takes them; one
+    observer with only ``on_instruction`` switches the whole run to
+    one instruction at a time, and a batch-only subscriber then gets
+    batches of one."""
+    workload = get_workload("telnetd")
+    program = compile_program(workload.source, workload.name)
+    inputs = workload.make_inputs(random.Random("equiv:delivery"))
+
+    batches, both = Batches(), BothHooks()
+    result = observed_run(program, observers=[batches, both], inputs=inputs)
+    assert max(batches.counts) > 1
+    assert both.counts == batches.counts and both.singles == 0
+    assert sum(batches.counts) == result.steps
+
+    batches, both, single = Batches(), BothHooks(), OneAtATime()
+    observed_run(program, observers=[batches, both, single], inputs=inputs)
+    assert batches.counts == [1] * result.steps
+    assert both.counts == [] and both.singles == result.steps
+
+
+def test_one_at_a_time_observer_reads_memory_as_its_load_commits():
+    """An observer with only ``on_instruction`` sees each instruction
+    as it commits, so memory it reads at a load holds the loaded value,
+    not what a later store wrote."""
+    module = lower_program(
+        parse_program(
+            "int x; int y; void main() { x = read_int(); y = x; x = 5; }"
+        )
+    )
+    (x,) = [var for var in module.globals if var.name == "x"]
+
+    class LoadWatch(ExecutionObserver):
         def __init__(self):
             self.seen = []
 
-        def on_call(self, event):
-            self.seen.append(("call", event.function_name))
+        def on_instruction(self, instruction, touched):
+            if touched == address and isinstance(instruction, Load):
+                self.seen.append(interpreter.memory.read(touched))
 
-        def on_return(self, event):
-            self.seen.append(("ret", event.function_name))
+    watch = LoadWatch()
+    interpreter = Interpreter(module, inputs=[7], observers=[watch])
+    address = interpreter.memory.global_addresses[x]
+    assert interpreter.run().ok
+    assert watch.seen == [7]
+    assert interpreter.memory.read(address) == 5
 
-        def on_branch(self, event):
-            self.seen.append(("br", event.pc, event.taken))
 
+def test_bus_dispatches_each_event_kind_to_the_right_hook():
+    program = compile_program(WITH_HELPER, "helper.c")
     spy = Spy()
-    bus = ObserverBus([spy])
-    bus.emit(CallEvent(function_name="f"))
-    bus.emit(BranchEvent(function_name="f", pc=8, taken=True))
-    bus.emit(ReturnEvent(function_name="f"))
-    assert spy.seen == [("call", "f"), ("br", 8, True), ("ret", "f")]
+    observed_run(program, observers=[spy], inputs=[5, 9])
+    assert all(type(event) is kind for kind, event in spy.seen)
+    kinds = [kind for kind, _ in spy.seen]
+    assert kinds[0] is CallEvent and kinds[-1] is ReturnEvent
+    assert set(kinds) == {CallEvent, ReturnEvent, BranchEvent}
+    calls = [event.function_name for kind, event in spy.seen if kind is CallEvent]
+    assert calls == ["main", "helper"]
 
 
 def test_finish_reaches_every_observer_after_run():
@@ -156,8 +239,7 @@ def test_single_pass_capture_trace_matches_per_instruction_delivery():
     reference_result = Interpreter(
         program.module,
         inputs=inputs,
-        observers=[reference],
-        batched_delivery=False,
+        observers=[reference, OneAtATime()],
     ).run()
     _, reference_ipds = monitored_run(program, inputs=inputs)
 
@@ -168,10 +250,11 @@ def test_single_pass_capture_trace_matches_per_instruction_delivery():
     assert detected == reference_ipds.detected
 
 
-def test_observer_recorder_matches_bare_callable():
+def test_observer_recorder_matches_a_plain_spy():
     program = compile_program(FIGURE1, "fig1.c")
-    events = []
-    run_program(program.module, inputs=[5, 1], observers=[events.append])
+    spy = Spy()
+    observed_run(program, observers=[spy], inputs=[5, 1])
+    events = spy.events
 
     recorder = TraceRecorder()
     observed_run(program, observers=[recorder], inputs=[5, 1])
@@ -229,7 +312,7 @@ def test_tampered_single_pass_alarms_match_and_replay_offline():
     _, ref_ipds = monitored_run(program, inputs=[5, 1], tamper=tamper)
     assert [str(a) for a in ipds.alarms] == [str(a) for a in ref_ipds.alarms]
 
-    offline = replay(program.tables, recorder.events)
+    offline = IPDS(program.tables).run(recorder.events)
     assert [str(a) for a in offline] == [str(a) for a in ipds.alarms]
 
 
@@ -276,8 +359,8 @@ def test_replay_allow_unprotected():
     observed_run(program, observers=[recorder], inputs=[5, 9])
     partial = _drop_function(program.tables, "helper")
     with pytest.raises(IPDSError):
-        replay(partial, recorder.events)
-    assert replay(partial, recorder.events, allow_unprotected=True) == []
+        IPDS(partial).run(recorder.events)
+    assert IPDS(partial, allow_unprotected=True).run(recorder.events) == []
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from repro.lang import parse_program
 from repro.ir import BinOp, CondBranch, Load, lower_program
 from repro.opt import optimize_module
 from repro.pipeline import compile_program, monitored_run
-from repro.interp import run_program
+from repro.interp import Interpreter
 from repro.staticcheck.irverify import verify_module
 
 
@@ -53,7 +53,7 @@ def test_division_by_zero_not_folded_away():
     module, _ = optimized("void main() { int z = 0; emit(1 / z); }")
     insns = instructions_of(module)
     assert any(isinstance(i, BinOp) and i.op == "/" for i in insns)
-    result = run_program(module)
+    result = Interpreter(module).run()
     assert result.status.value == "div_by_zero"
 
 
@@ -108,7 +108,7 @@ def test_forwarding_killed_by_user_call():
     )
     loads = [i for i in instructions_of(module) if isinstance(i, Load)]
     assert any(l.var.name == "g" for l in loads)
-    result = run_program(module)
+    result = Interpreter(module).run()
     assert result.outputs == [9]
 
 
@@ -123,7 +123,7 @@ def test_forwarding_killed_by_indirect_store():
         }
         """
     )
-    result = run_program(module)
+    result = Interpreter(module).run()
     assert result.outputs == [2]
 
 
@@ -131,7 +131,7 @@ def test_forwarding_survives_builtin_call():
     module, _ = optimized(
         "int g; void main() { g = 3; emit(0); emit(g); }"
     )
-    result = run_program(module)
+    result = Interpreter(module).run()
     assert result.outputs == [0, 3]
     loads = [i for i in instructions_of(module) if isinstance(i, Load)]
     assert not any(l.var.name == "g" for l in loads)
@@ -160,7 +160,7 @@ def test_possibly_faulting_division_kept():
 
 def test_emit_never_removed():
     module, _ = optimized("void main() { emit(1); emit(2); }")
-    result = run_program(module)
+    result = Interpreter(module).run()
     assert result.outputs == [1, 2]
 
 
@@ -182,8 +182,8 @@ def test_optimization_preserves_semantics(source, inputs):
     opt = lower_program(parse_program(source))
     optimize_module(opt)
     verify_module(opt)
-    a = run_program(plain, inputs=inputs, step_limit=20_000)
-    b = run_program(opt, inputs=inputs, step_limit=20_000)
+    a = Interpreter(plain, inputs=inputs, step_limit=20_000).run()
+    b = Interpreter(opt, inputs=inputs, step_limit=20_000).run()
     if a.status.value == "step_limit" or b.status.value == "step_limit":
         return  # optimization legitimately changes step counts
     assert a.outputs == b.outputs, source

@@ -7,7 +7,7 @@ from repro import (
     RunStatus,
     compile_program,
     monitored_run,
-    unmonitored_run,
+    observed_run,
 )
 from repro.correlation.binary_image import load_program
 
@@ -41,7 +41,7 @@ def test_new_ipds_instances_are_independent():
 def test_monitored_and_unmonitored_agree():
     program = compile_program(SOURCE)
     inputs = [1, 1, 1, 1, 0]
-    bare = unmonitored_run(program, inputs=inputs)
+    bare = observed_run(program, inputs=inputs)
     observed, ipds = monitored_run(program, inputs=inputs)
     assert bare.outputs == observed.outputs == [1, 1, 1]
     assert not ipds.detected
@@ -56,7 +56,7 @@ def test_step_limit_threads_through():
 def test_entry_override():
     source = "void other() { emit(42); } void main() { emit(1); }"
     program = compile_program(source)
-    result = unmonitored_run(program, entry="other")
+    result = observed_run(program, entry="other")
     assert result.outputs == [42]
 
 
@@ -72,8 +72,8 @@ def test_opt_level_changes_module_but_not_behaviour():
     plain = compile_program(SOURCE)
     opt = compile_program(SOURCE, opt_level=1)
     inputs = [1, 1, 1, 0]
-    a = unmonitored_run(plain, inputs=inputs)
-    b = unmonitored_run(opt, inputs=inputs)
+    a = observed_run(plain, inputs=inputs)
+    b = observed_run(opt, inputs=inputs)
     assert a.outputs == b.outputs
     # Optimization removed at least one instruction on this shape.
     assert b.steps <= a.steps

@@ -4,8 +4,8 @@ import io
 
 import pytest
 
-from repro import TamperSpec, compile_program
-from repro.interp import MemoryMap, run_program
+from repro import IPDS, TamperSpec, compile_program, observed_run
+from repro.interp import MemoryMap
 from repro.runtime import BranchEvent, CallEvent, ReturnEvent
 from repro.runtime.replay import (
     TraceFormatError,
@@ -14,7 +14,6 @@ from repro.runtime.replay import (
     event_from_json,
     event_to_json,
     load_trace,
-    replay,
 )
 
 SOURCE = """
@@ -35,12 +34,7 @@ def program():
 
 def record(program, inputs, tamper=None):
     recorder = TraceRecorder()
-    run_program(
-        program.module,
-        inputs=inputs,
-        tamper=tamper,
-        observers=[recorder],
-    )
+    observed_run(program, observers=[recorder], inputs=inputs, tamper=tamper)
     return recorder.events
 
 
@@ -88,14 +82,14 @@ def test_offline_replay_matches_online(program):
     buffer = io.StringIO()
     dump_trace(events, buffer)
     buffer.seek(0)
-    alarms = replay(program.tables, load_trace(buffer))
+    alarms = IPDS(program.tables).run(load_trace(buffer))
     assert len(alarms) == 1
     assert alarms[0].function_name == "main"
 
 
 def test_clean_replay_is_silent(program):
     events = record(program, inputs=[5, 1])
-    assert replay(program.tables, events) == []
+    assert IPDS(program.tables).run(events) == []
 
 
 def test_replay_halt_on_alarm(program):
@@ -105,5 +99,5 @@ def test_replay_halt_on_alarm(program):
     events = record(
         program, inputs=[0, 1], tamper=TamperSpec("read", 2, address, 9)
     )
-    alarms = replay(program.tables, events, halt_on_alarm=True)
+    alarms = IPDS(program.tables, halt_on_alarm=True).run(events)
     assert len(alarms) == 1

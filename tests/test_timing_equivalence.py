@@ -10,9 +10,10 @@ performance refactor changed reported numbers, which is exactly the
 bug class this harness exists to catch; never "fix" it by
 regenerating the goldens.
 
-The second half is an in-process differential: ``batched_delivery=False``
-forces the reference per-instruction path, and both deliveries must
-produce identical cycle accounting from the same execution.
+The second half is an in-process differential: an attached observer
+that defines only ``on_instruction`` (:class:`OneAtATime`) selects the
+reference per-instruction delivery, and both deliveries must produce
+identical cycle accounting from the same execution.
 """
 
 import json
@@ -24,6 +25,8 @@ from repro.attacks.campaign import run_attack
 from repro.cpu.simulator import normalized_performance
 from repro.pipeline import compile_program
 from repro.workloads import all_workloads
+
+from .test_event_buffer_properties import OneAtATime
 
 GOLDEN_PATH = Path(__file__).resolve().parent / "golden" / "timing_equivalence.json"
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -115,7 +118,7 @@ def test_unbatched_reference_matches_golden(name, opt):
         _program(name, opt),
         _timing_inputs(name),
         name,
-        batched_delivery=False,
+        observers=[OneAtATime()],
     )
     assert _timing_dict(comparison) == golden
 
@@ -153,3 +156,23 @@ def test_segment_mode_is_deterministic():
             program, inputs, name, timing_mode="segment"
         )
         assert _timing_dict(first) == _timing_dict(second)
+
+
+def test_segment_mode_applies_to_one_instruction_at_a_time():
+    """Delivered one instruction at a time, the timing model still
+    memoizes — each instruction is a segment of one — so segment mode
+    gives cycle counts of its own, unlike both exact mode and batched
+    segment mode, and two fresh runs agree exactly."""
+    program = _program("telnetd", 1)
+    inputs = _timing_inputs("telnetd")
+
+    def cycles(mode, observers):
+        comparison = normalized_performance(
+            program, inputs, "telnetd", timing_mode=mode, observers=observers
+        )
+        return comparison.baseline_cycles, comparison.ipds_cycles
+
+    segment = cycles("segment", [OneAtATime()])
+    assert segment == cycles("segment", [OneAtATime()])
+    for other in (cycles("exact", [OneAtATime()]), cycles("segment", [])):
+        assert segment[0] != other[0] and segment[1] != other[1]

@@ -9,9 +9,10 @@ takes the IPDS hardware's stalls.  So each lane must report exactly what
 a separate :func:`timed_run` of its configuration reports.
 
 Checked on random programs and on every workload at opt 0 and 3, in
-exact and segment mode, under batched and per-instruction delivery, and
-with an IPDS configuration small enough that queue stalls, stack spills
-and context switches all happen.
+exact and segment mode, under batched and per-instruction delivery (an
+attached :class:`OneAtATime` selects the latter), and with an IPDS
+configuration small enough that queue stalls, stack spills and context
+switches all happen.
 """
 
 import random
@@ -25,6 +26,7 @@ from repro.cpu.simulator import normalized_performance, timed_run
 from repro.pipeline import compile_program, compile_program_cached
 from repro.workloads import all_workloads
 
+from .test_event_buffer_properties import OneAtATime
 from .test_zero_false_positives import INPUT_STREAMS, programs
 
 #: A 2-entry request queue, stack buffers of a few words and a short
@@ -51,7 +53,7 @@ def _assert_lanes_match_runs(program, inputs, mode, batched, hardware):
     options = dict(
         ipds_params=HARDWARE[hardware],
         timing_mode=mode,
-        batched_delivery=batched,
+        observers=[] if batched else [OneAtATime()],
         step_limit=20_000,
     )
     both = normalized_performance(program, inputs, **options)

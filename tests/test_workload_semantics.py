@@ -6,14 +6,14 @@ mini-C sources cannot silently change the experiments' subject matter.
 """
 
 
-from repro.pipeline import compile_program, unmonitored_run
+from repro.pipeline import compile_program, observed_run
 from repro.workloads import get_workload
 
 
 def run(name, inputs):
     workload = get_workload(name)
     program = compile_program(workload.source, name)
-    result = unmonitored_run(program, inputs=inputs)
+    result = observed_run(program, inputs=inputs)
     assert result.ok, result.status
     return result.outputs
 

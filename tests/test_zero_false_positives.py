@@ -12,7 +12,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import TamperSpec, compile_program, monitored_run, unmonitored_run
+from repro import TamperSpec, compile_program, monitored_run, observed_run
 from repro.interp import GLOBAL_BASE, STACK_BASE
 
 # ----------------------------------------------------------------------
@@ -186,7 +186,7 @@ def test_clean_runs_never_alarm(source, inputs):
 )
 def test_alarm_implies_control_flow_change(source, inputs, seed):
     program = compile_program(source, "random.c")
-    clean = unmonitored_run(program, inputs=inputs, step_limit=20_000)
+    clean = observed_run(program, inputs=inputs, step_limit=20_000)
     rng = random.Random(seed)
     address = rng.choice(
         [GLOBAL_BASE + rng.randrange(0, 8), STACK_BASE + rng.randrange(0, 12)]
@@ -221,7 +221,7 @@ def test_alarm_implies_control_flow_change(source, inputs, seed):
 @given(source=programs(), inputs=INPUT_STREAMS)
 def test_monitoring_does_not_perturb_execution(source, inputs):
     program = compile_program(source, "random.c")
-    bare = unmonitored_run(program, inputs=inputs, step_limit=20_000)
+    bare = observed_run(program, inputs=inputs, step_limit=20_000)
     observed, _ = monitored_run(program, inputs=inputs, step_limit=20_000)
     assert bare.outputs == observed.outputs
     assert bare.branch_trace == observed.branch_trace

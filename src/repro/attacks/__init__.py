@@ -9,6 +9,7 @@ from .campaign import (
     WorkloadResult,
     attack_rng,
     attack_seed,
+    clean_run,
     run_attack,
     run_workload_campaign,
 )
@@ -22,6 +23,7 @@ __all__ = [
     "WorkloadResult",
     "attack_rng",
     "attack_seed",
+    "clean_run",
     "run_attack",
     "run_workload_campaign",
 ]

@@ -19,6 +19,7 @@ Attack recipe (two deterministic runs per attack):
 
 Zero false positives is *asserted*, not just measured: the clean run is
 also monitored, and any alarm there fails the campaign loudly.
+:func:`clean_run` is that check, the one definition of a clean run.
 
 :func:`execute_attack` is the one implementation of the recipe.  A
 seeded campaign attack (:func:`run_attack_detailed`) only derives its
@@ -40,6 +41,7 @@ from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
 from ..pipeline import ProtectedProgram, monitored_run
 from ..runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
+from ..runtime.ipds import IPDS
 from ..workloads.registry import Workload
 
 #: Values an attacker plausibly writes: flag flips, sign flips, and the
@@ -106,6 +108,36 @@ class CampaignConfig:
 
 
 DEFAULT_CONFIG = CampaignConfig()
+
+
+def clean_run(
+    program: ProtectedProgram,
+    inputs: Sequence[int],
+    *,
+    entry: str = "main",
+    step_limit: int = DEFAULT_CONFIG.step_limit,
+    observers: Sequence[object] = (),
+) -> Tuple[RunResult, IPDS]:
+    """A monitored run that must not alarm — the one definition of
+    "clean".  An alarm raises :class:`CampaignError`, so the paper's
+    zero-false-positive claim is checked, not assumed, wherever a run
+    is supposed to be clean: the attack recipe's reference run and the
+    n-gram comparison's training and test sessions.  ``observers`` ride
+    the run behind the IPDS.
+    """
+    result, ipds = monitored_run(
+        program,
+        inputs=inputs,
+        entry=entry,
+        step_limit=step_limit,
+        observers=observers,
+    )
+    if ipds.detected:
+        raise CampaignError(
+            f"false positive on clean run of {program.source_name}: "
+            f"{ipds.alarms[0]}"
+        )
+    return result, ipds
 
 
 @dataclass(frozen=True)
@@ -359,18 +391,13 @@ def execute_attack(
     """
     # 1. Clean monitored run: reference trace + zero-FP assertion.
     hooks = (progress,) if progress is not None else ()
-    clean, clean_ipds = monitored_run(
+    clean, clean_ipds = clean_run(
         program,
-        inputs=inputs,
+        inputs,
         entry=entry,
         step_limit=config.step_limit,
         observers=hooks,
     )
-    if clean_ipds.detected:
-        raise CampaignError(
-            f"false positive on clean run of {program.source_name}: "
-            f"{clean_ipds.alarms[0]}"
-        )
     if not isinstance(tamper, TamperSpec):
         tamper = tamper(clean)
 

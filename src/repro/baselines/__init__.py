@@ -3,7 +3,6 @@
 from .compare import (
     ComparisonResult,
     SyscallTraceObserver,
-    capture_trace,
     compare_detectors,
 )
 from .ngram import NGramDetector, PAD
@@ -13,6 +12,5 @@ __all__ = [
     "NGramDetector",
     "PAD",
     "SyscallTraceObserver",
-    "capture_trace",
     "compare_detectors",
 ]

@@ -4,8 +4,9 @@ For one workload:
 
 1. train the n-gram detector on ``train_sessions`` clean sessions;
 2. measure its **false-positive rate** on fresh clean sessions (IPDS
-   is zero-FP by construction, so any baseline FP is the contrast the
-   paper draws);
+   is zero-FP by construction, and every session of both sets is a
+   monitored :func:`~repro.attacks.campaign.clean_run` that raises on
+   an alarm, so any baseline FP is the contrast the paper draws);
 3. run seeded attacks through the Figure 7 recipe itself
    (:func:`~repro.attacks.campaign.run_attack_detailed`, seed prefix
    ``"cmp:"``) with the syscall capture riding the attack run, and
@@ -14,14 +15,17 @@ For one workload:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-from ..attacks.campaign import CampaignConfig, CampaignError, run_attack_detailed
-from ..interp.interpreter import Tamper
+from ..attacks.campaign import (
+    CampaignConfig,
+    attack_rng,
+    clean_run,
+    run_attack_detailed,
+)
 from ..ir.instructions import Call, Instruction
-from ..pipeline import ProtectedProgram, compile_program, observed_run
+from ..pipeline import ProtectedProgram, compile_program
 from ..runtime.observer import ExecutionObserver
 from ..workloads.registry import Workload
 
@@ -52,29 +56,6 @@ class SyscallTraceObserver(ExecutionObserver):
             instruction = instructions[index]
             if instruction.__class__ is Call:
                 append(f"{instruction.callee}@{instruction.address:x}")
-
-
-def capture_trace(
-    program: ProtectedProgram,
-    inputs: Sequence[int],
-    tamper: Optional[Tamper] = None,
-    step_limit: int = 500_000,
-) -> Tuple[List[str], List[Tuple[int, bool]], bool]:
-    """Run once; returns (syscall trace, branch trace, ipds detected).
-
-    Single-pass: the IPDS checker and the n-gram syscall capture are
-    two observers of the same execution.
-    """
-    syscalls = SyscallTraceObserver()
-    ipds = program.new_ipds()
-    result = observed_run(
-        program,
-        observers=[ipds, syscalls],
-        inputs=inputs,
-        tamper=tamper,
-        step_limit=step_limit,
-    )
-    return syscalls.symbols, result.branch_trace, ipds.detected
 
 
 @dataclass
@@ -117,8 +98,10 @@ def compare_detectors(
 ) -> ComparisonResult:
     """Run the full head-to-head for one workload.
 
-    Raises :class:`~repro.attacks.campaign.CampaignError` if the IPDS
-    alarms on a clean test session or on an attack's clean run — the
+    Every training and test session is a
+    :func:`~repro.attacks.campaign.clean_run` with the syscall capture
+    riding it, so an IPDS alarm on any of them, or on an attack's clean
+    run, raises :class:`~repro.attacks.campaign.CampaignError` — the
     zero-false-positive guarantee is checked, not assumed.
     """
     from .ngram import NGramDetector
@@ -127,25 +110,18 @@ def compare_detectors(
         program = compile_program(workload.source, workload.name)
     detector = NGramDetector(n=n)
 
-    for index in range(train_sessions):
-        rng = random.Random(f"train:{workload.name}:{index}")
-        trace, _, _ = capture_trace(
-            program, workload.make_inputs(rng), step_limit=step_limit
-        )
-        detector.train(trace)
+    def session_trace(prefix: str, index: int) -> List[str]:
+        syscalls = SyscallTraceObserver()
+        inputs = workload.make_inputs(attack_rng(prefix, workload.name, index))
+        clean_run(program, inputs, step_limit=step_limit, observers=(syscalls,))
+        return syscalls.symbols
 
-    false_positives = 0
-    for index in range(test_sessions):
-        rng = random.Random(f"test:{workload.name}:{index}")
-        trace, _, ipds_detected = capture_trace(
-            program, workload.make_inputs(rng), step_limit=step_limit
-        )
-        if ipds_detected:
-            raise CampaignError(
-                f"false positive on clean session {index} of {workload.name}"
-            )
-        if detector.detects(trace):
-            false_positives += 1
+    for index in range(train_sessions):
+        detector.train(session_trace("train:", index))
+    false_positives = sum(
+        detector.detects(session_trace("test:", index))
+        for index in range(test_sessions)
+    )
 
     changed = ipds_hits = ngram_hits = 0
     config = CampaignConfig(step_limit=step_limit)

@@ -62,6 +62,7 @@ trace-event JSON, loadable in Perfetto).  ``run`` and ``replay`` accept
 from __future__ import annotations
 
 import argparse
+import io
 import random
 import sys
 from typing import List, Optional, Sequence
@@ -77,7 +78,6 @@ from .observability import (
     MetricsRegistry,
     RunManifest,
     Tracer,
-    export_trace,
     write_manifest,
     write_prometheus,
     write_spans,
@@ -90,7 +90,7 @@ from .pipeline import (
     resolve_target,
 )
 from .runtime.flight_recorder import DEFAULT_DEPTH
-from .runtime.replay import TraceRecorder
+from .runtime.replay import TraceRecorder, dump_trace, load_trace, read_trace
 from .workloads.registry import get_workload, workload_names
 
 
@@ -217,7 +217,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"outputs: {result.outputs}")
     print(f"steps  : {result.steps}")
     if args.trace_out:
-        count = export_trace(session.trace_events, args.trace_out)
+        with open(args.trace_out, "w", encoding="utf-8") as handle:
+            count = dump_trace(session.trace_events, handle)
         print(f"trace  : {count} events -> {args.trace_out}")
     _emit_telemetry(
         args,
@@ -276,7 +277,8 @@ def cmd_attack(args: argparse.Namespace) -> int:
     print(f"control flow changed: {outcome.control_flow_changed}")
     print(f"outputs             : {attack.clean.outputs} -> {attack.attacked.outputs}")
     if args.trace_out:
-        count = export_trace(session.trace_events, args.trace_out)
+        with open(args.trace_out, "w", encoding="utf-8") as handle:
+            count = dump_trace(session.trace_events, handle)
         print(f"trace               : {count} events -> {args.trace_out}")
     _emit_telemetry(
         args,
@@ -479,8 +481,6 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
 
 
 def cmd_record(args: argparse.Namespace) -> int:
-    from .runtime.replay import dump_trace
-
     source, name = resolve_target(args.file)
     program = compile_program(source, name, args.opt)
     recorder = TraceRecorder()
@@ -497,14 +497,12 @@ def cmd_record(args: argparse.Namespace) -> int:
 def cmd_replay(args: argparse.Namespace) -> int:
     from .service.engine import SessionSpec
 
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        trace_text = handle.read()
     spec = SessionSpec(
         mode="replay",
         workload=args.file,
         opt_level=args.opt,
         allow_unprotected=args.allow_unprotected,
-        trace_text=trace_text,
+        trace_text=read_trace(args.trace),
     )
     session = _run_session(spec)
     if session.alarms:
@@ -551,7 +549,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """
     from .correlation.binary_image import load_program
     from .forensics import explain_trace, render_reports_text, reports_to_json
-    from .runtime.replay import load_trace
     from .staticcheck import sarif_report, write_output
 
     metrics = MetricsRegistry()
@@ -563,8 +560,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     with tracer.span("compile"):
         program = compile_program(source, name, args.opt)
     tables, _ = load_program(program.to_image())
-    with open(args.trace, "r", encoding="utf-8") as handle:
-        events = list(load_trace(handle))
+    events = list(load_trace(io.StringIO(read_trace(args.trace))))
     with tracer.span("replay"):
         _, reports = explain_trace(
             tables,
@@ -756,7 +752,8 @@ def cmd_timing(args: argparse.Namespace) -> int:
           f"({comp.degradation_pct:.3f}% degradation)")
     print(f"  check latency   : {comp.avg_check_latency:.1f} cycles")
     if recorder is not None:
-        count = export_trace(recorder.events, args.trace_out)
+        with open(args.trace_out, "w", encoding="utf-8") as handle:
+            count = dump_trace(recorder.events, handle)
         print(f"  trace           : {count} events -> {args.trace_out}")
     _emit_telemetry(
         args,

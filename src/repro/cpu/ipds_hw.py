@@ -157,8 +157,9 @@ class IPDSHardwareModel:
 
     # -- event interface ------------------------------------------------------
 
-    def on_call(self, function_name: str, cycle: int) -> int:
-        """Push a frame; returns the commit stall (usually 0)."""
+    def on_call(self, function_name: str, cycle: int) -> None:
+        """Push a frame, spilling the deepest frames that no longer fit
+        (the spill occupies the engine, not the commit stage)."""
         bsv, bcv, bat = self._sizes.get(function_name, (0, 0, 0))
         frame = _Frame(bsv, bcv, bat)
         self._stack.append(frame)
@@ -186,12 +187,11 @@ class IPDSHardwareModel:
             self.stats.spill_events += 1
             self.stats.spill_cycles += cost
             self._engine_work(cycle, cost)
-        return 0
 
-    def on_return(self, cycle: int) -> int:
+    def on_return(self, cycle: int) -> None:
         """Pop a frame; fill the caller's frame if it was spilled."""
         if not self._stack:
-            return 0
+            return
         frame = self._stack.pop()
         if not frame.spilled:
             self._onchip[0] -= frame.bsv_bits
@@ -207,7 +207,6 @@ class IPDSHardwareModel:
             self.stats.spill_events += 1
             self.stats.spill_cycles += cost
             self._engine_work(cycle, cost)
-        return 0
 
     def _branch_cost(self, function_name: str, pc: int, taken: bool) -> tuple:
         """``(checked, occupancy, latency)`` of one branch request, or

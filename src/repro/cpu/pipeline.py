@@ -75,11 +75,6 @@ from .ipds_hw import IPDSHardwareModel
 from .params import ProcessorParams
 from .predictor import TwoLevelPredictor
 
-#: Segment mode: memoize batches at least this long.  With a branchy
-#: consumer mix the interpreter flushes at every control-flow event, so
-#: most batches are short — memoizing them all is what makes the mode
-#: pay off; accuracy is pinned by the tolerance matrix.
-SEGMENT_MIN_LENGTH = 1
 #: Segment mode: exact visits ignored before sampling starts.  Min
 #: aggregation already filters cold-cache samples, so one warmup visit
 #: (skipping the compulsory-miss pass) is enough; fewer exact visits
@@ -359,7 +354,7 @@ class TimingModel:
         segments are the batches as delivered, so one-at-a-time
         delivery memoizes single instructions.
         """
-        if self.mode != "segment" or count < SEGMENT_MIN_LENGTH:
+        if self.mode != "segment":
             self._account(instructions, touched, count)
             return
         key = (id(instructions[0]), count)

@@ -23,6 +23,10 @@ Grammar (EBNF, informal)::
 
 Comparison is non-associative (``a < b < c`` is rejected), matching how
 the IPDS analysis consumes single relational branch conditions.
+
+Nesting is bounded by :data:`MAX_NESTING`: source nested deeper is a
+:class:`ParseError` at the token that opens the extra level, not a
+``RecursionError``.
 """
 
 from __future__ import annotations
@@ -70,6 +74,15 @@ _CMP_OPS = {
 _ADD_OPS = {TokenType.PLUS: "+", TokenType.MINUS: "-"}
 _MUL_OPS = {TokenType.STAR: "*", TokenType.SLASH: "/", TokenType.PERCENT: "%"}
 
+#: The deepest nesting a program may have.  A block (a function body, a
+#: braced block, or the unbraced body of an ``if``/``else``/``while``/
+#: ``for``), a parenthesised expression, a unary operator, an index and
+#: a call's argument list each open one level inside the ones around
+#: it.  At this depth the parser and the recursive passes after it
+#: (lowering, analyses, static checks) stay inside Python's default
+#: recursion limit.
+MAX_NESTING = 100
+
 
 class Parser:
     """Parses a token stream into a :class:`Program`."""
@@ -77,6 +90,7 @@ class Parser:
     def __init__(self, tokens: List[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -97,6 +111,15 @@ class Parser:
         if self._check(token_type):
             return self._advance()
         return None
+
+    def _enter(self, token: Token) -> None:
+        """Open one nesting level at ``token``; the production that
+        calls this closes it with ``self._depth -= 1``."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", token.location
+            )
 
     def _expect(self, token_type: TokenType, what: str) -> Token:
         if self._check(token_type):
@@ -181,12 +204,14 @@ class Parser:
 
     def _parse_block(self) -> Block:
         open_brace = self._expect(TokenType.LBRACE, "'{'")
+        self._enter(open_brace)
         statements: List[Stmt] = []
         while not self._check(TokenType.RBRACE):
             if self._check(TokenType.EOF):
                 raise ParseError("unterminated block", open_brace.location)
             statements.append(self._parse_statement())
         self._expect(TokenType.RBRACE, "'}'")
+        self._depth -= 1
         return Block(open_brace.location, statements)
 
     def _parse_statement(self) -> Stmt:
@@ -280,9 +305,11 @@ class Parser:
 
     def _parse_statement_as_block(self) -> Block:
         """Wrap a single statement in a block so bodies are uniform."""
+        if self._check(TokenType.LBRACE):
+            return self._parse_block()
+        self._enter(self._peek())
         stmt = self._parse_statement()
-        if isinstance(stmt, Block):
-            return stmt
+        self._depth -= 1
         return Block(stmt.location, [stmt])
 
     def _parse_simple_statement(self) -> Stmt:
@@ -354,31 +381,30 @@ class Parser:
 
     def _parse_unary(self) -> Expr:
         token = self._peek()
-        if token.type is TokenType.MINUS:
-            self._advance()
-            return UnaryOp(token.location, "-", self._parse_unary())
-        if token.type is TokenType.BANG:
-            self._advance()
-            return UnaryOp(token.location, "!", self._parse_unary())
-        if token.type is TokenType.STAR:
-            self._advance()
-            return UnaryOp(token.location, "*", self._parse_unary())
-        if token.type is TokenType.AMP:
-            self._advance()
-            operand = self._parse_unary()
-            if not isinstance(operand, (VarRef, IndexExpr)):
-                raise ParseError(
-                    "'&' needs a variable or array element", token.location
-                )
-            return UnaryOp(token.location, "&", operand)
-        return self._parse_postfix()
+        kind = token.type
+        if (
+            kind is not TokenType.MINUS
+            and kind is not TokenType.BANG
+            and kind is not TokenType.STAR
+            and kind is not TokenType.AMP
+        ):
+            return self._parse_postfix()
+        self._advance()
+        self._enter(token)
+        operand = self._parse_unary()
+        self._depth -= 1
+        if kind is TokenType.AMP and not isinstance(operand, (VarRef, IndexExpr)):
+            raise ParseError("'&' needs a variable or array element", token.location)
+        return UnaryOp(token.location, token.text, operand)
 
     def _parse_postfix(self) -> Expr:
         expr = self._parse_primary()
         while self._check(TokenType.LBRACKET):
             bracket = self._advance()
+            self._enter(bracket)
             index = self._parse_expr()
             self._expect(TokenType.RBRACKET, "']'")
+            self._depth -= 1
             expr = IndexExpr(bracket.location, expr, index)
         return expr
 
@@ -389,19 +415,24 @@ class Parser:
             return IntLiteral(token.location, token.int_value)
         if token.type is TokenType.IDENT:
             self._advance()
-            if self._match(TokenType.LPAREN):
+            paren = self._match(TokenType.LPAREN)
+            if paren is not None:
+                self._enter(paren)
                 args: List[Expr] = []
                 if not self._check(TokenType.RPAREN):
                     args.append(self._parse_expr())
                     while self._match(TokenType.COMMA):
                         args.append(self._parse_expr())
                 self._expect(TokenType.RPAREN, "')'")
+                self._depth -= 1
                 return CallExpr(token.location, token.text, args)
             return VarRef(token.location, token.text)
         if token.type is TokenType.LPAREN:
             self._advance()
+            self._enter(token)
             expr = self._parse_expr()
             self._expect(TokenType.RPAREN, "')'")
+            self._depth -= 1
             return expr
         raise ParseError(
             f"expected expression, found {token.type.name}({token.text!r})",

@@ -31,7 +31,6 @@ from .prometheus import (
 )
 from .telemetry import (
     JsonlWriter,
-    export_trace,
     write_manifest,
 )
 from .tracing import (
@@ -60,7 +59,6 @@ __all__ = [
     "chrome_trace",
     "compare_dirs",
     "exponential_bounds",
-    "export_trace",
     "maybe_span",
     "render_prometheus",
     "render_table",

@@ -1,4 +1,4 @@
-"""JSONL telemetry and trace export.
+"""JSONL telemetry and run manifests.
 
 Output conventions:
 
@@ -15,7 +15,7 @@ differ only in framing.
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, Union
+from typing import Any, Dict, Iterable, Union
 
 from .manifest import RunManifest
 
@@ -64,17 +64,3 @@ def write_manifest(
             handle.write("\n")
     return payload
 
-
-def export_trace(events: Iterable[Any], path_or_stream: Union[str, IO[str]]) -> int:
-    """Write a committed control-flow event trace as JSONL.
-
-    Accepts a path or an open text stream; uses the same format as
-    :mod:`repro.runtime.replay`, so exported traces feed straight into
-    ``repro.cli replay``.  Returns the event count.
-    """
-    from ..runtime.replay import dump_trace
-
-    if isinstance(path_or_stream, str):
-        with open(path_or_stream, "w", encoding="utf-8") as handle:
-            return dump_trace(events, handle)
-    return dump_trace(events, path_or_stream)

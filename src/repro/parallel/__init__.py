@@ -2,8 +2,8 @@
 
 Public surface:
 
-* :func:`run_campaign` / :func:`run_clean_sweep` — deterministic
-  sharded campaigns (same merged outcomes at any ``jobs``);
+* :func:`run_campaign` — deterministic sharded campaigns (same merged
+  outcomes at any ``jobs``);
 * :func:`cached_compile` and friends — the content-addressed compile
   cache every campaign shard goes through.
 """
@@ -19,19 +19,15 @@ from .cache import (
 )
 from .engine import (
     MAX_JOBS,
-    CleanTask,
     ShardResult,
     ShardTask,
-    merge_outcomes,
     run_campaign,
-    run_clean_sweep,
     shard_indices,
 )
 
 __all__ = [
     "CACHE_ENV",
     "CacheStats",
-    "CleanTask",
     "MAX_JOBS",
     "ShardResult",
     "ShardTask",
@@ -39,9 +35,7 @@ __all__ = [
     "cached_compile",
     "compile_cache_stats",
     "compile_fingerprint",
-    "merge_outcomes",
     "reset_compile_cache",
     "run_campaign",
-    "run_clean_sweep",
     "shard_indices",
 ]

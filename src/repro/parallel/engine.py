@@ -28,7 +28,6 @@ the remaining shards.
 
 from __future__ import annotations
 
-import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
@@ -44,7 +43,7 @@ from ..attacks.campaign import (
 )
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import TraceContext, Tracer, maybe_span
-from ..pipeline import ProtectedProgram, monitored_run
+from ..pipeline import ProtectedProgram
 from ..workloads.registry import Workload, get_workload, resolve_workloads
 from .cache import cached_compile
 
@@ -86,17 +85,6 @@ class ShardResult:
     #: campaign root via the task's ``trace_context``; the parent tracer
     #: adopts them at the merge point.
     spans: List[Dict[str, Any]] = field(default_factory=list)
-
-
-@dataclass(frozen=True)
-class CleanTask:
-    """One worker's slice of a clean-run sweep (picklable)."""
-
-    workload: str
-    sessions: Tuple[int, ...]
-    seed_prefix: str
-    step_limit: int
-    opt_level: int
 
 
 def shard_indices(count: int, shards: int) -> List[Tuple[int, ...]]:
@@ -178,59 +166,17 @@ def _run_shard(
     )
 
 
-def _run_clean_shard(task: CleanTask) -> List[str]:
-    """Worker entry point: monitored clean sessions; returns alarms."""
-    workload = get_workload(task.workload)
-    program = cached_compile(workload.source, workload.name, task.opt_level)
-    alarms: List[str] = []
-    for session in task.sessions:
-        rng = random.Random(f"{task.seed_prefix}{workload.name}:{session}")
-        inputs = workload.make_inputs(rng)
-        _, ipds = monitored_run(
-            program, inputs=inputs, step_limit=task.step_limit
-        )
-        if ipds.detected:
-            alarms.append(
-                f"{workload.name}[session {session}, opt {task.opt_level}]: "
-                f"{ipds.alarms[0]}"
-            )
-    return alarms
-
-
-def merge_outcomes(
-    workload: Workload, attacks: int, shards: Sequence[Sequence[AttackOutcome]]
-) -> WorkloadResult:
-    """Merge shard outcomes back into the serial campaign's order.
-
-    Validates completeness: the merged list must cover exactly
-    ``range(attacks)`` — a shard that silently dropped work is a
-    campaign-integrity failure, not a statistic.
-    """
-    merged = sorted(
-        (outcome for shard in shards for outcome in shard),
-        key=lambda outcome: outcome.index,
-    )
-    indices = [outcome.index for outcome in merged]
-    if indices != list(range(attacks)):
-        raise CampaignError(
-            f"sharded campaign for {workload.name} lost outcomes: "
-            f"expected {attacks} indices, merged {indices[:10]}..."
-        )
-    result = WorkloadResult(workload=workload.name, vuln_kind=workload.vuln_kind)
-    result.attacks = merged
-    return result
-
-
 def merge_shard_results(
     workload: Workload, attacks: int, shards: Sequence[ShardResult]
 ) -> WorkloadResult:
-    """Merge :class:`ShardResult` objects into one workload result.
+    """Merge shard outcomes back into the serial campaign's order.
 
-    Beyond :func:`merge_outcomes`'s completeness check, this validates
-    that every shard ran under the *same* timing mode: outcomes whose
-    ``cycles`` column came from different approximations (or from a mix
-    of timed and untimed shards) must never be silently averaged into
-    one table.
+    Validates completeness — the merged list must cover exactly
+    ``range(attacks)``: a shard that silently dropped work is a
+    campaign-integrity failure, not a statistic — and that every shard
+    ran under the *same* timing mode: outcomes whose ``cycles`` column
+    came from different approximations (or from a mix of timed and
+    untimed shards) must never be silently averaged into one table.
     """
     modes = {shard.timing_mode for shard in shards}
     if len(modes) > 1:
@@ -240,11 +186,22 @@ def merge_shard_results(
             f"across shards ({rendered}); all shards must run with the "
             f"same --timing-mode"
         )
-    result = merge_outcomes(
-        workload, attacks, [shard.outcomes for shard in shards]
+    merged = sorted(
+        (outcome for shard in shards for outcome in shard.outcomes),
+        key=lambda outcome: outcome.index,
     )
-    result.timing_mode = modes.pop() if modes else None
-    return result
+    indices = [outcome.index for outcome in merged]
+    if indices != list(range(attacks)):
+        raise CampaignError(
+            f"sharded campaign for {workload.name} lost outcomes: "
+            f"expected {attacks} indices, merged {indices[:10]}..."
+        )
+    return WorkloadResult(
+        workload=workload.name,
+        vuln_kind=workload.vuln_kind,
+        attacks=merged,
+        timing_mode=modes.pop() if modes else None,
+    )
 
 
 def _run_pooled(
@@ -375,54 +332,3 @@ def run_campaign(
                 metrics.increment("campaign.shards", len(workload_shards))
     return CampaignSummary(results)
 
-
-def run_clean_sweep(
-    workloads: Optional[Sequence[Union[Workload, str]]] = None,
-    sessions: int = 3,
-    *,
-    seed_prefix: str = "clean:",
-    step_limit: int = 500_000,
-    opt_level: int = 0,
-    jobs: int = 1,
-) -> int:
-    """Monitored clean runs for every workload — the zero-FP sweep.
-
-    Returns the number of clean sessions executed; raises
-    :class:`CampaignError` listing every alarm if any session alarmed.
-    """
-    jobs = _normalize_jobs(jobs)
-    chosen = resolve_workloads(workloads)
-    tasks = [
-        CleanTask(
-            workload=workload.name,
-            sessions=block,
-            seed_prefix=seed_prefix,
-            step_limit=step_limit,
-            opt_level=opt_level,
-        )
-        for workload in chosen
-        for block in shard_indices(sessions, jobs)
-    ]
-    alarms: List[str] = []
-    if jobs == 1:
-        for task in tasks:
-            alarms.extend(_run_clean_shard(task))
-    else:
-        for workload in chosen:
-            cached_compile(workload.source, workload.name, opt_level)
-        with ProcessPoolExecutor(max_workers=jobs) as executor:
-            try:
-                pending = [
-                    executor.submit(_run_clean_shard, task) for task in tasks
-                ]
-                for future in pending:
-                    alarms.extend(future.result())
-            except BaseException:
-                executor.shutdown(wait=False, cancel_futures=True)
-                raise
-    if alarms:
-        raise CampaignError(
-            f"{len(alarms)} false positive(s) on clean runs: "
-            + "; ".join(alarms[:5])
-        )
-    return len(chosen) * sessions

@@ -46,7 +46,6 @@ class ProtectedProgram:
 
     def new_ipds(
         self,
-        halt_on_alarm: bool = False,
         allow_unprotected: bool = False,
         flight_recorder=None,
         alarm_sink=None,
@@ -54,7 +53,6 @@ class ProtectedProgram:
         """A fresh IPDS instance for one monitored execution."""
         return IPDS(
             self.tables,
-            halt_on_alarm=halt_on_alarm,
             allow_unprotected=allow_unprotected,
             flight_recorder=flight_recorder,
             alarm_sink=alarm_sink,
@@ -191,7 +189,6 @@ def monitored_run(
     entry: str = "main",
     tamper: Optional[Tamper] = None,
     step_limit: int = 2_000_000,
-    halt_on_alarm: bool = False,
     allow_unprotected: bool = False,
     flight_recorder=None,
     observers: Sequence[ExecutionObserver] = (),
@@ -204,7 +201,6 @@ def monitored_run(
     to the IPDS — the per-alarm hook an online alarm policy uses.
     """
     ipds = program.new_ipds(
-        halt_on_alarm=halt_on_alarm,
         allow_unprotected=allow_unprotected,
         flight_recorder=flight_recorder,
         alarm_sink=alarm_sink,

@@ -29,33 +29,6 @@ from .workloads.registry import Workload, all_workloads
 # ----------------------------------------------------------------------
 
 
-def figure7_data(
-    attacks: int = 100,
-    workloads: Optional[Sequence[Workload]] = None,
-    jobs: int = 1,
-    seed_prefix: str = "",
-    metrics: Optional[MetricsRegistry] = None,
-    tracer: Optional[Tracer] = None,
-) -> CampaignSummary:
-    """Run the Figure 7 campaign (100 independent attacks/server).
-
-    ``jobs`` shards the campaign across processes.  Because attacks are
-    seeded purely by ``(seed_prefix, workload, index)`` and shard
-    outcomes are merged back into index order, the summary — and hence
-    :func:`render_figure7`'s text — is byte-identical at any ``jobs``.
-    ``metrics`` and ``tracer`` collect campaign telemetry without
-    affecting the data.
-    """
-    return run_campaign(
-        workloads,
-        attacks=attacks,
-        seed_prefix=seed_prefix,
-        jobs=jobs,
-        metrics=metrics,
-        tracer=tracer,
-    )
-
-
 def render_figure7(summary: CampaignSummary) -> str:
     lines = [
         "Figure 7. Detection rate for simulated attacks",
@@ -330,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if artifact == "fig7":
                 blocks.append(
                     render_figure7(
-                        figure7_data(
+                        run_campaign(
                             attacks=args.attacks,
                             jobs=args.jobs,
                             metrics=registry,

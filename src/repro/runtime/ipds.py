@@ -97,9 +97,9 @@ class IPDSStats:
 class IPDS(ExecutionObserver):
     """Infeasible Path Detection System runtime.
 
-    ``halt_on_alarm`` mirrors a deployment that kills the process on
-    the first alarm; the default records alarms and keeps checking so
-    campaigns can observe everything.
+    The checker records every alarm and keeps checking; stopping the
+    process on an alarm is the ``alarm_sink``'s job (a sink that raises,
+    like the kill-session policy, aborts the run).
 
     ``allow_unprotected`` selects the tolerant partial-coverage mode:
     a call into a function with no compiled tables pushes a sentinel
@@ -120,16 +120,13 @@ class IPDS(ExecutionObserver):
     def __init__(
         self,
         tables: ProgramTables,
-        halt_on_alarm: bool = False,
         allow_unprotected: bool = False,
         flight_recorder: Optional[FlightRecorder] = None,
         alarm_sink: Optional[Callable[[Alarm], None]] = None,
     ):
         self._tables = tables
         self._stack: List[Optional[BSVFrame]] = []
-        self._halt_on_alarm = halt_on_alarm
         self._allow_unprotected = allow_unprotected
-        self._halted = False
         # Frame ids are assigned whether or not a recorder is attached,
         # so alarms (which carry frame_id) are identical either way.
         self._next_frame_id = 0
@@ -148,15 +145,11 @@ class IPDS(ExecutionObserver):
         return dispatch(self)
 
     def on_call(self, event: CallEvent) -> None:
-        if self._halted:
-            return None
         self.stats.events += 1
         self._push(event.function_name)
         return None
 
     def on_return(self, event: ReturnEvent) -> None:
-        if self._halted:
-            return None
         self.stats.events += 1
         self._pop(event.function_name)
         return None
@@ -170,8 +163,6 @@ class IPDS(ExecutionObserver):
         the action list itself and loads statuses and actions from the
         module constants above instead of the enum classes.
         """
-        if self._halted:
-            return None
         stats = self.stats
         stats.events += 1
         stack = self._stack
@@ -215,9 +206,6 @@ class IPDS(ExecutionObserver):
                         frame_id=frame.frame_id,
                     )
                     self.alarms.append(alarm)
-                    if self._halt_on_alarm:
-                        self._halted = True
-                        actions = ()  # a halted process updates nothing
 
         # Then update, whether or not the branch is checked (§5.4).
         recorder = self.flight_recorder
@@ -270,8 +258,6 @@ class IPDS(ExecutionObserver):
         """Consume a whole stream; returns all alarms raised."""
         for event in events:
             self.process(event)
-            if self._halted:
-                break
         return self.alarms
 
     @property

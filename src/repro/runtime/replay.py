@@ -33,17 +33,32 @@ def event_to_json(event: Event) -> str:
 
 
 def event_from_json(line: str) -> Event:
-    """Parse one JSON line back into an event."""
+    """Parse one JSON line back into an event.
+
+    Field types are checked, never coerced: ``fn`` must be a string, a
+    branch's ``pc`` an integer and its ``t`` 0, 1 or a boolean.  The
+    IPDS looks a branch up by its PC, so a PC of any other type would
+    replay as a branch with nothing to check — a silently clean trace.
+    """
     try:
         record = json.loads(line)
         kind = record["k"]
-        if kind == "call":
-            return CallEvent(record["fn"])
-        if kind == "ret":
-            return ReturnEvent(record["fn"])
-        if kind == "br":
-            return BranchEvent(record["fn"], record["pc"], bool(record["t"]))
-    except (json.JSONDecodeError, KeyError, TypeError) as error:
+        if kind in ("call", "ret", "br"):
+            name = record["fn"]
+            if not isinstance(name, str):
+                raise TypeError(f"fn must be a string, not {name!r}")
+            if kind == "call":
+                return CallEvent(name)
+            if kind == "ret":
+                return ReturnEvent(name)
+            pc, taken = record["pc"], record["t"]
+            if type(pc) is not int:  # a bool is an int, but not a PC
+                raise TypeError(f"pc must be an integer, not {pc!r}")
+            if type(taken) not in (int, bool) or taken not in (0, 1):
+                raise TypeError(f"t must be 0, 1 or a boolean, not {taken!r}")
+            return BranchEvent(name, pc, bool(taken))
+    except (ValueError, KeyError, TypeError, RecursionError) as error:
+        # ValueError covers JSONDecodeError and over-long integers.
         raise TraceFormatError(f"bad trace line {line!r}: {error}") from None
     raise TraceFormatError(f"unknown event kind {record['k']!r}")
 
@@ -56,6 +71,16 @@ def dump_trace(events: Iterable[Event], stream: IO[str]) -> int:
         stream.write("\n")
         count += 1
     return count
+
+
+def read_trace(path: str) -> str:
+    """The text of a recorded trace file, as both trace verbs read it:
+    bytes that are not UTF-8 raise :class:`TraceFormatError`."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as error:
+        raise TraceFormatError(f"{path} is not a text trace: {error}") from None
 
 
 def load_trace(stream: IO[str]) -> Iterator[Event]:

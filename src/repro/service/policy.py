@@ -28,6 +28,8 @@ import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Optional
 
+from ..runtime.replay import dump_trace
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..runtime.ipds import Alarm
     from .engine import DetectionSession
@@ -142,13 +144,12 @@ class QuarantinePolicy(AlarmPolicy):
     ) -> Optional[PolicyAction]:
         if not session.alarms:
             return None
-        from ..observability import export_trace
-
         target = os.path.join(self.directory, session.session_id)
         os.makedirs(target, exist_ok=True)
         trace_path = os.path.join(target, "trace.jsonl")
         events = session.trace_events
-        count = export_trace(events, trace_path)
+        with open(trace_path, "w", encoding="utf-8") as handle:
+            count = dump_trace(events, handle)
         manifest_path = os.path.join(target, "manifest.json")
         manifest = {
             "session": session.session_id,

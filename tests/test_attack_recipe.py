@@ -13,6 +13,7 @@ import pytest
 from repro.attacks.campaign import CampaignError, run_attack
 from repro.baselines import compare_detectors
 from repro.correlation.actions import BranchAction
+from repro.correlation.tables import ProgramTables
 from repro.interp import GLOBAL_BASE
 from repro.interp.interpreter import TamperSpec
 from repro.pipeline import compile_program, compile_program_cached, monitored_run
@@ -40,26 +41,32 @@ EXPLICIT = SessionSpec(
 INDEXED = SessionSpec(mode="attack", workload="telnetd", attack_index=1)
 
 
-def miscompiled_figure1():
-    """FIGURE1 with every SET action of ``main`` inverted, so that its
-    clean runs alarm."""
-    program = compile_program(FIGURE1, "figure1")
-    tables = program.tables.by_function["main"]
+def swapped(program):
+    """A copy of ``program`` with every SET_T and SET_NT action swapped,
+    so that its clean runs alarm wherever a swapped action decides a
+    checked branch."""
     inverse = {
         BranchAction.SET_T: BranchAction.SET_NT,
         BranchAction.SET_NT: BranchAction.SET_T,
     }
-    bat = {
-        key: tuple((target, inverse.get(action, action)) for target, action in entries)
-        for key, entries in tables.bat.items()
+    by_function = {
+        # ``replace`` rebuilds the per-branch plan the IPDS reads.
+        name: dataclasses.replace(
+            tables,
+            bat={
+                key: tuple(
+                    (target, inverse.get(action, action)) for target, action in entries
+                )
+                for key, entries in tables.bat.items()
+            },
+        )
+        for name, tables in program.tables.by_function.items()
     }
-    # ``replace`` rebuilds the per-branch plan the IPDS reads.
-    program.tables.by_function["main"] = dataclasses.replace(tables, bat=bat)
-    return program
+    return dataclasses.replace(program, tables=ProgramTables(by_function))
 
 
 def test_explicit_attack_session_asserts_zero_false_positives(monkeypatch):
-    program = miscompiled_figure1()
+    program = swapped(compile_program(FIGURE1, "figure1"))
     _, ipds = monitored_run(program, inputs=EXPLICIT.inputs)
     assert ipds.detected  # the inverted actions fire on these inputs
     monkeypatch.setattr(engine, "compile_program_cached", lambda *args: program)

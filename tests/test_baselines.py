@@ -2,9 +2,12 @@
 
 import pytest
 
-from repro.baselines import NGramDetector, capture_trace, compare_detectors
+from repro.attacks.campaign import CampaignError, clean_run, run_attack
+from repro.baselines import NGramDetector, SyscallTraceObserver, compare_detectors
 from repro.pipeline import compile_program
 from repro.workloads import get_workload
+
+from .test_attack_recipe import swapped
 
 
 # ----------------------------------------------------------------------
@@ -68,17 +71,22 @@ def test_capture_trace_symbols_are_call_sites():
     program = compile_program(
         "void main() { emit(read_int()); emit(2); }"
     )
-    trace, branches, detected = capture_trace(program, inputs=[7])
+    syscalls = SyscallTraceObserver()
+    clean_run(program, [7], observers=(syscalls,))
+    trace = syscalls.symbols
     assert len(trace) == 3
     assert trace[0].startswith("read_int@")
     assert trace[1].startswith("emit@")
     # Two emit call sites are distinct symbols.
     assert trace[1] != trace[2]
-    assert not detected
 
 
 def test_capture_trace_reports_ipds_detection():
+    """The capture rides the attack recipe's runs without changing
+    what the IPDS sees: the clean run raises nothing, the tampered run
+    is detected, and both runs' calls are captured."""
     from repro import TamperSpec
+    from repro.attacks.campaign import execute_attack
     from repro.interp import MemoryMap
 
     source = """
@@ -94,12 +102,18 @@ def test_capture_trace_reports_ipds_detection():
     address = MemoryMap(program.module).global_addresses[
         program.module.globals[0]
     ]
-    _, _, clean_detected = capture_trace(program, inputs=[5, 1])
-    assert not clean_detected
-    _, _, detected = capture_trace(
-        program, inputs=[5, 1], tamper=TamperSpec("read", 2, address, 0)
+    clean = SyscallTraceObserver()
+    clean_run(program, [5, 1], observers=(clean,))
+    attacked = SyscallTraceObserver()
+    execution = execute_attack(
+        program,
+        [5, 1],
+        TamperSpec("read", 2, address, 0),
+        extra_observers=(attacked,),
     )
-    assert detected
+    assert execution.outcome.detected
+    assert len(clean.symbols) == len(attacked.symbols) == 4
+    assert clean.symbols[-1] != attacked.symbols[-1]
 
 
 # ----------------------------------------------------------------------
@@ -134,21 +148,33 @@ def test_comparison_deterministic():
     assert a == b
 
 
-def test_clean_session_alarm_raises_campaign_error(monkeypatch):
+@pytest.fixture(scope="module")
+def swapped_telnetd():
+    telnetd = get_workload("telnetd")
+    return telnetd, swapped(compile_program(telnetd.source, telnetd.name))
+
+
+def test_clean_session_alarm_raises_campaign_error(swapped_telnetd):
     """The zero-FP check is a raise, not an ``assert`` that ``python
     -O`` would strip: an alarm on a clean test session aborts."""
-    from repro.attacks import CampaignError
-    from repro.baselines import compare
-
-    real_capture = compare.capture_trace
-
-    def alarming_on_clean(program, inputs, tamper=None, step_limit=500_000):
-        symbols, branches, _ = real_capture(
-            program, inputs, tamper=tamper, step_limit=step_limit
+    workload, program = swapped_telnetd
+    with pytest.raises(CampaignError, match="false positive on clean run of telnetd"):
+        compare_detectors(
+            workload, attacks=0, train_sessions=0, test_sessions=1, program=program
         )
-        return symbols, branches, tamper is None
 
-    monkeypatch.setattr(compare, "capture_trace", alarming_on_clean)
-    workload = get_workload("telnetd")
-    with pytest.raises(CampaignError, match="false positive on clean session 0"):
-        compare_detectors(workload, attacks=1, train_sessions=2, test_sessions=2)
+
+def test_training_session_alarm_raises_campaign_error(swapped_telnetd):
+    """The n-gram profile is trained only on runs the IPDS checked
+    clean: an alarm on a training session aborts too."""
+    workload, program = swapped_telnetd
+    with pytest.raises(CampaignError, match="false positive on clean run of telnetd"):
+        compare_detectors(
+            workload, attacks=0, train_sessions=1, test_sessions=0, program=program
+        )
+
+
+def test_attack_clean_run_alarm_raises_campaign_error(swapped_telnetd):
+    workload, program = swapped_telnetd
+    with pytest.raises(CampaignError, match="false positive on clean run of telnetd"):
+        run_attack(program, workload, 0)

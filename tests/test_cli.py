@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -233,6 +235,53 @@ def test_attack_trace_out_replays_with_identical_alarm(
     assert offline == online
 
 
+@pytest.fixture()
+def attack_trace(source_file, tmp_path, capsys):
+    """Figure 1's attack trace from ``repro attack --trace-out``; it
+    replays with an alarm."""
+    from repro.interp import GLOBAL_BASE
+
+    trace = tmp_path / "attack.jsonl"
+    assert main(
+        [
+            "attack", source_file,
+            "--inputs", "5 1",
+            "--trigger", "2",
+            "--address", hex(GLOBAL_BASE),
+            "--value", "0",
+            "--trace-out", str(trace),
+        ]
+    ) == 2
+    assert main(["replay", source_file, str(trace)]) == 2
+    capsys.readouterr()
+    return trace
+
+
+def mistyped(trace):
+    """``trace`` with every branch PC written as a string."""
+    records = [json.loads(line) for line in trace.read_text().splitlines()]
+    for record in records:
+        if record["k"] == "br":
+            record["pc"] = hex(record["pc"])
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+@pytest.mark.parametrize("verb", ["replay", "explain"])
+@pytest.mark.parametrize("damage", ["utf-16", "string-pcs"])
+def test_malformed_trace_file_is_tool_error(
+    verb, damage, source_file, attack_trace, capsys
+):
+    if damage == "utf-16":
+        attack_trace.write_bytes(attack_trace.read_text().encode("utf-16"))
+        assert attack_trace.read_bytes()[:2] == b"\xff\xfe"
+    else:
+        attack_trace.write_text(mistyped(attack_trace))
+    assert main([verb, source_file, str(attack_trace)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "clean" not in captured.out and "ALARM" not in captured.out
+
+
 def test_run_trace_out_is_replayable(source_file, tmp_path, capsys):
     trace = str(tmp_path / "run.jsonl")
     assert main(
@@ -382,6 +431,18 @@ def test_record_finds_a_workload_by_name(tmp_path, capsys):
 @pytest.mark.parametrize("verb", ["compile", "run"])
 def test_missing_program_file_is_tool_error(verb, capsys):
     assert main([verb, "/nonexistent.c"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_compile_of_too_deep_source_is_tool_error(tmp_path, capsys):
+    deep = tmp_path / "deep.c"
+    deep.write_text(
+        "void main() {\nint x = 1;\n"
+        + "if (x == 1) {\n" * 1000
+        + "}\n" * 1000
+        + "}\n"
+    )
+    assert main(["compile", str(deep)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

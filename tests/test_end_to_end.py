@@ -97,15 +97,6 @@ def test_fig1_tamper_matching_original_value_undetected(fig1):
     assert not ipds.detected
 
 
-def test_fig1_halt_on_alarm_stops_checking(fig1):
-    address = global_address(fig1, "user")
-    tamper = TamperSpec("read", 2, address, 0)
-    _, ipds = monitored_run(
-        fig1, inputs=[5, 1], tamper=tamper, halt_on_alarm=True
-    )
-    assert len(ipds.alarms) == 1
-
-
 # ----------------------------------------------------------------------
 # Figure 3.a running example, dynamically
 # ----------------------------------------------------------------------

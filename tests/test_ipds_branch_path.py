@@ -129,11 +129,9 @@ class ReferenceChecker:
     """§5.4 read literally: check with ``matches``, then ``apply`` each
     BAT entry in order; records what a flight recorder should hold."""
 
-    def __init__(self, tables, halt_on_alarm, allow_unprotected):
+    def __init__(self, tables, allow_unprotected):
         self.tables = tables
-        self.halt_on_alarm = halt_on_alarm
         self.allow_unprotected = allow_unprotected
-        self.halted = False
         self.stack: List[Optional[_Frame]] = []
         self.alarms: List[Alarm] = []
         self.records: list = []
@@ -143,8 +141,6 @@ class ReferenceChecker:
         self.next_frame_id = 0
 
     def on_call(self, event):
-        if self.halted:
-            return None
         self.stats["events"] += 1
         tables = self.tables.by_function.get(event.function_name)
         frame_id = None
@@ -168,8 +164,6 @@ class ReferenceChecker:
         return None
 
     def on_return(self, event):
-        if self.halted:
-            return None
         self.stats["events"] += 1
         if not self.stack:
             raise IPDSError("return event with empty table stack")
@@ -190,8 +184,6 @@ class ReferenceChecker:
         return None
 
     def on_branch(self, event):
-        if self.halted:
-            return None
         self.stats["events"] += 1
         if not self.stack:
             raise IPDSError("branch event with empty table stack")
@@ -224,11 +216,7 @@ class ReferenceChecker:
                     frame_id=frame.frame_id,
                 )
                 self.alarms.append(alarm)
-                if self.halt_on_alarm:
-                    self.halted = True
-        entries = () if slot is None or self.halted else tables.bat.get(
-            (slot, event.taken), ()
-        )
+        entries = () if slot is None else tables.bat.get((slot, event.taken), ())
         transitions = []
         if entries:
             self.stats["updates"] += 1
@@ -320,13 +308,12 @@ def live_snapshots(ipds: IPDS):
     return [None if frame is None else frame.snapshot() for frame in ipds._stack]
 
 
-def checked_run(events, halt_on_alarm, allow_unprotected, recorder=None):
+def checked_run(events, allow_unprotected, recorder=None):
     """Run ``events`` through an IPDS whose alarm sink notes each alarm
     with the statuses of the frame that raised it."""
     sunk = []
     ipds = IPDS(
         TABLES,
-        halt_on_alarm=halt_on_alarm,
         allow_unprotected=allow_unprotected,
         flight_recorder=recorder,
         alarm_sink=lambda alarm: sunk.append(
@@ -340,22 +327,17 @@ def checked_run(events, halt_on_alarm, allow_unprotected, recorder=None):
 @settings(max_examples=300, deadline=None)
 @given(
     ops=st.lists(_op, max_size=60),
-    halt_on_alarm=st.booleans(),
     allow_unprotected=st.booleans(),
 )
-def test_branch_path_matches_reference_checker(
-    ops, halt_on_alarm, allow_unprotected
-):
+def test_branch_path_matches_reference_checker(ops, allow_unprotected):
     events = [CallEvent("f")] + build_stream(ops)
-    reference = ReferenceChecker(TABLES, halt_on_alarm, allow_unprotected)
+    reference = ReferenceChecker(TABLES, allow_unprotected)
     expected_results, expected_error = drive(reference, events)
     expected_frames = [
         None if frame is None else frame.snapshot() for frame in reference.stack
     ]
 
-    ipds, results, error, sunk = checked_run(
-        events, halt_on_alarm, allow_unprotected
-    )
+    ipds, results, error, sunk = checked_run(events, allow_unprotected)
     assert error == expected_error
     assert results == expected_results
     assert [asdict(alarm) for alarm in ipds.alarms] == [
@@ -367,7 +349,7 @@ def test_branch_path_matches_reference_checker(
 
     recorder = FlightRecorder(depth=len(events) + 1)
     recorded, results, error, sunk = checked_run(
-        events, halt_on_alarm, allow_unprotected, recorder
+        events, allow_unprotected, recorder
     )
     assert error == expected_error
     assert results == expected_results

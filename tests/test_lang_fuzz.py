@@ -6,6 +6,7 @@ programs printed from random ASTs must lex to the same token stream
 after a comment-stripping round trip.
 """
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -17,6 +18,7 @@ from repro.lang import (
     tokenize,
 )
 from repro.ir import lower_program
+from repro.lang.parser import MAX_NESTING
 from repro.staticcheck.irverify import verify_module
 
 from .test_zero_false_positives import programs
@@ -75,10 +77,15 @@ def test_generated_programs_always_compile(source):
 
 
 def test_deeply_nested_blocks_do_not_blow_up():
-    depth = 150
-    source = "void main() {" + "{" * depth + "emit(1);" + "}" * depth + "}"
-    module = lower_program(parse_program(source))
+    def nested(depth):
+        return "void main() {" + "{" * depth + "emit(1);" + "}" * depth + "}"
+
+    # ``main``'s body and ``emit``'s argument list take two levels.
+    module = lower_program(parse_program(nested(MAX_NESTING - 2)))
     verify_module(module)
+    # Deeper source is a located parse error, not a RecursionError.
+    with pytest.raises(ParseError):
+        parse_program(nested(150))
 
 
 def test_long_operator_chain():

@@ -341,3 +341,69 @@ def test_error_message_carries_location():
     with pytest.raises(ParseError) as exc:
         parse_program("void f() {\n  x = ;\n}", filename="srv.c")
     assert "srv.c:2" in str(exc.value)
+
+
+# ----------------------------------------------------------------------
+# The nesting bound
+# ----------------------------------------------------------------------
+
+
+def nested(levels, shape):
+    """A program whose deepest point is ``levels`` levels down: the body
+    of ``main`` is the first level, ``shape`` opens the rest."""
+    inner = levels - 1
+    if shape == "ifs":
+        body = "if (x == 1) {\n" * inner + "x = 2;\n" + "}\n" * inner + "emit(x);\n"
+    elif shape == "unbraced":
+        body = "if (x == 1)\n" * inner + "x = 2;\nemit(x);\n"
+    else:
+        # ``emit(`` opens one level; the shape opens the others.
+        open_, close = {
+            "parens": ("(", ")"),
+            "unary": ("-", ""),
+            "index": ("a[", "]"),
+            "calls": ("f(", ")"),
+        }[shape]
+        body = "emit(" + open_ * (inner - 1) + "x" + close * (inner - 1) + ");\n"
+    return (
+        "int x;\nint a[4];\nint f(int v) { return v; }\n"
+        "void main() {\nx = read_int();\na[0] = 0;\n" + body + "}\n"
+    )
+
+
+@pytest.mark.parametrize("shape", ["ifs", "parens", "unary", "index", "calls"])
+@pytest.mark.parametrize("opt_level", [0, 3])
+def test_source_at_the_nesting_bound_compiles_runs_and_audits(shape, opt_level):
+    from repro.lang.parser import MAX_NESTING
+    from repro.pipeline import compile_program, monitored_run
+    from repro.staticcheck import errors_in, run_passes
+
+    program = compile_program(nested(MAX_NESTING, shape), shape, opt_level)
+    result, ipds = monitored_run(program, inputs=[1])
+    assert result.status.value == "ok"
+    assert result.outputs == [{"ifs": 2, "index": 0}.get(shape, 1)]
+    assert not ipds.detected
+    assert errors_in(run_passes(program)) == []
+
+
+@pytest.mark.parametrize(
+    "shape", ["ifs", "unbraced", "parens", "unary", "index", "calls"]
+)
+def test_one_level_past_the_bound_is_a_parse_error(shape):
+    from repro.lang.parser import MAX_NESTING
+
+    parse_program(nested(MAX_NESTING, shape))
+    with pytest.raises(ParseError, match=f"nesting deeper than {MAX_NESTING}"):
+        parse_program(nested(MAX_NESTING + 1, shape))
+
+
+def test_a_thousand_nested_ifs_is_a_parse_error_at_the_offending_brace():
+    from repro.lang.parser import MAX_NESTING
+
+    with pytest.raises(ParseError) as exc:
+        parse_program(nested(1000, "ifs"), filename="deep.c")
+    # ``main``'s body opens level 1 on line 4 and the ``if`` on line
+    # 6 + k opens level k + 1, so the offending ``{`` is on line
+    # 6 + MAX_NESTING.
+    assert exc.value.location.line == 6 + MAX_NESTING
+    assert exc.value.location.column == len("if (x == 1) {")

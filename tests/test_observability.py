@@ -11,7 +11,6 @@ from repro.observability import (
     RunManifest,
     Timer,
     Tracer,
-    export_trace,
     write_manifest,
 )
 from repro.observability.manifest import MANIFEST_VERSION
@@ -212,7 +211,7 @@ def test_write_manifest_jsonl_appends(tmp_path):
 def test_export_trace_round_trips_through_replay(tmp_path):
     from repro.pipeline import compile_program, observed_run
     from repro.runtime.ipds import IPDS
-    from repro.runtime.replay import TraceRecorder, load_trace
+    from repro.runtime.replay import TraceRecorder, dump_trace, load_trace
 
     source = """
     int g;
@@ -226,7 +225,8 @@ def test_export_trace_round_trips_through_replay(tmp_path):
     observed_run(program, observers=[recorder], inputs=[4])
 
     path = tmp_path / "trace.jsonl"
-    count = export_trace(recorder.events, str(path))
+    with open(path, "w", encoding="utf-8") as handle:
+        count = dump_trace(recorder.events, handle)
     assert count == len(recorder.events)
     with open(path, "r", encoding="utf-8") as handle:
         events = list(load_trace(handle))
@@ -234,5 +234,5 @@ def test_export_trace_round_trips_through_replay(tmp_path):
     assert IPDS(program.tables).run(events) == []
 
     stream = io.StringIO()
-    assert export_trace(recorder.events, stream) == count
+    assert dump_trace(recorder.events, stream) == count
     assert stream.getvalue() == path.read_text()

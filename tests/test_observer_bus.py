@@ -13,7 +13,8 @@ import random
 
 import pytest
 
-from repro.baselines.compare import SyscallTraceObserver, capture_trace
+from repro.attacks.campaign import clean_run
+from repro.baselines.compare import SyscallTraceObserver
 from repro.correlation.tables import ProgramTables
 from repro.cpu.params import ProcessorParams
 from repro.cpu.pipeline import TimingModel
@@ -229,7 +230,7 @@ def test_single_pass_timing_matches_two_pass():
 
 
 def test_single_pass_capture_trace_matches_per_instruction_delivery():
-    """The batched syscall capture (sharing its run with the IPDS)
+    """The batched syscall capture (sharing a clean run with the IPDS)
     equals the per-instruction reference delivery of a dedicated run."""
     workload = get_workload("telnetd")
     program = compile_program(workload.source, workload.name)
@@ -243,11 +244,12 @@ def test_single_pass_capture_trace_matches_per_instruction_delivery():
     ).run()
     _, reference_ipds = monitored_run(program, inputs=inputs)
 
-    symbols, branch_trace, detected = capture_trace(program, inputs)
-    assert symbols == reference.symbols
-    assert any(symbol.startswith("read_int@") for symbol in symbols)
-    assert branch_trace == reference_result.branch_trace
-    assert detected == reference_ipds.detected
+    syscalls = SyscallTraceObserver()
+    result, ipds = clean_run(program, inputs, observers=(syscalls,))
+    assert syscalls.symbols == reference.symbols
+    assert any(symbol.startswith("read_int@") for symbol in syscalls.symbols)
+    assert result.branch_trace == reference_result.branch_trace
+    assert ipds.stats == reference_ipds.stats
 
 
 def test_observer_recorder_matches_a_plain_spy():
@@ -283,15 +285,17 @@ def test_one_execution_feeds_all_four_consumers():
     )
     assert result.status is RunStatus.OK
 
-    ref_result, ref_ipds = monitored_run(program, inputs=inputs)
+    ref_syscalls = SyscallTraceObserver()
+    ref_result, ref_ipds = monitored_run(
+        program, inputs=inputs, observers=[ref_syscalls]
+    )
     ref_timed = timed_run(program, inputs, with_ipds=False)
-    ref_symbols, ref_branches, _ = capture_trace(program, inputs)
 
     assert [str(a) for a in ipds.alarms] == [str(a) for a in ref_ipds.alarms]
     assert ipds.stats == ref_ipds.stats
     assert model.stats.cycles == ref_timed.cycles
-    assert syscalls.symbols == ref_symbols
-    assert result.branch_trace == ref_branches
+    assert syscalls.symbols == ref_syscalls.symbols
+    assert result.branch_trace == ref_result.branch_trace
     assert len(recorder.events) == ipds.stats.events
 
 

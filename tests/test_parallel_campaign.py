@@ -15,7 +15,8 @@ from repro.attacks import (
     run_attack,
     run_workload_campaign,
 )
-from repro.parallel import merge_outcomes, run_campaign, shard_indices
+from repro.parallel import ShardResult, run_campaign, shard_indices
+from repro.parallel.engine import merge_shard_results
 from repro.pipeline import compile_program_cached
 from repro.reporting import render_figure7
 from repro.workloads import get_workload
@@ -124,8 +125,11 @@ def _outcome(index):
 
 def test_merge_outcomes_restores_index_order():
     workload = get_workload("telnetd")
-    shards = [[_outcome(2), _outcome(3)], [_outcome(0), _outcome(1)]]
-    merged = merge_outcomes(workload, 4, shards)
+    shards = [
+        ShardResult(outcomes=[_outcome(2), _outcome(3)]),
+        ShardResult(outcomes=[_outcome(0), _outcome(1)]),
+    ]
+    merged = merge_shard_results(workload, 4, shards)
     assert [o.index for o in merged.attacks] == [0, 1, 2, 3]
     assert merged.workload == "telnetd"
 
@@ -133,13 +137,19 @@ def test_merge_outcomes_restores_index_order():
 def test_merge_outcomes_rejects_lost_work():
     workload = get_workload("telnetd")
     with pytest.raises(CampaignError, match="lost outcomes"):
-        merge_outcomes(workload, 3, [[_outcome(0), _outcome(2)]])
+        merge_shard_results(
+            workload, 3, [ShardResult(outcomes=[_outcome(0), _outcome(2)])]
+        )
 
 
 def test_merge_outcomes_rejects_duplicates():
     workload = get_workload("telnetd")
     with pytest.raises(CampaignError, match="lost outcomes"):
-        merge_outcomes(workload, 2, [[_outcome(0)], [_outcome(0)]])
+        merge_shard_results(
+            workload,
+            2,
+            [ShardResult(outcomes=[_outcome(0)]), ShardResult(outcomes=[_outcome(0)])],
+        )
 
 
 def test_jobs_must_be_positive():

@@ -174,16 +174,6 @@ def test_stack_depth_tracked():
     assert ipds.stack_depth == 1
 
 
-def test_halt_on_alarm_stops_processing():
-    program, *_ = make_tables()
-    ipds = IPDS(program, halt_on_alarm=True)
-    ipds.process(CallEvent("f"))
-    ipds.process(BranchEvent("f", PC_A, True))
-    ipds.process(BranchEvent("f", PC_A, False))  # alarm + halt
-    ipds.process(BranchEvent("f", PC_A, False))  # ignored
-    assert len(ipds.alarms) == 1
-
-
 def test_run_consumes_stream():
     program, *_ = make_tables()
     ipds = IPDS(program)

@@ -3,10 +3,13 @@
 import io
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IPDS, TamperSpec, compile_program, observed_run
 from repro.interp import MemoryMap
-from repro.runtime import BranchEvent, CallEvent, ReturnEvent
+from repro.lang.errors import ReproError
+from repro.runtime import Alarm, BranchEvent, CallEvent, ReturnEvent
 from repro.runtime.replay import (
     TraceFormatError,
     TraceRecorder,
@@ -14,6 +17,7 @@ from repro.runtime.replay import (
     event_from_json,
     event_to_json,
     load_trace,
+    read_trace,
 )
 
 SOURCE = """
@@ -92,12 +96,98 @@ def test_clean_replay_is_silent(program):
     assert IPDS(program.tables).run(events) == []
 
 
-def test_replay_halt_on_alarm(program):
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"k": "call", "fn": 7}',
+        '{"k": "ret", "fn": null}',
+        '{"k": "br", "fn": "main", "pc": "0x10", "t": 1}',
+        '{"k": "br", "fn": "main", "pc": 16.0, "t": 1}',
+        '{"k": "br", "fn": "main", "pc": true, "t": 1}',
+        '{"k": "br", "fn": "main", "pc": 16, "t": 2}',
+        '{"k": "br", "fn": "main", "pc": 16, "t": "1"}',
+        '{"k": "br", "fn": "main", "pc": 16, "t": 1.0}',
+        '{"k": "br", "fn": "main", "pc": 1' + "0" * 5000 + ', "t": 1}',
+        "[" * 100_000,
+    ],
+    ids=[
+        "fn-int", "fn-null", "pc-str", "pc-float", "pc-bool", "t-2",
+        "t-str", "t-float", "pc-too-long", "too-deep",
+    ],
+)
+def test_field_types_are_checked_not_coerced(line):
+    with pytest.raises(TraceFormatError):
+        event_from_json(line)
+
+
+def test_boolean_and_integer_directions_both_load():
+    for taken in ("true", "1"):
+        line = f'{{"k": "br", "fn": "main", "pc": 16, "t": {taken}}}'
+        assert event_from_json(line) == BranchEvent("main", 16, True)
+    for taken in ("false", "0"):
+        line = f'{{"k": "br", "fn": "main", "pc": 16, "t": {taken}}}'
+        assert event_from_json(line) == BranchEvent("main", 16, False)
+
+
+def test_undecodable_trace_file_is_a_trace_format_error(program, tmp_path):
+    events = record(program, inputs=[5, 1])
+    buffer = io.StringIO()
+    dump_trace(events, buffer)
+    path = tmp_path / "utf16.jsonl"
+    path.write_bytes(buffer.getvalue().encode("utf-16"))  # starts ff fe
+    with pytest.raises(TraceFormatError, match="not a text trace"):
+        read_trace(str(path))
+
+
+@pytest.fixture(scope="module")
+def attack_trace(program, tmp_path_factory):
+    """The recorded figure-1 attack trace (it alarms on replay) and a
+    scratch file for its mutants."""
     address = MemoryMap(program.module).global_addresses[
         program.module.globals[0]
     ]
     events = record(
-        program, inputs=[0, 1], tamper=TamperSpec("read", 2, address, 9)
+        program, inputs=[5, 1], tamper=TamperSpec("read", 2, address, 0)
     )
-    alarms = IPDS(program.tables, halt_on_alarm=True).run(events)
-    assert len(alarms) == 1
+    buffer = io.StringIO()
+    dump_trace(events, buffer)
+    data = buffer.getvalue().encode("utf-8")
+    assert IPDS(program.tables).run(load_trace(io.StringIO(buffer.getvalue())))
+    return data, tmp_path_factory.mktemp("fuzz") / "mutant.jsonl"
+
+
+MUTATION = st.tuples(
+    st.sampled_from(["flip", "delete", "insert"]),
+    st.integers(min_value=0),
+    st.integers(min_value=1, max_value=255),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutations=st.lists(MUTATION, min_size=1, max_size=4))
+def test_mutated_trace_replays_or_raises_a_repro_error(
+    program, attack_trace, mutations
+):
+    """Loading a recorded trace with 1-4 byte flips, deletions or
+    insertions either replays to a list of alarms or raises a
+    :class:`ReproError` — never another exception."""
+    data, path = attack_trace
+    mutant = bytearray(data)
+    for kind, position, value in mutations:
+        if kind == "insert":
+            mutant.insert(position % (len(mutant) + 1), value)
+        elif mutant:
+            index = position % len(mutant)
+            if kind == "flip":
+                mutant[index] ^= value
+            else:
+                del mutant[index]
+    path.write_bytes(bytes(mutant))
+    try:
+        events = load_trace(io.StringIO(read_trace(str(path))))
+        alarms = IPDS(program.tables).run(events)
+    except ReproError:
+        return
+    assert all(isinstance(alarm, Alarm) for alarm in alarms)

@@ -194,6 +194,31 @@ def test_quarantine_policy_over_the_wire(daemon, tmp_path):
         client.shutdown()
 
 
+def test_replay_of_a_mistyped_trace_fails_the_session(daemon):
+    """A trace whose branch PCs are strings would replay as clean if
+    its fields were coerced; the session fails on it instead."""
+    trace = "".join(
+        line + "\n"
+        for line in (
+            '{"k": "call", "fn": "main"}',
+            '{"k": "br", "fn": "main", "pc": "0x10", "t": 1}',
+        )
+    )
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        sid = client.submit(
+            {
+                "mode": "replay",
+                "source": FIGURE1,
+                "source_name": "figure1",
+                "trace_text": trace,
+            }
+        )
+        result = client.result(sid)
+        assert result["state"] == "failed"
+        assert result["error"].startswith("TraceFormatError: ")
+        client.shutdown()
+
+
 def test_inline_source_and_explicit_tamper(daemon):
     from repro.interp import GLOBAL_BASE
 

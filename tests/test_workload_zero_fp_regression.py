@@ -1,72 +1,70 @@
 """Zero-false-positive regression: the paper's headline invariant.
 
 Every registered workload, run clean under IPDS monitoring, must raise
-no alarms — at opt levels 0, 1, 2 and 3, serially and sharded across two
-worker processes.  Until now this was only spot-checked inside attack
-campaigns; here it is a standing regression gate over the whole
-registry.
+no alarms — at opt levels 0, 1, 2 and 3.  Each clean session is a
+:func:`repro.attacks.campaign.clean_run`, the one definition of a clean
+run, which raises :class:`CampaignError` on the first alarm.  Every
+campaign attack's clean step is the same call, so a campaign over the
+whole registry, serial and sharded across two worker processes, is a
+clean-run sweep too.
 """
 
-import random
+import functools
 
 import pytest
 
-from repro.attacks import CampaignError
-from repro.parallel import run_clean_sweep
-from repro.pipeline import compile_program_cached, monitored_run
-from repro.workloads import all_workloads, workload_names
+from repro.attacks import CampaignConfig, CampaignError, attack_rng, clean_run
+from repro.parallel import engine, run_campaign
+from repro.pipeline import compile_program_cached
+from repro.workloads import get_workload, workload_names
+
+from .test_attack_recipe import swapped
 
 SESSIONS = 3
-
-
-@pytest.mark.parametrize(
+OPT_LEVELS = pytest.mark.parametrize(
     "opt_level", [0, 1, 2, 3], ids=["opt0", "opt1", "opt2", "opt3"]
 )
+
+
+@OPT_LEVELS
 @pytest.mark.parametrize("name", workload_names())
 def test_clean_runs_never_alarm(name, opt_level):
-    workload = next(w for w in all_workloads() if w.name == name)
+    workload = get_workload(name)
     program = compile_program_cached(workload.source, workload.name, opt_level)
     for session in range(SESSIONS):
-        rng = random.Random(f"zfp:{name}:{session}")
-        inputs = workload.make_inputs(rng)
-        result, ipds = monitored_run(program, inputs=inputs, step_limit=500_000)
-        assert not ipds.detected, (
-            name,
-            opt_level,
-            session,
-            [str(alarm) for alarm in ipds.alarms],
-        )
+        clean_run(program, workload.make_inputs(attack_rng("zfp:", name, session)))
 
 
-@pytest.mark.parametrize(
-    "opt_level", [0, 1, 2, 3], ids=["opt0", "opt1", "opt2", "opt3"]
-)
+@functools.lru_cache(maxsize=None)
+def serial_campaign(opt_level):
+    return run_campaign(attacks=2, config=CampaignConfig(opt_level=opt_level))
+
+
+@OPT_LEVELS
 def test_clean_sweep_serial(opt_level):
-    runs = run_clean_sweep(sessions=2, opt_level=opt_level, jobs=1)
-    assert runs == 2 * len(workload_names())
+    summary = serial_campaign(opt_level)
+    assert [result.workload for result in summary.results] == workload_names()
+    assert all(result.total == 2 for result in summary.results)
 
 
-@pytest.mark.parametrize(
-    "opt_level", [0, 1, 2, 3], ids=["opt0", "opt1", "opt2", "opt3"]
-)
+@OPT_LEVELS
 def test_clean_sweep_sharded(opt_level):
-    """The same invariant must hold through the parallel engine."""
-    runs = run_clean_sweep(sessions=2, opt_level=opt_level, jobs=2)
-    assert runs == 2 * len(workload_names())
+    """The same invariant holds through the process pool, and the
+    sharded campaign equals the serial one."""
+    config = CampaignConfig(opt_level=opt_level)
+    assert run_campaign(attacks=2, config=config, jobs=2) == serial_campaign(
+        opt_level
+    )
 
 
 def test_clean_sweep_raises_on_alarm(monkeypatch):
     """A single alarm anywhere must abort the sweep loudly."""
-    from repro.parallel import engine
+    real = engine.cached_compile
 
-    real = engine._run_clean_shard
+    def poisoned(source, name, opt_level):
+        program = real(source, name, opt_level)
+        return swapped(program) if name == "httpd" else program
 
-    def poisoned(task):
-        alarms = real(task)
-        if task.workload == "httpd":
-            alarms = alarms + ["httpd[injected]: synthetic alarm"]
-        return alarms
-
-    monkeypatch.setattr(engine, "_run_clean_shard", poisoned)
-    with pytest.raises(CampaignError, match="false positive"):
-        engine.run_clean_sweep(sessions=1, jobs=1)
+    monkeypatch.setattr(engine, "cached_compile", poisoned)
+    with pytest.raises(CampaignError, match="false positive on clean run of httpd"):
+        run_campaign(["telnetd", "httpd"], attacks=1)

@@ -12,10 +12,9 @@ Measures what attaching observers costs one interpreter execution:
   of the full stack can be attributed per consumer;
 * ``full_stack``  — the real four-consumer configuration: IPDS +
   baseline timing model + n-gram syscall capture + trace recorder on
-  one pass;
-* ``full_stack_segment`` — the same stack with the timing model in
-  segment mode (``--timing-mode=segment``), including per-run segment
-  training: the campaign-speed configuration;
+  one pass.  It is timed in interleaved pairs with ``bare``
+  (``test_full_stack_pairs``): its overhead is the median per-pair
+  time ratio and its throughput comes from its median run time;
 * ``full_stack_traced`` — the full stack plus the opt-in tracing /
   histogram instrumentation a traced session adds at run boundaries
   (one hierarchical span, two histogram observations per run), so the
@@ -23,7 +22,8 @@ Measures what attaching observers costs one interpreter execution:
   tracing-on overhead stays bounded.  It is timed in interleaved pairs
   with ``full_stack`` (``test_tracing_overhead_pairs``): the overhead
   is the median of the per-pair time ratios, so host speed drifting
-  between two separately timed configs cannot read as overhead.
+  between two separately timed configs cannot read as overhead, and
+  its throughput comes from its median run time in those pairs.
 
 The two gated noop overheads are measured the same way, each in
 interleaved pairs with ``bare`` (``test_noop_overhead_pairs``): their
@@ -65,13 +65,10 @@ ROUNDS = 7
 CONSUMER_CONFIGS = [
     "ipds_only", "timing_only", "syscall_only", "recorder_only",
 ]
-CONFIGS = (
-    ["bare", "noop_events", "noop_instr"]
-    + CONSUMER_CONFIGS
-    + ["full_stack", "full_stack_segment"]
-)
-#: Interleaved (full_stack, full_stack_traced) pairs behind the
-#: tracing overhead: one ratio per pair, the median reported.
+CONFIGS = ["bare", "noop_events", "noop_instr"] + CONSUMER_CONFIGS
+#: Interleaved (bare, full_stack) pairs behind the full stack's
+#: overhead and throughput, and (full_stack, full_stack_traced) pairs
+#: behind the tracing overhead: one ratio per pair, the median reported.
 PAIRS = 31
 #: The noop configs whose overhead over ``bare`` is gated, and the
 #: interleaved (bare, config) pairs behind each (runs of 1-2 ms).
@@ -83,6 +80,7 @@ BENCH_OUT = (
 )
 
 _TIMINGS = {}
+_FULL_STACK_PAIRS = {}
 _TRACING_PAIRS = {}
 _NOOP_PAIRS = {}
 
@@ -116,17 +114,6 @@ def _observers(config):
             SyscallTraceObserver(),
             TraceRecorder(),
         ]
-    if config == "full_stack_segment":
-        # A fresh model per run: the measured cost honestly includes
-        # segment training, not just trained-replay throughput.
-        return [
-            None,  # placeholder: fresh IPDS built per run
-            TimingObserver(
-                TimingModel(ProcessorParams(), None, mode="segment")
-            ),
-            SyscallTraceObserver(),
-            TraceRecorder(),
-        ]
     if config == "full_stack_traced":
         # The exact full_stack observer set; the tracing cost is added
         # around the run in the benchmark body, where a traced session
@@ -150,10 +137,7 @@ def _executor(config, program, inputs):
 
     def execute():
         observers = _observers(config)
-        if config in (
-            "full_stack", "full_stack_segment", "full_stack_traced",
-            "ipds_only",
-        ):
+        if config in ("full_stack", "full_stack_traced", "ipds_only"):
             observers[0] = program.new_ipds()
         if tracer is None:
             return observed_run(program, observers=observers, inputs=inputs)
@@ -173,11 +157,11 @@ def _executor(config, program, inputs):
     return execute
 
 
-def _record(config, best, steps):
+def _record(config, seconds, steps):
     _TIMINGS[config] = {
-        "seconds_per_run": round(best, 6),
+        "seconds_per_run": round(seconds, 6),
         "steps": steps,
-        "steps_per_sec": round(steps / best) if best else 0,
+        "steps_per_sec": round(steps / seconds) if seconds else 0,
     }
 
 
@@ -207,7 +191,7 @@ def _paired(benchmark, base, other, pairs):
     ratio ignores the pairs a noisy neighbour hit.  Two best-of-N times
     taken in separate tests could not tell unchanged code from a
     regression on a shared host.  Returns the summary block, the
-    fastest ``other`` run and ``other``'s last result.
+    median ``other`` run time and ``other``'s last result.
     """
 
     def timed(execute):
@@ -240,7 +224,7 @@ def _paired(benchmark, base, other, pairs):
         ],
     }
     benchmark.extra_info["median_ratio"] = summary["median_ratio"]
-    return summary, min(other_s for _, other_s in rows), result
+    return summary, statistics.median(other_s for _, other_s in rows), result
 
 
 @pytest.mark.parametrize("config", NOOP_CONFIGS)
@@ -259,19 +243,34 @@ def test_noop_overhead_pairs(benchmark, compiled_workloads, workload_inputs,
     _NOOP_PAIRS[config] = summary
 
 
+def test_full_stack_pairs(benchmark, compiled_workloads, workload_inputs):
+    """The full stack's throughput and cost over ``bare``, from
+    interleaved pairs."""
+    workload, program = compiled_workloads[WORKLOAD]
+    inputs = workload_inputs(WORKLOAD, SCALE)
+    summary, median, result = _paired(
+        benchmark,
+        _executor("bare", program, inputs),
+        _executor("full_stack", program, inputs),
+        PAIRS,
+    )
+    _record("full_stack", median, result.steps)
+    _FULL_STACK_PAIRS.update(summary)
+
+
 def test_tracing_overhead_pairs(benchmark, compiled_workloads,
                                 workload_inputs):
     """Tracing's cost over the untraced full stack, from interleaved
     pairs."""
     workload, program = compiled_workloads[WORKLOAD]
     inputs = workload_inputs(WORKLOAD, SCALE)
-    summary, fastest, result = _paired(
+    summary, median, result = _paired(
         benchmark,
         _executor("full_stack", program, inputs),
         _executor("full_stack_traced", program, inputs),
         PAIRS,
     )
-    _record("full_stack_traced", fastest, result.steps)
+    _record("full_stack_traced", median, result.steps)
     _TRACING_PAIRS.update(summary)
     _write_report()
 
@@ -279,14 +278,15 @@ def test_tracing_overhead_pairs(benchmark, compiled_workloads,
 def _write_report():
     assert set(CONFIGS) <= set(_TIMINGS), "all overhead cases must run"
     assert set(NOOP_CONFIGS) <= set(_NOOP_PAIRS), "all noop pairs must run"
+    assert _FULL_STACK_PAIRS, "the full-stack pairs must run"
     bare = _TIMINGS["bare"]["seconds_per_run"]
     for timing in _TIMINGS.values():
         timing["overhead_vs_bare_pct"] = (
             round(100.0 * (timing["seconds_per_run"] / bare - 1.0), 2)
             if bare else 0.0
         )
-    # The gated noop overheads come from their interleaved pairs.
-    for config, pairs in _NOOP_PAIRS.items():
+    # The gated overheads come from their interleaved pairs.
+    for config, pairs in {**_NOOP_PAIRS, "full_stack": _FULL_STACK_PAIRS}.items():
         _TIMINGS[config]["overhead_vs_bare_pct"] = round(
             100.0 * (pairs["median_ratio"] - 1.0), 2
         )
@@ -305,24 +305,12 @@ def _write_report():
         }
     # Headline block for the direction-aware bench-diff rules: the
     # full-stack throughput (higher is better) and overhead vs bare
-    # (lower is better), exact and segment mode side by side.
+    # (lower is better).
     full = _TIMINGS["full_stack"]
-    segment = _TIMINGS["full_stack_segment"]
     traced = _TIMINGS["full_stack_traced"]
     summary = {
         "full_stack_steps_per_sec": full["steps_per_sec"],
         "full_stack_overhead_vs_bare_pct": full["overhead_vs_bare_pct"],
-        "full_stack_segment_steps_per_sec": segment["steps_per_sec"],
-        "full_stack_segment_overhead_vs_bare_pct": segment[
-            "overhead_vs_bare_pct"
-        ],
-        "segment_speedup_x_full_stack": (
-            round(
-                full["seconds_per_run"] / segment["seconds_per_run"], 3
-            )
-            if segment["seconds_per_run"]
-            else 0.0
-        ),
         "full_stack_traced_steps_per_sec": traced["steps_per_sec"],
         "tracing_overhead_vs_full_stack_pct": round(
             100.0 * (_TRACING_PAIRS["median_ratio"] - 1.0), 2
@@ -337,6 +325,7 @@ def _write_report():
                 "rounds": ROUNDS,
                 "configs": _TIMINGS,
                 "breakdown": breakdown,
+                "full_stack_pairs": _FULL_STACK_PAIRS,
                 "noop_pairs": _NOOP_PAIRS,
                 "tracing_pairs": _TRACING_PAIRS,
                 "summary": summary,

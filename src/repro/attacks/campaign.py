@@ -87,10 +87,9 @@ class CampaignConfig:
       ``"process"``, see :func:`run_attack_detailed`);
     * ``forensics`` flight-records the attack run and explains its
       alarms, keeping ``flight_recorder_depth`` branches;
-    * ``timing_mode`` (``"exact"`` or ``"segment"``) attaches a timing
-      model to the attack run and records its cycle count.  It is a
-      passive bus consumer: detection results are identical with it on
-      or off.
+    * ``timed`` attaches the timing model to the attack run and
+      records its cycle count.  It is a passive bus consumer: detection
+      results are identical with it on or off.
     """
 
     step_limit: int = 500_000
@@ -98,13 +97,11 @@ class CampaignConfig:
     opt_level: int = 0
     forensics: bool = False
     flight_recorder_depth: int = DEFAULT_DEPTH
-    timing_mode: Optional[str] = None
+    timed: bool = False
 
     def __post_init__(self) -> None:
         if self.attack_model not in ("input", "process"):
             raise ValueError(f"unknown attack model {self.attack_model!r}")
-        if self.timing_mode not in (None, "exact", "segment"):
-            raise ValueError(f"unknown timing mode {self.timing_mode!r}")
 
 
 DEFAULT_CONFIG = CampaignConfig()
@@ -140,6 +137,23 @@ def clean_run(
     return result, ipds
 
 
+def record_ipds_metrics(metrics: MetricsRegistry, ipds: IPDS) -> None:
+    """The standard per-run IPDS counter block: every monitored run
+    (both runs of an attack, a run or replay session) counts through
+    it, so ``ipds.alarms`` covers every front end."""
+    metrics.increment("ipds.events", ipds.stats.events)
+    metrics.increment("ipds.checks", ipds.stats.checks)
+    metrics.increment("ipds.alarms", len(ipds.alarms))
+    if ipds.stats.unprotected_calls:
+        metrics.increment(
+            "ipds.unprotected_calls", ipds.stats.unprotected_calls
+        )
+    if ipds.stats.unprotected_branches:
+        metrics.increment(
+            "ipds.unprotected_branches", ipds.stats.unprotected_branches
+        )
+
+
 @dataclass(frozen=True)
 class AttackOutcome:
     """One attack's classification."""
@@ -164,7 +178,7 @@ class AttackOutcome:
     #: timing-equivalence goldens pin these byte-for-byte.
     alarms: Tuple[str, ...] = ()
     #: Modeled cycle count of the monitored attack run — populated only
-    #: when the campaign runs with a ``timing_mode``; None otherwise, so
+    #: when the campaign runs ``timed``; None otherwise, so
     #: timing-off campaigns stay byte-identical to before.
     cycles: Optional[int] = None
     #: Per-alarm compile-time proof reasons ("subsumption", "kill",
@@ -238,11 +252,6 @@ class WorkloadResult:
     workload: str
     vuln_kind: str
     attacks: List[AttackOutcome] = field(default_factory=list)
-    #: Timing mode the campaign ran its attack runs under (None = no
-    #: timing model attached).  Shard merges refuse to mix modes: a
-    #: cycle column whose rows came from different approximations would
-    #: be silently meaningless.
-    timing_mode: Optional[str] = None
 
     @property
     def total(self) -> int:
@@ -299,7 +308,7 @@ class TargetDraw:
     """The tamper target of one attack, drawn when its trigger fires.
 
     The ``choose`` hook of a :class:`LazyTamper`: it takes the live
-    stack words at the trigger, adds the globals segment when
+    stack words at the trigger, adds every global word when
     ``widen`` (what a format string or a co-resident process reaches),
     falls back to the globals alone when that leaves nothing, and draws
     the word and then the payload from ``rng``.  :meth:`drawn` makes
@@ -402,22 +411,20 @@ def execute_attack(
         tamper = tamper(clean)
 
     # 2. The attack run (flight-recorded when forensics is on, timed
-    # when a timing mode is selected).
+    # when the campaign is).
     recorder = (
         FlightRecorder(config.flight_recorder_depth)
         if config.forensics
         else None
     )
-    timing_model = None
-    if config.timing_mode is not None:
+    timing = None
+    if config.timed:
         from ..cpu.ipds_hw import IPDSHardwareModel
         from ..cpu.pipeline import TimingModel
         from ..cpu.simulator import TimingObserver
 
-        timing_model = TimingModel(
-            ipds=IPDSHardwareModel(program.tables), mode=config.timing_mode
-        )
-        observers = (TimingObserver(timing_model), *extra_observers, *hooks)
+        timing = TimingModel(ipds=IPDSHardwareModel(program.tables))
+        observers = (TimingObserver(timing), *extra_observers, *hooks)
     else:
         observers = (*extra_observers, *hooks)
     attack_started = time.perf_counter()
@@ -456,12 +463,8 @@ def execute_attack(
         metrics.increment("campaign.attacks")
         metrics.increment("campaign.executions", 2)  # clean + attack
         metrics.increment("interp.steps", clean.steps + attacked.steps)
-        metrics.increment(
-            "ipds.events", clean_ipds.stats.events + ipds.stats.events
-        )
-        metrics.increment(
-            "ipds.checks", clean_ipds.stats.checks + ipds.stats.checks
-        )
+        record_ipds_metrics(metrics, clean_ipds)
+        record_ipds_metrics(metrics, ipds)
         metrics.increment("campaign.tamper_fired", int(attacked.tamper_fired))
         metrics.increment("campaign.control_flow_changed", int(changed))
         metrics.increment("campaign.detected", int(ipds.detected))
@@ -483,7 +486,7 @@ def execute_attack(
         attack_status=attacked.status,
         explanations=explanations,
         alarms=tuple(str(alarm) for alarm in ipds.alarms),
-        cycles=timing_model.stats.cycles if timing_model is not None else None,
+        cycles=timing.stats.cycles if timing is not None else None,
         proof_reasons=proof_reasons,
         tamper_site=attacked.tamper_site,
     )

@@ -625,14 +625,14 @@ def cmd_campaign(args: argparse.Namespace) -> int:
         model=args.model,
         opt=args.opt,
         seed_prefix=args.seed_prefix,
-        timing_mode=args.timing_mode,
+        timed=args.timed,
     )
     config = CampaignConfig(
         attack_model=args.model,
         opt_level=args.opt,
         forensics=args.forensics,
         flight_recorder_depth=args.flight_recorder_depth,
-        timing_mode=args.timing_mode,
+        timed=args.timed,
     )
     if args.workload == "all":
         from .reporting import render_figure7
@@ -671,12 +671,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
               f"({result.pct_detected:.1f}%)")
         print(f"  detected of changed : "
               f"{result.pct_detected_of_changed:.1f}%")
-        if result.timing_mode is not None:
-            cycles = [a.cycles for a in result.attacks if a.cycles is not None]
-            if cycles:
-                print(f"  avg attack cycles   : "
-                      f"{sum(cycles) / len(cycles):.0f} "
-                      f"({result.timing_mode} timing)")
+        cycles = [a.cycles for a in result.attacks if a.cycles is not None]
+        if cycles:
+            print(f"  avg attack cycles   : {sum(cycles) / len(cycles):.0f}")
         results = [result]
         outcome_summary = {
             "total": result.total,
@@ -719,14 +716,10 @@ def cmd_timing(args: argparse.Namespace) -> int:
     metrics = MetricsRegistry()
     tracer = Tracer(metrics=metrics)
     manifest = RunManifest.begin(
-        "timing", workload=args.workload, scale=args.scale,
-        timing_mode=args.timing_mode,
+        "timing", workload=args.workload, scale=args.scale
     )
     workload = get_workload(args.workload)
-    with tracer.span(
-        "timing", workload=args.workload, scale=args.scale,
-        timing_mode=args.timing_mode,
-    ):
+    with tracer.span("timing", workload=args.workload, scale=args.scale):
         with tracer.span("compile"):
             program = compile_program_cached(workload.source, workload.name)
         inputs = workload.make_inputs(
@@ -739,8 +732,7 @@ def cmd_timing(args: argparse.Namespace) -> int:
             observers.append(recorder)
         with tracer.span("simulate"):
             comp = normalized_performance(
-                program, inputs, workload.name, observers=observers,
-                timing_mode=args.timing_mode,
+                program, inputs, workload.name, observers=observers
             )
     metrics.increment("timing.instructions", comp.instructions)
     metrics.increment("timing.baseline_cycles", comp.baseline_cycles)
@@ -929,11 +921,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed-prefix", default="",
                    help="campaign seed namespace (attack i draws from "
                         "seed '<prefix><workload>:<i>')")
-    p.add_argument("--timing-mode", choices=["exact", "segment"],
-                   default=None,
-                   help="attach a timing model to every attack run and "
-                        "record cycle counts ('segment' uses the "
-                        "memoized fast path; detection results are "
+    p.add_argument("--timed", action="store_true",
+                   help="attach the timing model to every attack run and "
+                        "record cycle counts (detection results are "
                         "identical either way)")
     _add_forensics_args(p)
     _add_observability_args(
@@ -1019,11 +1009,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("timing", help="Figure-9 timing for a workload")
     p.add_argument("workload", choices=workload_names())
     p.add_argument("--scale", type=int, default=10)
-    p.add_argument("--timing-mode", choices=["exact", "segment"],
-                   default="exact",
-                   help="'exact' is the cycle-accurate reference; "
-                        "'segment' memoizes per-trace-segment deltas "
-                        "(accuracy pinned by the tolerance matrix)")
     _add_observability_args(p)
     p.set_defaults(func=cmd_timing)
 

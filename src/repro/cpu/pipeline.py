@@ -39,25 +39,14 @@ head); register readiness keys on the integer register index; the
 static record of an instruction is cached by object identity (pinning
 the object, so its id is never recycled); and ``on_instructions``
 accounts a whole committed batch per call with lane state in locals.
-``on_instruction`` accounts one instruction as a batch of one, so in
-exact mode it produces bit-identical cycles.
-
-Opt-in approximation (``mode="segment"``): straight-line trace
-segments (a batch is flushed at every control-flow event, so the
-instructions that follow a batch's first are fully determined by it)
-are timed exactly for a few warm visits, then replayed as a memoized
-cycle delta.  Cache/predictor state stops evolving inside replayed
-segments, so this is *not* cycle-exact — its per-workload error
-against the exact model is pinned by ``tests/test_timing_segment_mode``
-and documented in EXPERIMENTS.md.  Visit counts depend only on the
-batch sequence, so lanes share each segment's replay decision and keep
-their own memoized deltas.  Figure 9 uses the default exact mode.
+``on_instruction`` accounts one instruction as a batch of one, so it
+produces bit-identical cycles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from ..ir.instructions import (
     BinOp,
@@ -74,20 +63,6 @@ from .caches import MemoryHierarchy
 from .ipds_hw import IPDSHardwareModel
 from .params import ProcessorParams
 from .predictor import TwoLevelPredictor
-
-#: Segment mode: exact visits ignored before sampling starts.  Min
-#: aggregation already filters cold-cache samples, so one warmup visit
-#: (skipping the compulsory-miss pass) is enough; fewer exact visits
-#: per segment is what the fast path's throughput comes from.
-SEGMENT_WARMUP_VISITS = 1
-#: Segment mode: exact visits sampled for the memoized cycle delta.
-#: The *minimum* sample is kept — the steady-state cost of the segment
-#: with warm caches and a trained predictor; mispredict-inflated visits
-#: would otherwise bias every replay upward.
-SEGMENT_TRAIN_SAMPLES = 3
-#: Exact visits after which a segment replays.
-_TRAINED_AFTER = SEGMENT_WARMUP_VISITS + SEGMENT_TRAIN_SAMPLES
-
 
 @dataclass
 class TimingStats:
@@ -226,25 +201,6 @@ class _Lane:
         self.last_commit, self._committed = last_commit, committed
         self.fetch_cycle, self.commit_cycle = fetch_cycle, commit_cycle
 
-    def sample(self, memo: list, commit: int, fetch: int, first: bool) -> None:
-        """Fold one exactly-timed visit into a segment's replay memo
-        ``[commit-to-commit, fetch-to-commit, lag]``, keeping the
-        minimum of each anchored delta — the segment's steady-state
-        cost with warm caches.  ``commit`` and ``fetch`` are the
-        frontiers before the visit.  The fetch-anchored delta matters
-        right after a mispredict redirect, when the fetch frontier is
-        above the commit frontier: the refill bubble still propagates
-        through replays.  ``lag`` is how far fetch trailed commit when
-        the segment ended."""
-        last_commit = self.last_commit
-        d_commit = last_commit - commit
-        d_fetch = last_commit - fetch
-        if first or d_commit < memo[0]:
-            memo[0] = d_commit
-            memo[2] = last_commit - self.fetch_free
-        if first or d_fetch < memo[1]:
-            memo[1] = d_fetch
-
     def redirect(self, penalty: int) -> None:
         """A mispredict: fetch resumes after resolution plus the
         front-end refill penalty."""
@@ -265,14 +221,10 @@ class TimingModel:
         self,
         params: ProcessorParams = ProcessorParams(),
         ipds: Optional[IPDSHardwareModel] = None,
-        mode: str = "exact",
         baseline_lane: bool = False,
     ):
-        if mode not in ("exact", "segment"):
-            raise ValueError(f"unknown timing mode {mode!r}")
         self._params = params
         self._ipds = ipds
-        self.mode = mode
         self.memory = MemoryHierarchy(params)
         self.predictor = TwoLevelPredictor(params.history_bits)
         self._lane = _Lane(params)
@@ -286,10 +238,6 @@ class TimingModel:
         #: is the front end's output when no cache is touched; the
         #: trailing ref keeps the id valid.
         self._info: Dict[int, tuple] = {}
-        #: (id(first instruction), count) -> [first instruction (pins
-        #: the id), exact visits, (loads, stores, branches), a
-        #: ``(lane, _Lane.sample memo)`` pair per lane].
-        self._segments: Dict[Tuple[int, int], list] = {}
 
     @property
     def stats(self) -> TimingStats:
@@ -345,55 +293,15 @@ class TimingModel:
         touched: Sequence[Optional[int]],
         count: int,
     ) -> None:
-        """Account one committed batch (the interpreter's flat buffer).
-
-        Exact mode produces cycle counts bit-identical to ``count``
-        calls of :meth:`on_instruction` — batching changes only the
-        call granularity.  Segment mode may replay a memoized delta for
-        a previously-trained segment instead of re-timing it; its
-        segments are the batches as delivered, so one-at-a-time
-        delivery memoizes single instructions.
-        """
-        if self.mode != "segment":
-            self._account(instructions, touched, count)
-            return
-        key = (id(instructions[0]), count)
-        segment = self._segments.get(key)
-        if segment is None:
-            memos = tuple((lane, [0, 0, 0]) for lane in self._lanes)
-            segment = self._segments[key] = [instructions[0], 0, None, memos]
-        _, visits, counts, memos = segment
-        if visits >= _TRAINED_AFTER:
-            # Replay (inlined on purpose: this runs once per batch).
-            for lane, (d_commit, d_fetch, lag) in memos:
-                last_commit = lane.last_commit + d_commit
-                from_fetch = lane.fetch_free + d_fetch
-                if from_fetch > last_commit:
-                    last_commit = from_fetch
-                lane.last_commit = last_commit
-                lane.fetch_free = last_commit - lag
-                lane.fetch_cycle = lane.commit_cycle = -1
-            self._instructions += count
-            self._loads += counts[0]
-            self._stores += counts[1]
-            self._branches += counts[2]
-            return
-        segment[1] = visits = visits + 1
-        before = [(lane.last_commit, lane.fetch_free) for lane in self._lanes]
-        segment[2] = self._account(instructions, touched, count)
-        if visits > SEGMENT_WARMUP_VISITS:
-            first = visits == SEGMENT_WARMUP_VISITS + 1
-            for (lane, memo), (commit, fetch) in zip(memos, before):
-                lane.sample(memo, commit, fetch, first)
-
-    def _account(self, instructions, touched, count) -> Tuple[int, int, int]:
-        """Exact accounting for ``count`` committed instructions.
+        """Account one committed batch (the interpreter's flat buffer):
+        cycle counts bit-identical to ``count`` calls of
+        :meth:`on_instruction`, since batching changes only the call
+        granularity.
 
         The shared front end resolves each instruction's lane record —
         its static record plus the I-cache latency on a block change
         and a memory op's data latency, each computed once — then every
-        lane advances over the same records.  Returns the batch's
-        (loads, stores, branches) for segment training.
+        lane advances over the same records.
         """
         fetch_latency = self.memory.fetch_latency
         data_latency = self.memory.data_latency
@@ -433,7 +341,6 @@ class TimingModel:
         self._loads += loads
         self._stores += stores
         self._branches += branches
-        return loads, stores, branches
 
     # -- control-flow hooks (event listener) -----------------------------------
 

@@ -88,19 +88,17 @@ def timed_run(
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
     step_limit: int = 2_000_000,
     observers: Sequence[ExecutionObserver] = (),
-    timing_mode: str = "exact",
 ) -> TimedRun:
     """Execute once under the timing model.
 
     Extra ``observers`` share the same execution — e.g. a
     :class:`~repro.runtime.replay.TraceRecorder` for an audit trace of
-    the timed run.  ``timing_mode="segment"`` opts into the memoized
-    segment approximation.
+    the timed run.
     """
     ipds_hw = (
         IPDSHardwareModel(program.tables, ipds_params) if with_ipds else None
     )
-    model = TimingModel(processor, ipds_hw, mode=timing_mode)
+    model = TimingModel(processor, ipds_hw)
     interpreter = Interpreter(
         program.module,
         inputs=inputs,
@@ -150,7 +148,6 @@ def normalized_performance(
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
     step_limit: int = 2_000_000,
     observers: Sequence[ExecutionObserver] = (),
-    timing_mode: str = "exact",
 ) -> PerformanceComparison:
     """Baseline and IPDS configurations measured from **one** execution.
 
@@ -158,11 +155,9 @@ def normalized_performance(
     one memory hierarchy and one predictor; each lane's cycles equal
     a separate :func:`timed_run` of its configuration.  Extra
     ``observers`` (recorders, metrics taps) ride the same pass.
-    ``timing_mode="segment"`` applies the memoized segment
-    approximation to *both* lanes.
     """
     ipds_hw = IPDSHardwareModel(program.tables, ipds_params)
-    model = TimingModel(processor, ipds_hw, mode=timing_mode, baseline_lane=True)
+    model = TimingModel(processor, ipds_hw, baseline_lane=True)
     interpreter = Interpreter(
         program.module,
         inputs=inputs,

@@ -323,7 +323,27 @@ class _FunctionLowering:
     def _lower_condition(
         self, expr: ast.Expr, true_label: str, false_label: str
     ) -> None:
-        """Lower ``expr`` as a short-circuit branch condition."""
+        """Lower ``expr`` as a short-circuit branch condition.
+
+        A left-deep ``&&``/``||`` chain is walked in a loop, its blocks
+        allocated in the recursion's order, so a chain's length is not
+        bounded by the recursion limit."""
+        pending: List[Tuple[BasicBlock, ast.Expr, str, str]] = []
+        while isinstance(expr, ast.BinaryOp) and expr.op in ("&&", "||"):
+            mid = self._new_block()
+            pending.append((mid, expr.right, true_label, false_label))
+            if expr.op == "&&":
+                true_label = mid.label
+            else:
+                false_label = mid.label
+            expr = expr.left
+        self._lower_test(expr, true_label, false_label)
+        for mid, right, true_label, false_label in reversed(pending):
+            self._switch_to(mid)
+            self._lower_condition(right, true_label, false_label)
+
+    def _lower_test(self, expr: ast.Expr, true_label: str, false_label: str) -> None:
+        """One branch on a condition that is not an ``&&``/``||``."""
         if isinstance(expr, ast.BinaryOp) and expr.op in _REL_OPS:
             lhs = self._lower_expr(expr.left, want_value=True)
             rhs = self._lower_expr(expr.right, want_value=True)
@@ -336,18 +356,6 @@ class _FunctionLowering:
                     self._terminate(Jump(target))
                     return
             self._terminate(CondBranch(lhs, op, rhs, true_label, false_label))
-            return
-        if isinstance(expr, ast.BinaryOp) and expr.op == "&&":
-            mid = self._new_block()
-            self._lower_condition(expr.left, mid.label, false_label)
-            self._switch_to(mid)
-            self._lower_condition(expr.right, true_label, false_label)
-            return
-        if isinstance(expr, ast.BinaryOp) and expr.op == "||":
-            mid = self._new_block()
-            self._lower_condition(expr.left, true_label, mid.label)
-            self._switch_to(mid)
-            self._lower_condition(expr.right, true_label, false_label)
             return
         if isinstance(expr, ast.UnaryOp) and expr.op == "!":
             self._lower_condition(expr.operand, false_label, true_label)
@@ -413,35 +421,47 @@ class _FunctionLowering:
         return dest
 
     def _lower_binary(self, expr: ast.BinaryOp) -> Operand:
-        if expr.op in _REL_OPS:
-            lhs = self._lower_expr(expr.left, want_value=True)
-            rhs = self._lower_expr(expr.right, want_value=True)
-            op = _REL_OPS[expr.op]
-            if isinstance(lhs, int) and isinstance(rhs, int):
-                return int(op.evaluate(lhs, rhs))
-            dest = self._new_reg()
-            self._emit(Cmp(dest, op, lhs, rhs))
-            return dest
+        """Lower a left-deep operator chain (``1 + 1 + ...``) in a loop
+        down its left operands, innermost operator first, so its length
+        is not bounded by the recursion limit; registers come out in the
+        order the recursion would allocate them."""
+        chain: List[ast.BinaryOp] = []
+        while isinstance(expr, ast.BinaryOp):
+            chain.append(expr)
+            expr = expr.left
+        lhs = self._lower_expr(expr, want_value=True)
+        for expr in reversed(chain):
+            lhs = self._apply_binary(expr, lhs)
+        return lhs
+
+    def _apply_binary(self, expr: ast.BinaryOp, lhs: Operand) -> Operand:
+        """One operator of a chain, on its already-lowered left operand."""
         if expr.op in ("&&", "||"):
             # Value position: evaluate both sides to 0/1 and combine.
-            left = self._bool_value(expr.left)
-            right = self._bool_value(expr.right)
+            left = self._truth(lhs)
+            right = self._truth(self._lower_expr(expr.right, want_value=True))
             total = self._new_reg()
             self._emit(BinOp(total, "+", left, right))
             dest = self._new_reg()
             threshold = RelOp.EQ if expr.op == "&&" else RelOp.GE
             self._emit(Cmp(dest, threshold, total, 2 if expr.op == "&&" else 1))
             return dest
-        lhs = self._lower_expr(expr.left, want_value=True)
         rhs = self._lower_expr(expr.right, want_value=True)
+        if expr.op in _REL_OPS:
+            op = _REL_OPS[expr.op]
+            if isinstance(lhs, int) and isinstance(rhs, int):
+                return int(op.evaluate(lhs, rhs))
+            dest = self._new_reg()
+            self._emit(Cmp(dest, op, lhs, rhs))
+            return dest
         if isinstance(lhs, int) and isinstance(rhs, int):
             return self._fold_arith(expr.op, lhs, rhs, expr.location)
         dest = self._new_reg()
         self._emit(BinOp(dest, expr.op, lhs, rhs))
         return dest
 
-    def _bool_value(self, expr: ast.Expr) -> Operand:
-        value = self._lower_expr(expr, want_value=True)
+    def _truth(self, value: Operand) -> Operand:
+        """``value != 0`` as a 0/1 operand."""
         if isinstance(value, int):
             return int(value != 0)
         dest = self._new_reg()

@@ -70,28 +70,15 @@ DEFAULT_RULES: Tuple[MetricRule, ...] = (
         min_delta=40.0,
     ),
     # Throughput metrics are direction "higher": the batched delivery /
-    # ring-buffer / segment-mode work exists to push these up, and the
-    # gate must catch a refactor that quietly gives the win back.  The
-    # absolute floors sit above same-box timing noise (~10%).
+    # ring-buffer work exists to push these up, and the gate must catch
+    # a refactor that quietly gives the win back.  The absolute floors
+    # sit above same-box timing noise (~10%).
     MetricRule(
         "observer_overhead",
         ("summary", "full_stack_steps_per_sec"),
         max_change_pct=25.0,
         min_delta=20_000.0,
         direction="higher",
-    ),
-    MetricRule(
-        "observer_overhead",
-        ("summary", "full_stack_segment_steps_per_sec"),
-        max_change_pct=25.0,
-        min_delta=40_000.0,
-        direction="higher",
-    ),
-    MetricRule(
-        "observer_overhead",
-        ("summary", "full_stack_segment_overhead_vs_bare_pct"),
-        max_change_pct=30.0,
-        min_delta=40.0,
     ),
     # The tracing-enabled full stack: throughput must stay up
     # (direction "higher") and the marginal cost of the per-run span +

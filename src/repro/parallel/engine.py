@@ -77,10 +77,6 @@ class ShardResult:
 
     outcomes: List[AttackOutcome] = field(default_factory=list)
     metrics: Optional[Dict[str, Any]] = None
-    #: Timing mode the shard's attack runs used (None = timing off).
-    #: Merges refuse shards with differing modes — see
-    #: :func:`merge_shard_results`.
-    timing_mode: Optional[str] = None
     #: Worker-side span records (plain dicts), parented under the
     #: campaign root via the task's ``trace_context``; the parent tracer
     #: adopts them at the merge point.
@@ -161,7 +157,6 @@ def _run_shard(
     return ShardResult(
         outcomes=outcomes,
         metrics=registry.snapshot() if registry is not None else None,
-        timing_mode=config.timing_mode,
         spans=tracer.span_dicts() if task.trace_context is not None else [],
     )
 
@@ -173,19 +168,8 @@ def merge_shard_results(
 
     Validates completeness — the merged list must cover exactly
     ``range(attacks)``: a shard that silently dropped work is a
-    campaign-integrity failure, not a statistic — and that every shard
-    ran under the *same* timing mode: outcomes whose ``cycles`` column
-    came from different approximations (or from a mix of timed and
-    untimed shards) must never be silently averaged into one table.
+    campaign-integrity failure, not a statistic.
     """
-    modes = {shard.timing_mode for shard in shards}
-    if len(modes) > 1:
-        rendered = ", ".join(sorted(str(mode) for mode in modes))
-        raise CampaignError(
-            f"sharded campaign for {workload.name} mixed timing modes "
-            f"across shards ({rendered}); all shards must run with the "
-            f"same --timing-mode"
-        )
     merged = sorted(
         (outcome for shard in shards for outcome in shard.outcomes),
         key=lambda outcome: outcome.index,
@@ -200,7 +184,6 @@ def merge_shard_results(
         workload=workload.name,
         vuln_kind=workload.vuln_kind,
         attacks=merged,
-        timing_mode=modes.pop() if modes else None,
     )
 
 

@@ -162,7 +162,7 @@ class ServeClient:
             lambda m: m.get("event") == "result"
             and m.get("session") == session_id
         )
-        return message["result"] if "result" in message else message
+        return message["result"]
 
     def results(
         self, session_ids: Sequence[str]

@@ -39,6 +39,7 @@ from ..attacks.campaign import (
     AttackExecution,
     CampaignConfig,
     execute_attack,
+    record_ipds_metrics,
     run_attack_detailed,
 )
 from ..interp.interpreter import RunResult, TamperSpec
@@ -128,7 +129,7 @@ class SessionSpec:
     attack_index: Optional[int] = None
     seed_prefix: str = ""
     attack_model: str = "input"
-    timing_mode: Optional[str] = None
+    timed: bool = False
     # -- replay --
     trace_text: Optional[str] = None
 
@@ -223,21 +224,6 @@ class SessionResult:
 #: Event callback: ``emit(kind, payload)``.  The daemon routes these to
 #: the submitting connection; the CLI runs with the no-op default.
 EmitFn = Callable[[str, Dict[str, Any]], None]
-
-
-def record_ipds_metrics(metrics: MetricsRegistry, ipds: IPDS) -> None:
-    """The standard per-run IPDS counter block."""
-    metrics.increment("ipds.events", ipds.stats.events)
-    metrics.increment("ipds.checks", ipds.stats.checks)
-    metrics.increment("ipds.alarms", len(ipds.alarms))
-    if ipds.stats.unprotected_calls:
-        metrics.increment(
-            "ipds.unprotected_calls", ipds.stats.unprotected_calls
-        )
-    if ipds.stats.unprotected_branches:
-        metrics.increment(
-            "ipds.unprotected_branches", ipds.stats.unprotected_branches
-        )
 
 
 class DetectionSession:
@@ -399,14 +385,14 @@ class DetectionSession:
         extra, recorder, progress = self._session_observers()
         hooks = dict(
             # Built from the spec's wire fields; raises ValueError on
-            # an unknown attack model or timing mode.
+            # an unknown attack model.
             config=CampaignConfig(
                 step_limit=spec.effective_step_limit,
                 attack_model=spec.attack_model,
                 opt_level=spec.opt_level,
                 forensics=spec.forensics,
                 flight_recorder_depth=spec.flight_recorder_depth,
-                timing_mode=spec.timing_mode,
+                timed=spec.timed,
             ),
             metrics=self.metrics,
             # The recorder traces the attack run; the progress hook
@@ -511,7 +497,7 @@ class DetectionSession:
             self._set_state(SessionState.FAILED)
             self._finish_policy()
             self.result = self._build_result()
-            self.emit("result", self.result.to_dict())
+            self.emit("result", {"result": self.result.to_dict()})
             return self.result
 
     def _finish_policy(self) -> None:

@@ -56,7 +56,7 @@ _SPEC_FIELDS = (
     "attack_index",
     "seed_prefix",
     "attack_model",
-    "timing_mode",
+    "timed",
     "trace_text",
 )
 

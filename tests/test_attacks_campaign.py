@@ -1,5 +1,7 @@
 """Tests for the attack campaign framework (Figure 7 methodology)."""
 
+import dataclasses
+
 import pytest
 
 from repro.attacks import (
@@ -172,3 +174,55 @@ def test_sharded_work_counters_equal_serial():
     serial = counters(1)
     assert serial["campaign.executions"] == 2 * serial["campaign.attacks"] == 16
     assert counters(2) == serial
+
+
+def test_attack_counts_its_alarms(telnetd):
+    """Both runs of an attack count through the one IPDS counter block,
+    so ``ipds.alarms`` covers attacks as it covers run sessions."""
+    workload, program = telnetd
+    index = next(
+        i for i in range(40) if run_attack(program, workload, index=i).detected
+    )
+    metrics = MetricsRegistry()
+    execution = run_attack_detailed(program, workload, index, metrics=metrics)
+    assert metrics.value("ipds.alarms") == len(execution.ipds.alarms) >= 1
+
+
+# ----------------------------------------------------------------------
+# Timed campaigns
+# ----------------------------------------------------------------------
+
+TIMED = CampaignConfig(timed=True)
+
+
+def test_timed_attack_records_cycles_without_perturbing_outcome(telnetd):
+    """The timing model is a passive bus consumer: a timed attack
+    changes no detection field, and only it carries ``cycles``."""
+    workload, program = telnetd
+    for index in range(3):
+        untimed = run_attack(program, workload, index, seed_prefix="timed:")
+        timed = run_attack(
+            program, workload, index, seed_prefix="timed:", config=TIMED
+        )
+        assert untimed.cycles is None
+        assert isinstance(timed.cycles, int) and timed.cycles > 0
+        assert dataclasses.replace(timed, cycles=None) == untimed
+
+
+def test_sharded_timed_campaign_equals_serial():
+    """Every shard of one campaign runs the same config, so a sharded
+    timed campaign merges the serial outcomes, cycles included."""
+
+    def outcomes(jobs):
+        summary = run_campaign(
+            ["telnetd", "portmap"],
+            attacks=4,
+            seed_prefix="timed:",
+            config=TIMED,
+            jobs=jobs,
+        )
+        return [result.attacks for result in summary.results]
+
+    serial = outcomes(1)
+    assert all(o.cycles is not None for attacks in serial for o in attacks)
+    assert outcomes(2) == serial

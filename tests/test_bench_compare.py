@@ -147,20 +147,18 @@ def test_default_rules_gate_static_check_times():
 
 
 def test_default_rules_gate_throughput_direction_aware():
-    """The batched/segment throughput wins are gated in the "higher is
-    better" direction, and the overhead companions stay "lower"."""
+    """The batched throughput wins are gated in the "higher is better"
+    direction, and the overhead companions stay "lower"."""
     by_path = {rule.path: rule for rule in DEFAULT_RULES}
     for path in (
         ("summary", "full_stack_steps_per_sec"),
-        ("summary", "full_stack_segment_steps_per_sec"),
+        ("summary", "full_stack_traced_steps_per_sec"),
         ("total", "steps_per_sec"),
     ):
         assert by_path[path].direction == "higher", path
         assert by_path[path].min_delta > 0, path  # noise floor declared
     assert (
-        by_path[
-            ("summary", "full_stack_segment_overhead_vs_bare_pct")
-        ].direction
+        by_path[("configs", "full_stack", "overhead_vs_bare_pct")].direction
         == "lower"
     )
 

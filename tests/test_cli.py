@@ -446,6 +446,22 @@ def test_compile_of_too_deep_source_is_tool_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_compile_of_a_long_operator_chain(tmp_path, capsys):
+    chain = tmp_path / "chain.c"
+    chain.write_text(
+        "void main() { int x = " + " + ".join(["1"] * 500) + "; emit(x); }\n"
+    )
+    assert main(["compile", str(chain)]) == 0
+    assert "error:" not in capsys.readouterr().err
+
+
+def test_timing_has_no_mode_option(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["timing", "telnetd", "--timing-mode", "segment"])
+    assert excinfo.value.code == 2
+    assert "--timing-mode" in capsys.readouterr().err
+
+
 def test_audit_parse_error_is_tool_error(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_text("int int int {{{")

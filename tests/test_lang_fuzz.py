@@ -89,14 +89,27 @@ def test_deeply_nested_blocks_do_not_blow_up():
 
 
 def test_long_operator_chain():
-    # Left-deep folding recurses; 300 terms stays within Python's
-    # default recursion budget (a documented practical limit).
-    source = "void main() { emit(" + " + ".join(["1"] * 300) + "); }"
-    program = parse_program(source)
-    module = lower_program(program)
+    """A left-deep chain lowers in a loop, so no chain length reaches
+    the recursion limit: sums, and short-circuit conditions."""
     from repro.interp import Interpreter
 
-    assert Interpreter(module).run().outputs == [300]
+    for terms in (300, 5_000):
+        source = "void main() { emit(" + " + ".join(["1"] * terms) + "); }"
+        module = lower_program(parse_program(source))
+        assert Interpreter(module).run().outputs == [terms]
+    for op, test in (("&&", "a != {}"), ("||", "a == {}")):
+        chain = f" {op} ".join(test.format(i) for i in range(1_500))
+        source = (
+            "int a; void main() { a = read_int(); "
+            f"if ({chain}) {{ emit(1); }} else {{ emit(2); }} }}"
+        )
+        module = lower_program(parse_program(source))
+        verify_module(module)
+        for value in (-1, 7, 1_499):
+            # The && chain holds outside 0..1499, the || chain inside.
+            expected = 1 if (op == "&&") == (value == -1) else 2
+            run = Interpreter(module, inputs=[value]).run()
+            assert run.outputs == [expected], (op, value)
 
 
 def test_block_comments_do_not_nest():

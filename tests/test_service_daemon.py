@@ -11,11 +11,11 @@ import threading
 
 import pytest
 
-from repro.attacks.campaign import CampaignConfig, run_attack_detailed
+from repro.attacks.campaign import CampaignConfig, run_attack, run_attack_detailed
 from repro.forensics import reports_to_json
 from repro.pipeline import compile_program_cached
 from repro.service import DetectionDaemon, ServeClient
-from repro.service.protocol import ProtocolError
+from repro.service.protocol import ProtocolError, spec_from_payload
 from repro.workloads.registry import get_workload
 
 FIGURE1 = """
@@ -217,6 +217,53 @@ def test_replay_of_a_mistyped_trace_fails_the_session(daemon):
         assert result["state"] == "failed"
         assert result["error"].startswith("TraceFormatError: ")
         client.shutdown()
+
+
+def test_failed_session_result_is_nested_like_every_other(daemon):
+    """A FAILED session's ``result`` event carries the record under
+    ``result``, the shape a finished session's has."""
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        sid = client.submit(
+            {"mode": "run", "source": "void main() { emit(", "source_name": "bad"}
+        )
+        message = client.wait_for(
+            lambda m: m.get("event") == "result" and m.get("session") == sid
+        )
+        assert message["result"]["state"] == "failed"
+        assert message["result"]["session"] == sid
+        client.shutdown()
+
+
+def test_timed_attack_session_reports_the_campaign_cycles(daemon):
+    """``timed`` attaches the timing model to an attack session: its
+    outcome carries the campaign's cycle count, and nothing else in the
+    result moves."""
+    workload = get_workload("telnetd")
+    program = compile_program_cached(workload.source, "telnetd", 0)
+    expected = run_attack(program, workload, 1, config=CampaignConfig(timed=True))
+    spec = {"mode": "attack", "workload": "telnetd", "attack_index": 1}
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        timed = client.submit({**spec, "timed": True})
+        untimed = client.submit(spec)
+        results = client.results([timed, untimed])
+        client.shutdown()
+    assert results[timed]["outcome"].pop("cycles") == expected.cycles
+    assert "cycles" not in results[untimed]["outcome"]
+    del results[timed]["session"], results[untimed]["session"]
+    assert results[timed] == results[untimed]
+    assert results[timed]["detected"] is True
+
+
+def test_submit_spec_has_no_timing_mode():
+    with pytest.raises(ProtocolError, match="timing_mode"):
+        spec_from_payload(
+            {
+                "mode": "attack",
+                "workload": "telnetd",
+                "attack_index": 1,
+                "timing_mode": "exact",
+            }
+        )
 
 
 def test_inline_source_and_explicit_tamper(daemon):

@@ -2,7 +2,7 @@
 
 The goldens in ``tests/golden/timing_equivalence.json`` were captured
 from the pre-batching per-instruction delivery path.  Every cell —
-exact-model cycle counts, Figure-9 normalized-performance inputs, and
+cycle counts, Figure-9 normalized-performance inputs, and
 full attack outcomes including rendered IPDS alarm strings — must stay
 byte-identical under the batched event path, the ring-buffer RUU/LSQ
 rewrite, and the branch-plan fast path.  A mismatch here means a
@@ -139,40 +139,3 @@ def test_attack_outcomes_and_alarms_match_golden(name, opt):
         for index in range(ATTACKS)
     ]
     assert recomputed == golden
-
-
-def test_segment_mode_is_deterministic():
-    """Segment mode memoizes per-batch, so it is *not* delivery-invariant
-    (segments are keyed by batch identity; the per-instruction path sees
-    count-1 batches) — but for a fixed delivery it must be a pure
-    function of the execution: two fresh runs agree exactly."""
-    for name in ("telnetd", "sendmail"):
-        program = _program(name, 1)
-        inputs = _timing_inputs(name)
-        first = normalized_performance(
-            program, inputs, name, timing_mode="segment"
-        )
-        second = normalized_performance(
-            program, inputs, name, timing_mode="segment"
-        )
-        assert _timing_dict(first) == _timing_dict(second)
-
-
-def test_segment_mode_applies_to_one_instruction_at_a_time():
-    """Delivered one instruction at a time, the timing model still
-    memoizes — each instruction is a segment of one — so segment mode
-    gives cycle counts of its own, unlike both exact mode and batched
-    segment mode, and two fresh runs agree exactly."""
-    program = _program("telnetd", 1)
-    inputs = _timing_inputs("telnetd")
-
-    def cycles(mode, observers):
-        comparison = normalized_performance(
-            program, inputs, "telnetd", timing_mode=mode, observers=observers
-        )
-        return comparison.baseline_cycles, comparison.ipds_cycles
-
-    segment = cycles("segment", [OneAtATime()])
-    assert segment == cycles("segment", [OneAtATime()])
-    for other in (cycles("exact", [OneAtATime()]), cycles("segment", [])):
-        assert segment[0] != other[0] and segment[1] != other[1]

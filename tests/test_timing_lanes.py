@@ -8,9 +8,9 @@ stream alone, a mispredict redirects both lanes, and only the IPDS lane
 takes the IPDS hardware's stalls.  So each lane must report exactly what
 a separate :func:`timed_run` of its configuration reports.
 
-Checked on random programs and on every workload at opt 0 and 3, in
-exact and segment mode, under batched and per-instruction delivery (an
-attached :class:`OneAtATime` selects the latter), and with an IPDS
+Checked on random programs and on every workload at opt 0 and 3, under
+batched and per-instruction delivery (an attached :class:`OneAtATime`
+selects the latter), and with an IPDS
 configuration small enough that queue stalls, stack spills and context
 switches all happen.
 """
@@ -40,8 +40,7 @@ STRESS = IPDSHardwareParams(
 )
 HARDWARE = {"default": IPDSHardwareParams(), "stress": STRESS}
 CONFIGS = [
-    (mode, batched, hardware)
-    for mode in ("exact", "segment")
+    (batched, hardware)
     for batched in (True, False)
     for hardware in sorted(HARDWARE)
 ]
@@ -49,10 +48,9 @@ SCALE = 3
 WORKLOADS = {workload.name: workload for workload in all_workloads()}
 
 
-def _assert_lanes_match_runs(program, inputs, mode, batched, hardware):
+def _assert_lanes_match_runs(program, inputs, batched, hardware):
     options = dict(
         ipds_params=HARDWARE[hardware],
-        timing_mode=mode,
         observers=[] if batched else [OneAtATime()],
         step_limit=20_000,
     )

@@ -912,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("campaign", help="Figure-7 campaign on a workload")
     p.add_argument("workload", choices=workload_names() + ["all"],
                    help="one server, or 'all' for the full registry")
-    p.add_argument("--attacks", type=int, default=100)
+    p.add_argument("--attacks", type=_positive_int, default=100)
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="shard attacks across N processes (same results "
                         "at any value; see docs on seed semantics)")
@@ -1008,7 +1008,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("timing", help="Figure-9 timing for a workload")
     p.add_argument("workload", choices=workload_names())
-    p.add_argument("--scale", type=int, default=10)
+    p.add_argument("--scale", type=_positive_int, default=10)
     _add_observability_args(p)
     p.set_defaults(func=cmd_timing)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ class Variable:
     take their element count).  ``uid`` disambiguates shadowed names.
 
     Variables key every abstract environment, so the hash is computed
-    once, when the variable is built.  It is never pickled: string
-    hashes are salted per process, so a loaded variable recomputes it.
-    Equality stays field by field.
+    once, when the variable is built.  Equality stays field by field.
     """
 
     name: str
@@ -73,15 +71,6 @@ class Variable:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_hash"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def __str__(self) -> str:
         prefix = {"global": "@", "local": "%", "param": "%"}[self.kind.value]

@@ -4,17 +4,14 @@ Public surface:
 
 * :func:`run_campaign` — deterministic sharded campaigns (same merged
   outcomes at any ``jobs``);
-* :func:`cached_compile` and friends — the content-addressed compile
-  cache every campaign shard goes through.
+* :func:`cached_compile` and friends — the in-process compile cache
+  every campaign shard goes through.
 """
 
 from .cache import (
-    CACHE_ENV,
     CacheStats,
-    cache_dir,
     cached_compile,
     compile_cache_stats,
-    compile_fingerprint,
     reset_compile_cache,
 )
 from .engine import (
@@ -26,15 +23,12 @@ from .engine import (
 )
 
 __all__ = [
-    "CACHE_ENV",
     "CacheStats",
     "MAX_JOBS",
     "ShardResult",
     "ShardTask",
-    "cache_dir",
     "cached_compile",
     "compile_cache_stats",
-    "compile_fingerprint",
     "reset_compile_cache",
     "run_campaign",
     "shard_indices",

@@ -16,9 +16,11 @@ job count.
 Workers receive only a picklable :class:`ShardTask` (workload *name*,
 indices, and the frozen :class:`~repro.attacks.campaign.CampaignConfig`)
 — each worker resolves the workload from the registry and compiles it
-through the content-addressed compile cache, so a workload's
+through the in-process compile cache, so a workload's
 :class:`ProtectedProgram` is built at most once per process regardless
-of how many shards land there.
+of how many shards land there.  The parent compiles every workload
+before it starts the pool, so fork-based workers inherit the compiled
+programs and compile nothing.
 
 Zero false positives stays a *global* assertion: any clean-run alarm
 raises :class:`~repro.attacks.campaign.CampaignError` inside the

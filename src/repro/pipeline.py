@@ -135,13 +135,11 @@ def compile_program(
 def compile_program_cached(
     source: str, name: str = "<source>", opt_level: int = 0
 ) -> ProtectedProgram:
-    """:func:`compile_program` behind the content-addressed cache.
+    """:func:`compile_program` behind the in-process compile cache.
 
     Same result, but each distinct ``(name, opt_level, source)`` is
-    compiled at most once per process (and once per cache directory
-    when ``REPRO_COMPILE_CACHE`` points at one).  Callers must treat
-    the returned program as shared and immutable.  See
-    :mod:`repro.parallel.cache`.
+    compiled at most once per process.  Callers must treat the returned
+    program as shared and immutable.  See :mod:`repro.parallel.cache`.
     """
     from .parallel.cache import cached_compile
 

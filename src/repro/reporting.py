@@ -15,9 +15,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .attacks.campaign import CampaignSummary
+from .cli import EXIT_TOOL_ERROR, _positive_int
 from .correlation.encoding import SizeSummary, summarize_sizes
 from .cpu.params import IPDSHardwareParams, ProcessorParams
 from .cpu.simulator import PerformanceComparison, normalized_performance
+from .lang.errors import ReproError
 from .observability import MetricsRegistry, RunManifest, Tracer, write_manifest
 from .parallel.engine import run_campaign
 from .pipeline import compile_program_cached
@@ -246,13 +248,6 @@ def render_latency(comparisons: List[PerformanceComparison]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.reporting",
@@ -263,11 +258,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         choices=["fig7", "fig8", "fig9", "table1", "latency", "all"],
     )
     parser.add_argument(
-        "--attacks", type=int, default=100,
+        "--attacks", type=_positive_int, default=100,
         help="attacks per benchmark for fig7 (default 100)",
     )
     parser.add_argument(
-        "--scale", type=int, default=20,
+        "--scale", type=_positive_int, default=20,
         help="session-length multiplier for fig9 traces (default 20)",
     )
     parser.add_argument(
@@ -281,7 +276,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
              "per-artifact spans and campaign counters",
     )
     args = parser.parse_args(argv)
+    try:
+        return _report(args)
+    except (OSError, ReproError) as error:
+        # The same convention as ``repro``: the tool failed.
+        print(f"error: {error}", file=sys.stderr)
+        return EXIT_TOOL_ERROR
 
+
+def _report(args: argparse.Namespace) -> int:
     registry = MetricsRegistry()
     tracer = Tracer(metrics=registry)
     manifest = RunManifest.begin(

@@ -17,7 +17,7 @@ multiplexes many concurrent detection sessions:
   socket, with live metrics export;
 * :mod:`client`   — a small blocking client for scripts, tests and CI.
 
-Compiled tables are shared across sessions through the content-addressed
+Compiled tables are shared across sessions through the in-process
 cache in :mod:`repro.parallel.cache` — N sessions on the same workload
 compile once (single-flight), and the daemon exports the hit rate.
 """

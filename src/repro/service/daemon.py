@@ -15,9 +15,10 @@ Threading model:
   (state / progress / alarm / policy / result) hop back to the loop via
   ``call_soon_threadsafe`` onto the submitting connection's queue;
 * compiled tables are shared across sessions (and threads) through the
-  content-addressed single-flight cache in :mod:`repro.parallel.cache`
-  — N sessions on the same workload compile once, and the ``metrics``
-  op reports the hit rate observed since daemon start.
+  in-process single-flight cache in :mod:`repro.parallel.cache` — N
+  sessions on the same workload compile once, and the ``metrics`` op
+  reports the cache's hits, misses, lookups and hit rate since daemon
+  start.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The session-scoped detection engine.
 
 One :class:`DetectionSession` owns everything a single monitored
-execution needs — compiled program (through the shared content-addressed
+execution needs — compiled program (through the shared in-process compile
 cache), IPDS instance, observer bus attachments (trace recorder,
 progress hook), flight recorder, forensics, metrics, and the alarm
 policy.  The CLI verbs (``run`` / ``attack`` / ``replay``) and the
@@ -138,6 +138,19 @@ class SessionSpec:
             raise ValueError(f"unknown session mode {self.mode!r}")
         if self.source is None and not self.workload:
             raise ValueError("session needs a workload name or source text")
+        if not 0 <= self.opt_level <= 3:
+            raise ValueError(f"opt_level must be 0-3, got {self.opt_level}")
+        if self.step_limit is not None and self.step_limit < 1:
+            raise ValueError(f"step_limit must be >= 1, got {self.step_limit}")
+        if self.flight_recorder_depth < 1:
+            raise ValueError(
+                "flight_recorder_depth must be >= 1, "
+                f"got {self.flight_recorder_depth}"
+            )
+        if self.attack_index is not None and self.attack_index < 0:
+            raise ValueError(f"attack_index must be >= 0, got {self.attack_index}")
+        if self.attack_model not in ("input", "process"):
+            raise ValueError(f"unknown attack model {self.attack_model!r}")
         if self.mode == "attack":
             if (self.tamper is None) == (self.attack_index is None):
                 raise ValueError(

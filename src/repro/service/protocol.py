@@ -31,7 +31,7 @@ program files on a client's behalf.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from ..interp.interpreter import TamperSpec
 from ..lang.errors import ReproError
@@ -39,26 +39,29 @@ from .engine import SessionSpec
 
 PROTOCOL_VERSION = 1
 
-#: Fields a submit spec may carry, mapped onto SessionSpec (tamper is
-#: handled separately — it arrives as a nested object).
-_SPEC_FIELDS = (
-    "mode",
-    "workload",
-    "source",
-    "source_name",
-    "entry",
-    "opt_level",
-    "step_limit",
-    "allow_unprotected",
-    "forensics",
-    "flight_recorder_depth",
-    "record_trace",
-    "attack_index",
-    "seed_prefix",
-    "attack_model",
-    "timed",
-    "trace_text",
-)
+_NONE = type(None)
+
+#: Fields a submit spec may carry, mapped onto SessionSpec, with the
+#: JSON types each accepts (tamper is handled separately — it arrives
+#: as a nested object).
+_SPEC_FIELDS: Dict[str, Tuple[type, ...]] = {
+    "mode": (str,),
+    "workload": (str, _NONE),
+    "source": (str, _NONE),
+    "source_name": (str, _NONE),
+    "entry": (str,),
+    "opt_level": (int,),
+    "step_limit": (int, _NONE),
+    "allow_unprotected": (bool,),
+    "forensics": (bool,),
+    "flight_recorder_depth": (int,),
+    "record_trace": (bool,),
+    "attack_index": (int, _NONE),
+    "seed_prefix": (str,),
+    "attack_model": (str,),
+    "timed": (bool,),
+    "trace_text": (str, _NONE),
+}
 
 
 class ProtocolError(ReproError):
@@ -83,20 +86,33 @@ def decode(line: bytes) -> Dict[str, Any]:
     return message
 
 
+def _typed(payload: Dict[str, Any], key: str, types: Tuple[type, ...]) -> Any:
+    """``payload[key]``, which must be exactly one of ``types``: a
+    value is never coerced, and a bool is not an int."""
+    value = payload[key]
+    if type(value) not in types:
+        names = " or ".join("null" if kind is _NONE else kind.__name__ for kind in types)
+        raise TypeError(f"{key} must be {names}, not {value!r}")
+    return value
+
+
 def tamper_from_payload(payload: Optional[Dict[str, Any]]) -> Optional[TamperSpec]:
+    """A tamper object: integer ``trigger`` and ``value``, an
+    ``address`` given as an integer or a string such as ``"0x1000"``,
+    and an optional ``trigger_kind`` (default ``"read"``)."""
     if payload is None:
         return None
     if not isinstance(payload, dict):
         raise ProtocolError(f"tamper must be an object, got {payload!r}")
     try:
-        address = payload["address"]
+        address = _typed(payload, "address", (int, str))
         if isinstance(address, str):
             address = int(address, 0)
         return TamperSpec(
             trigger_kind=payload.get("trigger_kind", "read"),
-            trigger_value=int(payload["trigger"]),
-            address=int(address),
-            value=int(payload["value"]),
+            trigger_value=_typed(payload, "trigger", (int,)),
+            address=address,
+            value=_typed(payload, "value", (int,)),
         )
     except (KeyError, TypeError, ValueError) as error:
         raise ProtocolError(f"bad tamper spec: {error}") from None
@@ -105,6 +121,10 @@ def tamper_from_payload(payload: Optional[Dict[str, Any]]) -> Optional[TamperSpe
 def spec_from_payload(payload: Any) -> SessionSpec:
     """Build and validate a :class:`SessionSpec` from a submit payload.
 
+    Every field must have its declared JSON type (:data:`_SPEC_FIELDS`;
+    ``inputs`` is a list of integers) and :meth:`SessionSpec.validate`
+    checks the ranges, so a bad field is a :class:`ProtocolError` at
+    submit, never a session that runs on a coerced value.
     ``read_files`` is forced off: the daemon resolves registered
     workload names and inline source only, never paths.
     """
@@ -113,19 +133,21 @@ def spec_from_payload(payload: Any) -> SessionSpec:
     unknown = set(payload) - set(_SPEC_FIELDS) - {"inputs", "tamper"}
     if unknown:
         raise ProtocolError(f"unknown spec fields: {sorted(unknown)}")
-    kwargs: Dict[str, Any] = {
-        key: payload[key] for key in _SPEC_FIELDS if key in payload
-    }
     inputs = payload.get("inputs", ())
     if not isinstance(inputs, (list, tuple)) or not all(
-        isinstance(value, int) for value in inputs
+        type(value) is int for value in inputs
     ):
         raise ProtocolError(f"inputs must be a list of ints, got {inputs!r}")
-    kwargs["inputs"] = tuple(inputs)
-    kwargs["tamper"] = tamper_from_payload(payload.get("tamper"))
-    kwargs["read_files"] = False
+    tamper = tamper_from_payload(payload.get("tamper"))
     try:
-        spec = SessionSpec(**kwargs)
+        fields = {
+            key: _typed(payload, key, types)
+            for key, types in _SPEC_FIELDS.items()
+            if key in payload
+        }
+        spec = SessionSpec(
+            **fields, inputs=tuple(inputs), tamper=tamper, read_files=False
+        )
         spec.validate()
     except (TypeError, ValueError) as error:
         raise ProtocolError(f"bad session spec: {error}") from None

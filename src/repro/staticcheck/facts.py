@@ -29,7 +29,7 @@ shapes the mini-C lowering emits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..analysis.branch_info import OutcomeSet
 from ..analysis.defs import DefinitionMap
@@ -57,7 +57,7 @@ class LoadTerm:
     """The value observed by the load at ``block[index]`` of ``var``.
 
     A load term keys every snapshot, so, like :class:`Variable`, it
-    hashes once when built and recomputes the hash on unpickling."""
+    hashes once when built."""
 
     var: Variable
     index: int
@@ -69,15 +69,6 @@ class LoadTerm:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        del state["_hash"]
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def __str__(self) -> str:
         return f"load({self.var})@{self.block}[{self.index}]"

@@ -462,6 +462,29 @@ def test_timing_has_no_mode_option(capsys):
     assert "--timing-mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["timing", "telnetd", "--scale", "-5"], "--scale"),
+        (["campaign", "telnetd", "--attacks", "-3"], "--attacks"),
+    ],
+    ids=["timing-scale", "campaign-attacks"],
+)
+def test_a_count_below_one_is_a_usage_error(argv, option, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert f"argument {option}: must be >= 1" in capsys.readouterr().err
+
+
+def test_reporting_unwritable_metrics_out_is_tool_error(capsys):
+    from repro import reporting
+
+    rc = reporting.main(["table1", "--metrics-out", "/nonexistent/m.json"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_audit_parse_error_is_tool_error(tmp_path, capsys):
     bad = tmp_path / "bad.c"
     bad.write_text("int int int {{{")

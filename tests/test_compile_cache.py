@@ -1,15 +1,14 @@
-"""Tests for the content-addressed compile cache (repro.parallel.cache)."""
+"""Tests for the in-process compile cache (repro.parallel.cache)."""
 
-import pickle
+import threading
+import time
 
 import pytest
 
-from repro.parallel import cache as cache_mod
+import repro.pipeline
 from repro.parallel.cache import (
-    cache_dir,
     cached_compile,
     compile_cache_stats,
-    compile_fingerprint,
     reset_compile_cache,
 )
 from repro.pipeline import compile_program, compile_program_cached
@@ -28,21 +27,29 @@ OTHER_SOURCE = SOURCE.replace("emit(2)", "emit(3)")
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache(monkeypatch):
-    """Isolate each test: empty memory layer, disk layer off."""
-    monkeypatch.delenv(cache_mod.CACHE_ENV, raising=False)
+def fresh_cache():
+    """Isolate each test: an empty cache with zeroed counters."""
     reset_compile_cache()
     yield
     reset_compile_cache()
 
 
 def test_fingerprint_is_stable_and_content_sensitive():
-    key = compile_fingerprint(SOURCE, "a.c", 0)
-    assert key == compile_fingerprint(SOURCE, "a.c", 0)
-    assert key != compile_fingerprint(OTHER_SOURCE, "a.c", 0)
-    assert key != compile_fingerprint(SOURCE, "b.c", 0)
-    assert key != compile_fingerprint(SOURCE, "a.c", 1)
-    assert len(key) == 64
+    """The cache key is the request's content: an equal source text
+    built afresh hits the cached program, while another source text or
+    another source name compiles anew."""
+    base = cached_compile(SOURCE, "a.c", 0)
+    rebuilt = "".join(list(SOURCE))
+    assert rebuilt is not SOURCE
+    assert cached_compile(rebuilt, "a.c", 0) is base
+    other_text = cached_compile(OTHER_SOURCE, "a.c", 0)
+    other_name = cached_compile(SOURCE, "b.c", 0)
+    assert other_text is not base
+    assert other_name is not base
+    assert other_text is not other_name
+    assert other_name.source_name == "b.c"
+    stats = compile_cache_stats()
+    assert (stats.misses, stats.hits) == (3, 1)
 
 
 def test_memory_layer_returns_same_object():
@@ -51,7 +58,6 @@ def test_memory_layer_returns_same_object():
     assert first is second
     stats = compile_cache_stats()
     assert stats.misses == 1
-    assert stats.memory_hits == 1
     assert stats.hits == 1
     assert stats.lookups == 2
 
@@ -61,6 +67,7 @@ def test_distinct_opt_levels_compile_separately():
     opt = cached_compile(SOURCE, "a.c", 1)
     assert base is not opt
     assert compile_cache_stats().misses == 2
+    assert cached_compile(SOURCE, "a.c", 0) is base
 
 
 def test_cached_result_matches_direct_compile():
@@ -76,87 +83,38 @@ def test_pipeline_wrapper_uses_cache():
     assert first is second
 
 
-def test_disk_layer_roundtrip(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
-    original = cached_compile(SOURCE, "a.c")
-    key = compile_fingerprint(SOURCE, "a.c", 0)
-    assert (tmp_path / f"{key}.pkl").is_file()
+def test_concurrent_lookups_of_one_key_compile_once(monkeypatch):
+    """Single flight: threads released together on one key run the
+    compiler once; the rest wait for it and count as hits."""
+    threads = 8
+    calls = []
 
-    # A "new process": memory gone, disk still there.
-    reset_compile_cache()
-    reloaded = cached_compile(SOURCE, "a.c")
+    def slow_compile(*args):
+        calls.append(args)
+        # Hold the compile open long enough for every thread to look
+        # the key up while it is in flight.
+        time.sleep(0.2)
+        return compile_program(*args)
+
+    monkeypatch.setattr(repro.pipeline, "compile_program", slow_compile)
+    barrier = threading.Barrier(threads)
+    programs = [None] * threads
+
+    def lookup(slot):
+        barrier.wait(timeout=30)
+        programs[slot] = cached_compile(SOURCE, "a.c")
+
+    workers = [
+        threading.Thread(target=lookup, args=(slot,)) for slot in range(threads)
+    ]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=30)
+        assert not worker.is_alive()
+
+    assert len(calls) == 1
     stats = compile_cache_stats()
-    assert stats.disk_hits == 1
-    assert stats.misses == 0
-    assert reloaded.to_image() == original.to_image()
-
-
-def test_disk_layer_survives_corrupt_entry(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
-    key = compile_fingerprint(SOURCE, "a.c", 0)
-    (tmp_path / f"{key}.pkl").write_bytes(b"not a pickle")
-    program = cached_compile(SOURCE, "a.c")
-    assert compile_cache_stats().misses == 1
-    # The corrupt entry was overwritten with a good one.
-    with open(tmp_path / f"{key}.pkl", "rb") as handle:
-        assert pickle.load(handle).to_image() == program.to_image()
-
-
-class _Foreign:
-    """Unpickles by calling ``func(*args)``: an entry from some other
-    program, or a stale entry whose classes moved."""
-
-    def __init__(self, func, args):
-        self.func, self.args = func, args
-
-    def __reduce__(self):
-        return self.func, self.args
-
-
-@pytest.mark.parametrize(
-    "payload",
-    [
-        pickle.dumps(_Foreign(int, ("not-a-number",))),
-        pickle.dumps(_Foreign(int, ([],))),
-        b"cno_such_module_for_the_cache_test\nthing\n.",
-    ],
-    ids=["ValueError", "TypeError", "ModuleNotFoundError"],
-)
-def test_disk_layer_survives_foreign_entry(tmp_path, monkeypatch, payload):
-    """Whatever loading an entry raises, the compile recompiles, counts
-    a miss and overwrites the entry."""
-    monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
-    key = compile_fingerprint(SOURCE, "a.c", 0)
-    (tmp_path / f"{key}.pkl").write_bytes(payload)
-    program = cached_compile(SOURCE, "a.c")
-    assert compile_cache_stats().misses == 1
-    with open(tmp_path / f"{key}.pkl", "rb") as handle:
-        assert pickle.load(handle).to_image() == program.to_image()
-
-
-def test_disk_layer_disabled_values(monkeypatch):
-    for value in ("", "0", "off", "none", "OFF"):
-        monkeypatch.setenv(cache_mod.CACHE_ENV, value)
-        assert cache_dir() is None
-    monkeypatch.delenv(cache_mod.CACHE_ENV)
-    assert cache_dir() is None
-
-
-def test_reset_clears_disk_when_asked(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache_mod.CACHE_ENV, str(tmp_path))
-    cached_compile(SOURCE, "a.c")
-    assert list(tmp_path.glob("*.pkl"))
-    reset_compile_cache(disk=True)
-    assert not list(tmp_path.glob("*.pkl"))
-
-
-def test_unwritable_cache_dir_degrades_gracefully(tmp_path, monkeypatch):
-    blocked = tmp_path / "blocked"
-    blocked.mkdir()
-    blocked.chmod(0o500)
-    monkeypatch.setenv(cache_mod.CACHE_ENV, str(blocked / "sub"))
-    try:
-        program = cached_compile(SOURCE, "a.c")
-        assert program is cached_compile(SOURCE, "a.c")
-    finally:
-        blocked.chmod(0o700)
+    assert (stats.misses, stats.hits) == (1, threads - 1)
+    assert programs[0] is not None
+    assert all(program is programs[0] for program in programs)

@@ -4,9 +4,9 @@ Compiles the ten workloads at opt 3 before timing starts, then runs the
 five audit passes and the detectability prover over the whole set once,
 as ``repro audit all --opt 3`` and ``repro predict all --opt 3`` do.
 Each pass is timed by its ``staticcheck.<pass>`` trace span, read back
-as the tracer registry's timer of the same name.  The whole-set seconds
-per pass, plus the audit and predict totals, go to
-``BENCH_static_checks.json`` at the repo root.  The regression gate
+as the ``sum`` of the tracer registry's histogram of the same name.
+The whole-set seconds per pass, plus the audit and predict totals, go
+to ``BENCH_static_checks.json`` at the repo root.  The regression gate
 (``repro bench-diff``) compares the two totals against
 ``benchmarks/baselines/BENCH_static_checks.json``.
 """
@@ -48,7 +48,7 @@ def test_audit_and_predict_whole_set(benchmark, programs):
     if benchmark.stats is None:  # --benchmark-disable: nothing to record
         return
     seconds = {
-        name: metrics.timers[f"staticcheck.{name}"].total_seconds
+        name: metrics.histograms[f"staticcheck.{name}"].sum
         for name in AUDIT_PASSES + PREDICT_PASSES
     }
     totals = {

@@ -30,7 +30,6 @@ the n-gram comparison run through the same function.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
@@ -102,6 +101,15 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.attack_model not in ("input", "process"):
             raise ValueError(f"unknown attack model {self.attack_model!r}")
+        if not 0 <= self.opt_level <= 3:
+            raise ValueError(f"opt_level must be 0-3, got {self.opt_level}")
+        if self.step_limit < 1:
+            raise ValueError(f"step_limit must be >= 1, got {self.step_limit}")
+        if self.flight_recorder_depth < 1:
+            raise ValueError(
+                "flight_recorder_depth must be >= 1, "
+                f"got {self.flight_recorder_depth}"
+            )
 
 
 DEFAULT_CONFIG = CampaignConfig()
@@ -427,7 +435,6 @@ def execute_attack(
         observers = (TimingObserver(timing), *extra_observers, *hooks)
     else:
         observers = (*extra_observers, *hooks)
-    attack_started = time.perf_counter()
     attacked, ipds = monitored_run(
         program,
         inputs=inputs,
@@ -438,7 +445,6 @@ def execute_attack(
         observers=observers,
         alarm_sink=alarm_sink,
     )
-    attack_seconds = time.perf_counter() - attack_started
     if isinstance(tamper, TamperSpec):
         address, target_label, value = tamper.address, f"{tamper.address:#x}", tamper.value
     else:
@@ -468,11 +474,6 @@ def execute_attack(
         metrics.increment("campaign.tamper_fired", int(attacked.tamper_fired))
         metrics.increment("campaign.control_flow_changed", int(changed))
         metrics.increment("campaign.detected", int(ipds.detected))
-        metrics.observe_histogram("attack.wall_seconds", attack_seconds)
-        if attack_seconds > 0:
-            metrics.observe_histogram(
-                "attack.steps_per_sec", attacked.steps / attack_seconds
-            )
     outcome = AttackOutcome(
         index=index,
         trigger_read=tamper.trigger_value,

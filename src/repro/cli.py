@@ -107,6 +107,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _port(text: str) -> int:
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(f"must be 0-65535, got {value}")
+    return value
+
+
 def _address(text: str) -> int:
     try:
         return int(text, 0)
@@ -804,8 +811,9 @@ def _add_observability_args(
                         "results); appends one line if path ends in .jsonl")
     p.add_argument("--trace-out", default=None, help=trace_help)
     p.add_argument("--prom-out", default=None, metavar="PATH",
-                   help="write the run's metrics (counters, timers, "
-                        "histograms) in Prometheus text exposition format")
+                   help="write the run's metrics (counters, gauges, "
+                        "span-duration histograms) in Prometheus text "
+                        "exposition format")
     p.add_argument("--chrome-trace-out", default=None, metavar="PATH",
                    help="write the run's hierarchical spans as Chrome "
                         "trace-event JSON (Perfetto-loadable; a .jsonl "
@@ -881,8 +889,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--entry", default="main")
     _add_opt_arg(p)
     p.add_argument("--trigger-kind", choices=["read", "step"], default="read")
-    p.add_argument("--trigger", type=int, required=True,
-                   help="input index / step count that fires the tamper")
+    p.add_argument("--trigger", type=_positive_int, required=True,
+                   help="input index / step count that fires the tamper "
+                        "(1-based)")
     p.add_argument("--address", type=_address, required=True,
                    help="word address to corrupt (accepts 0x..)")
     p.add_argument("--value", type=int, required=True)
@@ -988,7 +997,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="unix domain socket path (default: TCP)")
     p.add_argument("--host", default="127.0.0.1",
                    help="TCP bind address when no --socket is given")
-    p.add_argument("--port", type=int, default=0,
+    p.add_argument("--port", type=_port, default=0,
                    help="TCP port (0 = ephemeral, printed at startup)")
     p.add_argument("--max-workers", type=_positive_int, default=8,
                    metavar="N",

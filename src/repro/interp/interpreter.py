@@ -75,10 +75,11 @@ class TamperSpec:
     """One simulated memory-tampering attack.
 
     ``trigger_kind`` is ``"read"`` (fire right after the program
-    consumes its ``trigger_value``-th input, 1-based — the buffer
-    overflow / format-string moment) or ``"step"`` (fire after N
-    executed instructions).  ``address``/``value`` say which word is
-    corrupted and with what.
+    consumes its ``trigger_value``-th input — the buffer overflow /
+    format-string moment) or ``"step"`` (fire after N executed
+    instructions).  Both counts are 1-based, so ``trigger_value`` is at
+    least 1; a smaller one raises :class:`ValueError`.
+    ``address``/``value`` say which word is corrupted and with what.
     """
 
     trigger_kind: str
@@ -87,7 +88,7 @@ class TamperSpec:
     value: int
 
     def __post_init__(self) -> None:
-        _check_trigger_kind(self.trigger_kind)
+        _check_trigger(self.trigger_kind, self.trigger_value)
 
 
 #: A live stack word: ``(address, function, variable)``.
@@ -110,12 +111,14 @@ class LazyTamper:
     choose: Callable[[List[Slot], MemoryMap], Tuple[int, int]]
 
     def __post_init__(self) -> None:
-        _check_trigger_kind(self.trigger_kind)
+        _check_trigger(self.trigger_kind, self.trigger_value)
 
 
-def _check_trigger_kind(kind: str) -> None:
+def _check_trigger(kind: str, value: int) -> None:
     if kind not in ("read", "step"):
         raise ValueError(f"bad trigger kind {kind!r}")
+    if value < 1:
+        raise ValueError(f"trigger must be >= 1 (1-based), got {value}")
 
 
 #: Either tampering shape: a fixed target or one chosen at the trigger.
@@ -343,7 +346,7 @@ class Interpreter:
         trigger_at = read_at = _NEVER
         if tamper is not None:
             if tamper.trigger_kind == "step":
-                trigger_at = max(tamper.trigger_value, 1)
+                trigger_at = tamper.trigger_value
             else:
                 read_at = tamper.trigger_value
         # No instruction runs once ``steps`` reaches the limit, and the

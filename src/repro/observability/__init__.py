@@ -3,10 +3,11 @@
 The production-deployment counterpart of the paper's measurement
 sections: every CLI command and campaign can account what it did
 (counters), how long each stage took (one :class:`Tracer` span tree,
-whose span durations are also the registry's timers), and emit a
-structured, machine-readable :class:`RunManifest` for dashboards and
-audit trails — without perturbing the deterministic experiment results
-themselves (metrics ride alongside, never inside, campaign outcomes).
+each closed span one sample of the registry histogram of its name),
+and emit a structured, machine-readable :class:`RunManifest` for
+dashboards and audit trails — without perturbing the deterministic
+experiment results themselves (metrics ride alongside, never inside,
+campaign outcomes).
 """
 
 from .benchdiff import (
@@ -21,7 +22,6 @@ from .metrics import (
     Counter,
     Histogram,
     MetricsRegistry,
-    Timer,
     exponential_bounds,
 )
 from .prometheus import (
@@ -53,7 +53,6 @@ __all__ = [
     "MetricsRegistry",
     "RunManifest",
     "SpanRecord",
-    "Timer",
     "TraceContext",
     "Tracer",
     "chrome_trace",

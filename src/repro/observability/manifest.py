@@ -17,7 +17,7 @@ from .metrics import MetricsRegistry
 from .tracing import Tracer
 
 #: Manifest schema version — bump on breaking layout changes.
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 
 def _utc_iso(epoch_seconds: float) -> str:

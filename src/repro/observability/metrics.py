@@ -1,4 +1,4 @@
-"""Metrics registry: counters, timers, gauges and histograms.
+"""Metrics registry: counters, gauges and histograms.
 
 Deliberately dependency-free and cheap: a counter bump is a dict lookup
 plus an integer add, so metrics can ride inside campaign hot loops.
@@ -12,9 +12,11 @@ session-local observations fold into campaign- and daemon-level
 distributions without ever shipping raw samples.  The Prometheus text
 renderer lives in :mod:`repro.observability.prometheus`.
 
-Nothing here reads a clock: a timer is fed by the
-:class:`~repro.observability.tracing.Tracer` its registry is attached
-to, one sample per closed span of the timer's name.
+Nothing here reads a clock.  Every histogram is a duration in
+seconds: the :class:`~repro.observability.tracing.Tracer` a registry is
+attached to feeds one sample per closed span into the histogram of the
+span's name (the daemon's ``serve.queue_wait`` is the one duration that
+is not a span).
 """
 
 from __future__ import annotations
@@ -36,40 +38,10 @@ class Counter:
         return self.value
 
 
-@dataclass
-class Timer:
-    """Aggregate of wall-clock samples for one named stage."""
-
-    name: str
-    count: int = 0
-    total_seconds: float = 0.0
-    min_seconds: float = float("inf")
-    max_seconds: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_seconds += seconds
-        self.min_seconds = min(self.min_seconds, seconds)
-        self.max_seconds = max(self.max_seconds, seconds)
-
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "count": self.count,
-            "total_seconds": round(self.total_seconds, 6),
-            "mean_seconds": round(self.mean_seconds, 6),
-            "min_seconds": round(self.min_seconds, 6) if self.count else 0.0,
-            "max_seconds": round(self.max_seconds, 6),
-        }
-
-
 #: Default exponential bucket ladder: 1 µs · 4^i for 24 buckets spans
-#: ~1e-6 .. ~7e7 — wide enough that one fixed ladder covers both
-#: sub-millisecond compile times and steps-per-second throughputs, so
-#: every histogram in the system merges with every other of its name.
+#: ~1e-6 .. ~7e7 s — from a microsecond span to any run this system
+#: makes, so one fixed ladder serves every duration and every
+#: histogram merges with every other of its name.
 DEFAULT_BUCKET_START = 1e-6
 DEFAULT_BUCKET_FACTOR = 4.0
 DEFAULT_BUCKET_COUNT = 24
@@ -161,17 +133,14 @@ class Histogram:
 
 @dataclass
 class MetricsRegistry:
-    """Named counters + timers for one run.
+    """Named counters and duration histograms for one run.
 
     Long-lived deployments (the detection daemon) additionally use
     *gauges* — point-in-time values like "sessions active" that are set,
-    not accumulated.  Gauges only appear in :meth:`snapshot` when at
-    least one is set, so one-shot runs keep their historical payload
-    shape byte-for-byte.
+    not accumulated.
     """
 
     counters: Dict[str, Counter] = field(default_factory=dict)
-    timers: Dict[str, Timer] = field(default_factory=dict)
     gauges: Dict[str, float] = field(default_factory=dict)
     histograms: Dict[str, Histogram] = field(default_factory=dict)
 
@@ -214,43 +183,23 @@ class MetricsRegistry:
         """Record one sample into a named distribution."""
         self.histogram(name).observe(value)
 
-    # -- timers -----------------------------------------------------------
-
-    def timer(self, name: str) -> Timer:
-        timer = self.timers.get(name)
-        if timer is None:
-            timer = self.timers[name] = Timer(name)
-        return timer
-
-    def observe_seconds(self, name: str, seconds: float) -> None:
-        self.timer(name).observe(seconds)
-
     # -- aggregation ------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view (picklable, JSON-ready) of everything."""
-        payload = {
+        return {
             "counters": {
                 name: counter.value
                 for name, counter in sorted(self.counters.items())
             },
-            "timers": {
-                name: timer.to_dict()
-                for name, timer in sorted(self.timers.items())
-            },
-        }
-        if self.gauges:
-            payload["gauges"] = {
+            "gauges": {
                 name: value for name, value in sorted(self.gauges.items())
-            }
-        # Like gauges: only present when used, so one-shot runs keep the
-        # historical payload shape byte-for-byte.
-        if self.histograms:
-            payload["histograms"] = {
+            },
+            "histograms": {
                 name: histogram.to_dict()
                 for name, histogram in sorted(self.histograms.items())
-            }
-        return payload
+            },
+        }
 
     def merge_snapshot(self, snapshot: Optional[Dict[str, Any]]) -> None:
         """Fold a child registry's ``snapshot()`` into this one.
@@ -263,19 +212,6 @@ class MetricsRegistry:
             return
         for name, value in snapshot.get("counters", {}).items():
             self.increment(name, value)
-        for name, data in snapshot.get("timers", {}).items():
-            timer = self.timer(name)
-            count = data.get("count", 0)
-            if not count:
-                continue
-            timer.count += count
-            timer.total_seconds += data.get("total_seconds", 0.0)
-            timer.min_seconds = min(
-                timer.min_seconds, data.get("min_seconds", float("inf"))
-            )
-            timer.max_seconds = max(
-                timer.max_seconds, data.get("max_seconds", 0.0)
-            )
         # Gauges are point-in-time readings: the child's latest value
         # wins (there is nothing meaningful to accumulate).
         for name, value in snapshot.get("gauges", {}).items():

@@ -6,16 +6,10 @@ repo's metric vocabulary needs:
 
 * counters  → ``<prefix>_<name>_total`` (``# TYPE ... counter``);
 * gauges    → ``<prefix>_<name>`` (``# TYPE ... gauge``);
-* timers    → ``<prefix>_<name>_seconds`` summaries (``_count`` /
-  ``_sum``, no quantiles — the registry keeps aggregates, not samples);
-* histograms→ full ``_bucket{le="..."}`` / ``_sum`` / ``_count``
+* histograms→ ``<prefix>_<name>_seconds`` (every histogram is a
+  duration): full ``_bucket{le="..."}`` / ``_sum`` / ``_count``
   families with cumulative bucket counts and the mandatory ``+Inf``
   bucket.
-
-Each family is emitted once.  A timer whose family is also a
-histogram's — the ``session.compile`` span's timer and the
-``session.compile_seconds`` histogram, both fed by that span — renders
-only as the histogram, which carries the same ``_count`` and ``_sum``.
 
 Everything renders from a plain ``snapshot()`` dict, so the daemon's
 ``metrics`` op and the CLI's ``--prom-out`` share one code path and a
@@ -79,21 +73,8 @@ def render_prometheus(
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_format_value(value)}")
 
-    histograms = snapshot.get("histograms", {})
-    histogram_families = {sanitize_metric_name(name) for name in histograms}
-    for name, data in sorted(snapshot.get("timers", {}).items()):
-        family = f"{sanitize_metric_name(name)}_seconds"
-        if family in histogram_families:
-            continue
-        metric = f"{prefix}_{family}"
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {_format_value(data.get('count', 0))}")
-        lines.append(
-            f"{metric}_sum {_format_value(float(data.get('total_seconds', 0.0)))}"
-        )
-
-    for name, data in sorted(histograms.items()):
-        metric = f"{prefix}_{sanitize_metric_name(name)}"
+    for name, data in sorted(snapshot.get("histograms", {}).items()):
+        metric = f"{prefix}_{sanitize_metric_name(name)}_seconds"
         lines.append(f"# TYPE {metric} histogram")
         running = 0
         counts = data.get("counts", [])

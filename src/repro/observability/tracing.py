@@ -6,9 +6,9 @@ a tree of :class:`SpanRecord` objects — ``trace_id`` / ``span_id`` /
 vocabulary of distributed tracing, scaled down to one dependency-free
 module.  A tracer built with a
 :class:`~repro.observability.metrics.MetricsRegistry` records each span
-it closes as one sample of that registry's timer of the same name, so
-the flat timers of ``--metrics-out`` and ``--prom-out`` are the trace's
-span durations by construction.
+it closes as one sample of that registry's histogram of the same
+name, so the duration histograms of ``--metrics-out`` and
+``--prom-out`` are the trace's span durations by construction.
 
 Two propagation boundaries matter in this codebase:
 
@@ -164,8 +164,8 @@ class Tracer:
     the campaign root recorded in another process.
 
     A tracer seeded with a ``metrics`` registry records every span it
-    closes as one sample of the registry's timer of the same name.
-    Adopted spans (:meth:`adopt`) are not recorded again: their timers
+    closes as one sample of the registry's histogram of the same name.
+    Adopted spans (:meth:`adopt`) are not recorded again: their samples
     arrive with the metrics snapshot of the tracer that closed them.
     """
 
@@ -245,7 +245,7 @@ class Tracer:
             stack.pop()
             self.finished.append(record)
             if self.metrics is not None:
-                self.metrics.observe_seconds(name, record.duration_us / 1e6)
+                self.metrics.observe_histogram(name, record.duration_us / 1e6)
 
     def event(self, name: str, **attributes: Any) -> None:
         """Annotate the current span (no-op outside any span)."""

@@ -121,7 +121,7 @@ def _run_shard(
     program themselves; the in-process shard of a ``jobs=1`` campaign
     passes them in, so ad-hoc workloads and pre-compiled programs work
     there.  A metered or traced shard records its ``shard`` and
-    ``shard.compile`` spans, whose timers ride in the metrics snapshot;
+    ``shard.compile`` spans, whose histograms ride in the metrics snapshot;
     an unmetered, untraced one builds no tracer.
     """
     if workload is None:
@@ -232,10 +232,10 @@ def run_campaign(
     (any clean-run alarm raises :class:`CampaignError`).
 
     ``metrics`` accumulates telemetry: the counters every attack
-    records, plus the ``shard`` / ``shard.compile`` span timers.  Each
-    shard collects them locally and returns a picklable snapshot that
-    is folded back into ``metrics`` at the merge point, so counters
-    and timer names are job-count-independent.
+    records, plus the ``shard`` / ``shard.compile`` span histograms.
+    Each shard collects them locally and returns a picklable snapshot
+    that is folded back into ``metrics`` at the merge point, so counters
+    and histogram names are job-count-independent.
 
     ``tracer`` (optional) records a hierarchical span tree: one
     ``campaign`` root with one ``shard`` span per shard, linked back

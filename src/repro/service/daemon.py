@@ -323,7 +323,7 @@ class DetectionDaemon:
             # session-local registry and is merged on the loop thread at
             # completion, so the daemon registry is never touched here.
             session.metrics.observe_histogram(
-                "serve.queue_wait_seconds",
+                "serve.queue_wait",
                 max(time.monotonic() - submitted, 0.0),
             )
             return session.run()
@@ -379,7 +379,7 @@ class DetectionDaemon:
         steps = self.metrics.value("interp.steps")
         snapshot = self.metrics.snapshot()
         cache = compile_cache_stats().since(self._cache_baseline)
-        payload = {
+        return {
             "uptime_seconds": round(uptime, 3),
             "uptime_monotonic_seconds": uptime,
             "sessions": self.registry.counts(),
@@ -389,8 +389,6 @@ class DetectionDaemon:
             ),
             "compile_cache": cache.to_dict(),
             "counters": snapshot["counters"],
-            "gauges": snapshot.get("gauges", {}),
+            "gauges": snapshot["gauges"],
+            "histograms": snapshot["histograms"],
         }
-        if "histograms" in snapshot:
-            payload["histograms"] = snapshot["histograms"]
-        return payload

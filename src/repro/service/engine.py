@@ -249,7 +249,7 @@ class DetectionSession:
     take the server down).
 
     Every session records its span tree in its own :attr:`tracer`,
-    which feeds the session's registry timers; ``trace_parent`` hangs
+    which feeds the session's registry histograms; ``trace_parent`` hangs
     the tree under a remote span (a daemon root or a client request).
     """
 
@@ -345,11 +345,8 @@ class DetectionSession:
     def _compile(self) -> ProtectedProgram:
         source, name = self.spec.resolve_program_source()
         self.program_name = name
-        with self.tracer.span("session.compile", program=name) as span:
+        with self.tracer.span("session.compile", program=name):
             program = compile_program_cached(source, name, self.spec.opt_level)
-        self.metrics.observe_histogram(
-            "session.compile_seconds", span.duration_us / 1e6
-        )
         self.program = program
         return program
 
@@ -483,12 +480,6 @@ class DetectionSession:
         except SessionKilled as kill:
             killed = True
             self.error = str(kill)
-        wall = span.duration_us / 1e6
-        self.metrics.observe_histogram("session.wall_seconds", wall)
-        if self.run_result is not None and wall > 0:
-            self.metrics.observe_histogram(
-                "session.steps_per_sec", self.run_result.steps / wall
-            )
         if killed:
             self._set_state(SessionState.KILLED)
         elif self.alarms:

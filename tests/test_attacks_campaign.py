@@ -108,6 +108,22 @@ def test_config_rejects_unknown_attack_model():
         CampaignConfig(attack_model="telepathy")
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"opt_level": 7}, "opt_level must be 0-3"),
+        ({"opt_level": -1}, "opt_level must be 0-3"),
+        ({"step_limit": 0}, "step_limit must be >= 1"),
+        ({"flight_recorder_depth": 0}, "flight_recorder_depth must be >= 1"),
+    ],
+    ids=["opt-7", "opt-negative", "step-limit-0", "depth-0"],
+)
+def test_config_rejects_out_of_range_settings(fields, message):
+    # The ranges SessionSpec.validate checks for daemon sessions.
+    with pytest.raises(ValueError, match=message):
+        CampaignConfig(**fields)
+
+
 # ----------------------------------------------------------------------
 # Counters count real work
 # ----------------------------------------------------------------------

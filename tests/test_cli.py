@@ -308,7 +308,7 @@ def test_metrics_out_manifests_for_all_commands(source_file, tmp_path, capsys):
 
     def read_manifest():
         payload = json.loads(manifest.read_text())
-        assert payload["manifest_version"] == 1
+        assert payload["manifest_version"] == 2
         assert payload["finished_at"] is not None
         assert "counters" in payload["metrics"]
         return payload
@@ -467,14 +467,30 @@ def test_timing_has_no_mode_option(capsys):
     [
         (["timing", "telnetd", "--scale", "-5"], "--scale"),
         (["campaign", "telnetd", "--attacks", "-3"], "--attacks"),
+        (["attack", "telnetd", "--trigger", "0", "--address", "0x1000",
+          "--value", "0"], "--trigger"),
+        (["attack", "telnetd", "--trigger", "-4", "--address", "0x1000",
+          "--value", "0"], "--trigger"),
     ],
-    ids=["timing-scale", "campaign-attacks"],
+    ids=["timing-scale", "campaign-attacks", "attack-trigger-0",
+         "attack-trigger-negative"],
 )
 def test_a_count_below_one_is_a_usage_error(argv, option, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == 2
     assert f"argument {option}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("port", ["99999", "-5"])
+def test_serve_port_out_of_range_is_a_usage_error(port, capsys):
+    from repro.cli import build_parser
+
+    # Parsing alone: no server starts.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["serve", "--port", port])
+    assert excinfo.value.code == 2
+    assert "argument --port: must be 0-65535" in capsys.readouterr().err
 
 
 def test_reporting_unwritable_metrics_out_is_tool_error(capsys):
@@ -544,7 +560,7 @@ def test_audit_workload_target_and_reports(tmp_path, capsys):
     record = json.loads(manifest.read_text())
     assert record["command"] == "audit"
     assert record["results"]["errors"] == 0
-    assert "staticcheck.correlation-audit" in record["metrics"]["timers"]
+    assert "staticcheck.correlation-audit" in record["metrics"]["histograms"]
 
 
 def test_sarif_to_stdout(source_file, capsys):

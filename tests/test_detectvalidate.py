@@ -5,6 +5,9 @@ the outcome join (including unjoined attacks), the soundness
 accounting, and an end-to-end seeded smoke on a registry workload.
 """
 
+import importlib.util
+import pathlib
+
 import pytest
 
 from repro.attacks.campaign import AttackOutcome, run_workload_campaign
@@ -205,3 +208,38 @@ def test_campaign_reuse_skips_rerun():
     assert [j.to_dict() for j in reused.joins] == [
         j.to_dict() for j in fresh.joins
     ]
+
+
+def _load_tool():
+    path = pathlib.Path(__file__).parent.parent / "tools" / "validate_predictions.py"
+    spec = importlib.util.spec_from_file_location("validate_predictions", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--opt-levels", "7", "--attacks", "3", "--workloads", "telnetd"],
+         "--opt-levels must each be 0-3"),
+        (["--opt-levels", "0,-1"], "--opt-levels must each be 0-3"),
+        (["--attacks", "-2"], "--attacks must be >= 1"),
+        (["--attacks", "0"], "--attacks must be >= 1"),
+        (["--jobs", "0"], "--jobs must be >= 1"),
+    ],
+    ids=["opt-7", "opt-negative", "attacks-negative", "attacks-0", "jobs-0"],
+)
+def test_tool_rejects_out_of_range_arguments_before_any_campaign(
+    argv, message, capsys, monkeypatch
+):
+    from repro.staticcheck import detectvalidate
+
+    def no_campaign(**_kwargs):
+        raise AssertionError("a campaign ran on out-of-range arguments")
+
+    monkeypatch.setattr(detectvalidate, "validate_registry", no_campaign)
+    assert _load_tool().main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.err
+    assert "soundness" not in captured.out

@@ -399,6 +399,16 @@ def test_invalid_tamper_trigger_rejected():
         TamperSpec("never", 1, 0, 0)
 
 
+@pytest.mark.parametrize("value", [0, -4])
+@pytest.mark.parametrize("kind", ["read", "step"])
+def test_tamper_trigger_below_one_rejected(kind, value):
+    # Triggers are 1-based: 0 and below name no read and no step.
+    with pytest.raises(ValueError, match="trigger must be >= 1"):
+        TamperSpec(kind, value, GLOBAL_BASE, 0)
+    with pytest.raises(ValueError, match="trigger must be >= 1"):
+        LazyTamper(kind, value, lambda live, memory: (GLOBAL_BASE, 0))
+
+
 def test_unfinalized_module_rejected():
     from repro.ir import IRModule
 

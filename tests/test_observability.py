@@ -9,7 +9,6 @@ from repro.observability import (
     JsonlWriter,
     MetricsRegistry,
     RunManifest,
-    Timer,
     Tracer,
     write_manifest,
 )
@@ -28,17 +27,6 @@ def test_counter_increment():
     assert counter.value == 5
 
 
-def test_timer_aggregates_samples():
-    timer = Timer("t")
-    timer.observe(0.2)
-    timer.observe(0.4)
-    assert timer.count == 2
-    assert abs(timer.total_seconds - 0.6) < 1e-9
-    assert timer.min_seconds == 0.2
-    assert timer.max_seconds == 0.4
-    assert abs(timer.mean_seconds - 0.3) < 1e-9
-
-
 def test_registry_counters_and_values():
     registry = MetricsRegistry()
     assert registry.value("missing") == 0
@@ -52,10 +40,11 @@ def test_tracer_span_records_registry_timer():
     tracer = Tracer(metrics=registry)
     with tracer.span("stage") as span:
         pass
-    timer = registry.timer("stage")
-    assert timer.count == 1
-    assert timer.total_seconds == span.duration_us / 1e6
+    histogram = registry.histograms["stage"]
+    assert histogram.count == 1
+    assert histogram.sum == span.duration_us / 1e6
     assert [record.name for record in tracer.finished] == ["stage"]
+    assert set(registry.snapshot()["histograms"]) == {"stage"}
 
 
 def test_span_recorded_even_when_body_raises():
@@ -65,7 +54,7 @@ def test_span_recorded_even_when_body_raises():
             raise RuntimeError("x")
     except RuntimeError:
         pass
-    assert registry.timer("boom").count == 1
+    assert registry.histograms["boom"].count == 1
 
 
 def test_adopted_spans_do_not_feed_the_registry_again():
@@ -77,8 +66,8 @@ def test_adopted_spans_do_not_feed_the_registry_again():
     parent = Tracer(metrics=registry)
     parent.adopt(worker.span_dicts())
     registry.merge_snapshot(worker_registry.snapshot())
-    # One timer sample per closed span: the adopted copy adds none.
-    assert registry.timer("shard").count == 1
+    # One histogram sample per closed span: the adopted copy adds none.
+    assert registry.histograms["shard"].count == 1
     assert [span["name"] for span in parent.snapshot()["spans"]] == ["shard"]
 
 
@@ -86,11 +75,11 @@ def test_snapshot_is_plain_and_sorted():
     registry = MetricsRegistry()
     registry.increment("zebra")
     registry.increment("alpha", 2)
-    registry.observe_seconds("t", 0.5)
+    registry.observe_histogram("t", 0.5)
     snapshot = registry.snapshot()
     assert list(snapshot["counters"]) == ["alpha", "zebra"]
     assert snapshot["counters"]["alpha"] == 2
-    assert snapshot["timers"]["t"]["count"] == 1
+    assert snapshot["histograms"]["t"]["count"] == 1
     # picklable/JSON-ready: round-trips through json untouched
     assert json.loads(json.dumps(snapshot)) == snapshot
 
@@ -98,27 +87,28 @@ def test_snapshot_is_plain_and_sorted():
 def test_merge_snapshot_folds_counters_and_timers():
     child = MetricsRegistry()
     child.increment("n", 5)
-    child.observe_seconds("t", 0.1)
-    child.observe_seconds("t", 0.3)
+    child.observe_histogram("t", 0.1)
+    child.observe_histogram("t", 0.3)
 
     parent = MetricsRegistry()
     parent.increment("n", 1)
-    parent.observe_seconds("t", 0.2)
+    parent.observe_histogram("t", 0.2)
     parent.merge_snapshot(child.snapshot())
 
     assert parent.value("n") == 6
-    timer = parent.timer("t")
-    assert timer.count == 3
-    assert abs(timer.total_seconds - 0.6) < 1e-6
-    assert timer.min_seconds == 0.1
-    assert timer.max_seconds == 0.3
+    histogram = parent.histograms["t"]
+    assert histogram.count == 3
+    assert abs(histogram.sum - 0.6) < 1e-6
+    assert sum(histogram.counts) == 3
 
 
 def test_merge_snapshot_tolerates_none_and_empty():
     registry = MetricsRegistry()
     registry.merge_snapshot(None)
     registry.merge_snapshot({})
-    assert registry.snapshot() == {"counters": {}, "timers": {}}
+    assert registry.snapshot() == {
+        "counters": {}, "gauges": {}, "histograms": {}
+    }
 
 
 # ----------------------------------------------------------------------
@@ -167,9 +157,9 @@ def test_manifest_from_a_tracer_lists_its_spans():
         with tracer.span("inner"):
             registry.increment("events")
     metrics = RunManifest.begin("demo").finish(tracer).to_dict()["metrics"]
-    assert set(metrics) == {"counters", "timers", "spans"}
+    assert set(metrics) == {"counters", "gauges", "histograms", "spans"}
     assert [span["name"] for span in metrics["spans"]] == ["inner", "outer"]
-    assert set(metrics["timers"]) == {"inner", "outer"}
+    assert set(metrics["histograms"]) == {"inner", "outer"}
 
 
 # ----------------------------------------------------------------------

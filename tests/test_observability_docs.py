@@ -6,7 +6,7 @@ documented, and every documented name must still exist in the source —
 so the doc tables can neither rot nor invent.  Span names built by
 f-strings count too: ``f"staticcheck.{check.name}"`` in the source and
 ``staticcheck.<pass>`` in the doc are one entry, since every span feeds
-the timer of its name.
+the histogram of its name.
 """
 
 import pathlib

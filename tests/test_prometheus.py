@@ -15,11 +15,11 @@ def _loaded_registry():
     registry = MetricsRegistry()
     registry.increment("serve.submitted", 12)
     registry.set_gauge("serve.sessions_active", 3)
-    registry.observe_seconds("compile", 0.25)
-    registry.observe_seconds("compile", 0.75)
-    registry.observe_histogram("session.wall_seconds", 0.002)
-    registry.observe_histogram("session.wall_seconds", 0.004)
-    registry.observe_histogram("session.steps_per_sec", 250_000.0)
+    registry.observe_histogram("compile", 0.25)
+    registry.observe_histogram("compile", 0.75)
+    registry.observe_histogram("session", 0.002)
+    registry.observe_histogram("session", 0.004)
+    registry.observe_histogram("serve.queue_wait", 0.5)
     return registry
 
 
@@ -28,12 +28,16 @@ def test_render_covers_every_metric_kind():
     assert "# TYPE repro_serve_submitted_total counter" in text
     assert "repro_serve_submitted_total 12" in text
     assert "# TYPE repro_serve_sessions_active gauge" in text
-    assert "# TYPE repro_compile_seconds summary" in text
+    # Every histogram is a duration: one `_seconds` histogram family
+    # per name, and no summaries.
+    assert "# TYPE repro_compile_seconds histogram" in text
     assert "repro_compile_seconds_count 2" in text
     assert "repro_compile_seconds_sum 1.0" in text
-    assert "# TYPE repro_session_wall_seconds histogram" in text
-    assert 'repro_session_wall_seconds_bucket{le="+Inf"} 2' in text
-    assert "repro_session_wall_seconds_count 2" in text
+    assert "# TYPE repro_session_seconds histogram" in text
+    assert 'repro_session_seconds_bucket{le="+Inf"} 2' in text
+    assert "repro_session_seconds_count 2" in text
+    assert "# TYPE repro_serve_queue_wait_seconds histogram" in text
+    assert " summary" not in text
 
 
 def test_rendered_exposition_validates_clean():
@@ -46,14 +50,12 @@ def test_histogram_buckets_are_cumulative_and_end_at_count():
     text = render_prometheus(_loaded_registry())
     lines = [
         line for line in text.splitlines()
-        if line.startswith("repro_session_wall_seconds_bucket")
+        if line.startswith("repro_session_seconds_bucket")
     ]
     counts = [int(line.rsplit(" ", 1)[1]) for line in lines]
     assert counts == sorted(counts)
     assert counts[-1] == 2
-    assert lines[-1].startswith(
-        'repro_session_wall_seconds_bucket{le="+Inf"}'
-    )
+    assert lines[-1].startswith('repro_session_seconds_bucket{le="+Inf"}')
 
 
 def test_validator_catches_bad_grammar_and_broken_histograms():
@@ -95,21 +97,8 @@ def test_validator_rejects_a_family_declared_twice_and_repeated_series():
     )
 
 
-def test_timer_sharing_a_histogram_family_renders_only_the_histogram():
-    registry = MetricsRegistry()
-    registry.observe_seconds("session.compile", 0.5)
-    registry.observe_histogram("session.compile_seconds", 0.5)
-    text = render_prometheus(registry)
-    assert text.count("# TYPE repro_session_compile_seconds ") == 1
-    assert "# TYPE repro_session_compile_seconds histogram" in text
-    assert "repro_session_compile_seconds_count 1" in text
-    assert validate_exposition(text) == []
-
-
 def test_sanitize_metric_name():
-    assert sanitize_metric_name("session.wall_seconds") == (
-        "session_wall_seconds"
-    )
+    assert sanitize_metric_name("serve.queue_wait") == "serve_queue_wait"
     assert sanitize_metric_name("9lives") == "_9lives"
     assert sanitize_metric_name("ok_name:x") == "ok_name:x"
 

@@ -354,8 +354,6 @@ def test_protocol_errors_do_not_kill_the_daemon(daemon):
 
 
 def test_metrics_prometheus_format_and_histograms(daemon):
-    import time
-
     from repro.observability import validate_exposition
 
     with ServeClient(socket_path=daemon.socket_path) as client:
@@ -364,29 +362,71 @@ def test_metrics_prometheus_format_and_histograms(daemon):
         )
         assert client.result(sid)["state"] == "alarmed"
 
-        # Session telemetry folds into the daemon registry on a loop
-        # callback that races the next request: poll until it lands.
-        for _ in range(200):
-            metrics = client.metrics()
-            if "histograms" in metrics:
-                break
-            time.sleep(0.01)
+        metrics = _metrics_after(client, "serve.sessions.alarmed")
         assert metrics["uptime_monotonic_seconds"] > 0
         histograms = metrics["histograms"]
-        assert histograms["session.wall_seconds"]["count"] == 1
-        assert histograms["session.compile_seconds"]["count"] == 1
-        assert histograms["serve.queue_wait_seconds"]["count"] == 1
-        assert histograms["session.steps_per_sec"]["count"] == 1
+        assert histograms["session"]["count"] == 1
+        assert histograms["session.compile"]["count"] == 1
+        assert histograms["session.attack"]["count"] == 1
+        assert histograms["serve.queue_wait"]["count"] == 1
 
         text = client.metrics_prometheus()
         assert validate_exposition(text) == []
         assert "repro_serve_submitted_total 1" in text
-        assert 'repro_session_wall_seconds_bucket{le="+Inf"} 1' in text
+        assert 'repro_session_seconds_bucket{le="+Inf"} 1' in text
+        assert "repro_serve_queue_wait_seconds_count 1" in text
 
         # Unknown formats are protocol errors; the daemon survives.
         with pytest.raises(ProtocolError):
             client._request("metrics", format="xml")
         assert client.hello()["protocol"] == 1
+        client.shutdown()
+
+
+def _metrics_after(client, counter):
+    """The ``metrics`` reply once ``counter`` is set.  Session telemetry
+    folds into the daemon registry on a loop callback that races the
+    next request, so poll until it lands."""
+    import time
+
+    for _ in range(200):
+        metrics = client.metrics()
+        if counter in metrics["counters"]:
+            return metrics
+        time.sleep(0.01)
+    raise AssertionError(f"{counter} never appeared")
+
+
+def test_run_session_histograms_are_its_spans(daemon):
+    import re
+
+    from repro.observability import validate_exposition
+    from repro.observability.prometheus import sanitize_metric_name
+
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        sid = client.submit(
+            {"mode": "run", "workload": "telnetd", "inputs": [1, 2, 3]}
+        )
+        assert client.result(sid)["state"] == "completed"
+        metrics = _metrics_after(client, "serve.sessions.completed")
+        [session] = daemon.registry.list()
+        spans = {span.name for span in session.tracer.finished}
+        assert spans == {"session", "session.compile", "session.execute"}
+        # Each span is one sample of the histogram of its name; the
+        # queue wait is the one duration that is not a span.
+        histograms = metrics["histograms"]
+        assert set(histograms) == spans | {"serve.queue_wait"}
+        for name in spans:
+            assert histograms[name]["count"] == 1
+
+        text = client.metrics_prometheus()
+        assert validate_exposition(text) == []
+        families = re.findall(r"^# TYPE (\S+) histogram$", text, re.MULTILINE)
+        assert sorted(families) == sorted(
+            f"repro_{sanitize_metric_name(name)}_seconds"
+            for name in spans | {"serve.queue_wait"}
+        )
+        assert " summary" not in text
         client.shutdown()
 
 

@@ -35,6 +35,8 @@ EXPLICIT = {"mode": "attack", "workload": "telnetd", "inputs": [5, 1]}
         ({**RUN, "entry": 5}, "entry"),
         ({**EXPLICIT, "tamper": {**TAMPER, "trigger": True}}, "trigger"),
         ({**EXPLICIT, "tamper": {**TAMPER, "value": 2.9}}, "value"),
+        ({**EXPLICIT, "tamper": {**TAMPER, "trigger": 0}}, "trigger"),
+        ({**EXPLICIT, "tamper": {**TAMPER, "trigger": -4}}, "trigger"),
     ],
     ids=[
         "opt-5",
@@ -49,6 +51,8 @@ EXPLICIT = {"mode": "attack", "workload": "telnetd", "inputs": [5, 1]}
         "entry-int",
         "tamper-trigger-bool",
         "tamper-value-float",
+        "tamper-trigger-0",
+        "tamper-trigger-negative",
     ],
 )
 def test_a_mistyped_or_out_of_range_field_fails_at_submit(payload, field):

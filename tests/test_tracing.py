@@ -4,6 +4,7 @@ import importlib.util
 import json
 import pathlib
 import pickle
+import re
 import threading
 from collections import Counter
 
@@ -13,8 +14,10 @@ from repro.observability import (
     chrome_trace,
     maybe_span,
     validate_chrome_trace,
+    validate_exposition,
     write_spans,
 )
+from repro.observability.prometheus import sanitize_metric_name
 
 
 # ----------------------------------------------------------------------
@@ -245,7 +248,7 @@ def test_manifest_timers_and_spans_agree_with_the_chrome_trace(tmp_path, capsys)
         "run": ["run", str(source), "--inputs", "1 2 3"],
     }
     validator = _load_validator()
-    timers = {}
+    histograms = {}
     for name, argv in runs.items():
         manifest_path = tmp_path / f"{name}.json"
         trace_path = tmp_path / f"{name}-trace.json"
@@ -254,7 +257,7 @@ def test_manifest_timers_and_spans_agree_with_the_chrome_trace(tmp_path, capsys)
                     "--chrome-trace-out", str(trace_path)]
         ) == 0
         capsys.readouterr()
-        # Every timer's count and total match its same-named spans.
+        # Every histogram's count and sum match its same-named spans.
         assert validator.main(
             ["--chrome-trace", str(trace_path), "--manifest", str(manifest_path)]
         ) == 0
@@ -263,11 +266,61 @@ def test_manifest_timers_and_spans_agree_with_the_chrome_trace(tmp_path, capsys)
         assert Counter(span["name"] for span in metrics["spans"]) == Counter(
             event["name"] for event in trace["traceEvents"] if event["ph"] == "X"
         )
-        timers[name] = set(metrics["timers"])
-    assert timers["jobs1"] == timers["jobs2"] == {
+        histograms[name] = set(metrics["histograms"])
+    assert histograms["jobs1"] == histograms["jobs2"] == {
         "campaign", "shard", "shard.compile"
     }
-    assert timers["run"] == {"session", "session.compile", "session.execute"}
+    assert histograms["run"] == {"session", "session.compile", "session.execute"}
+
+
+FIGURE1 = """
+int user;
+void main() {
+  user = read_int();
+  if (user == 0) { emit(100); } else { emit(200); }
+  int someinput = read_int();
+  if (user == 0) { emit(111); } else { emit(222); }
+}
+"""
+
+
+def test_attack_manifest_holds_one_histogram_per_span(tmp_path, capsys):
+    from repro.cli import main
+    from repro.interp import GLOBAL_BASE
+
+    source = tmp_path / "figure1.c"
+    source.write_text(FIGURE1)
+    manifest_path = tmp_path / "m.json"
+    trace_path = tmp_path / "t.json"
+    prom_path = tmp_path / "m.prom"
+    assert main(
+        ["attack", str(source), "--inputs", "5 1", "--trigger", "2",
+         "--address", hex(GLOBAL_BASE), "--value", "0",
+         "--metrics-out", str(manifest_path),
+         "--chrome-trace-out", str(trace_path),
+         "--prom-out", str(prom_path)]
+    ) == 2
+    capsys.readouterr()
+    durations = {}
+    for event in json.loads(trace_path.read_text())["traceEvents"]:
+        if event["ph"] == "X":
+            durations.setdefault(event["name"], []).append(event["dur"])
+    histograms = json.loads(manifest_path.read_text())["metrics"]["histograms"]
+    # One histogram per span name: no duration is recorded twice, and
+    # none is recorded outside a span.
+    assert set(histograms) == set(durations) == {
+        "session", "session.attack", "session.compile"
+    }
+    for name, spans in durations.items():
+        assert histograms[name]["count"] == len(spans)
+        assert abs(histograms[name]["sum"] - sum(spans) / 1e6) <= 1e-6 * len(spans)
+    text = prom_path.read_text()
+    assert validate_exposition(text) == []
+    families = re.findall(r"^# TYPE (\S+) histogram$", text, re.MULTILINE)
+    assert sorted(families) == sorted(
+        f"repro_{sanitize_metric_name(name)}_seconds" for name in durations
+    )
+    assert " summary" not in text
 
 
 def test_validator_flags_a_manifest_that_disagrees_with_its_trace():
@@ -276,10 +329,11 @@ def test_validator_flags_a_manifest_that_disagrees_with_its_trace():
     trace = chrome_trace(tracer.finished)
     manifest = {
         "metrics": {
-            "timers": {"root": {"count": 2, "total_seconds": 0.0}},
+            "histograms": {"root": {"count": 2, "sum": 0.0}},
             "spans": [{"name": "root", "seconds": 0.0}],
         }
     }
     errors = validator.check_manifest_against_trace(manifest, trace)
-    assert any("timer 'root': count 2" in error for error in errors)
+    assert any("histogram 'root': count 2" in error for error in errors)
+    assert any("!= trace spans" in error for error in errors)
     assert any("manifest spans" in error for error in errors)

@@ -14,10 +14,11 @@ the library exposes:
   fields plus the attribution invariant that per-reason catch counts
   sum exactly to the detected total, campaign-wide and per workload;
 * ``--manifest PATH``      — a ``--metrics-out`` JSON manifest of the
-  same run as ``--chrome-trace``: every timer's ``count`` equals the
-  number of same-named spans in the trace and its ``total_seconds``
-  their summed durations (within 1 µs per span), and the manifest's
-  ``spans`` names equal the trace's as a multiset.
+  same run as ``--chrome-trace``: its histogram names equal the trace's
+  span names, every histogram's ``count`` equals the number of
+  same-named spans and its ``sum`` their summed durations (within 1 µs
+  per span), and the manifest's ``spans`` names equal the trace's as a
+  multiset.
 
 Exit codes follow the audit convention: 0 clean, 1 validation errors,
 2 unreadable/missing input.  At least one artifact must be given.
@@ -76,20 +77,26 @@ def check_manifest_against_trace(manifest, trace):
     for event in trace.get("traceEvents", []):
         if event.get("ph") == "X":
             durations.setdefault(event.get("name"), []).append(event.get("dur", 0))
+    histograms = metrics.get("histograms", {})
     errors = []
-    for name, timer in sorted(metrics.get("timers", {}).items()):
+    if set(histograms) != set(durations):
+        errors.append(
+            f"histograms {sorted(histograms)} != trace spans {sorted(durations)}"
+        )
+    for name, histogram in sorted(histograms.items()):
         spans = durations.get(name, [])
-        count, total = timer.get("count"), timer.get("total_seconds", 0.0)
+        count, total = histogram.get("count"), histogram.get("sum", 0.0)
         if count != len(spans):
             errors.append(
-                f"timer {name!r}: count {count}, {len(spans)} span(s) in the trace"
+                f"histogram {name!r}: count {count}, {len(spans)} span(s) "
+                "in the trace"
             )
             continue
-        # 1 µs per span covers microsecond truncation, the exporter's
-        # 1 µs floor and the manifest's 6-decimal rounding.
+        # 1 µs per span covers microsecond truncation and the
+        # exporter's 1 µs floor.
         if abs(total - sum(spans) / 1e6) > 1e-6 * len(spans) + 1e-9:
             errors.append(
-                f"timer {name!r}: total {total} s, spans sum to "
+                f"histogram {name!r}: sum {total} s, spans sum to "
                 f"{sum(spans) / 1e6} s"
             )
     listed = Counter(span.get("name") for span in metrics.get("spans", []))

@@ -53,6 +53,19 @@ def main(argv=None):
     except ValueError:
         print(f"error: bad --opt-levels {args.opt_levels!r}", file=sys.stderr)
         return EXIT_TOOL_ERROR
+    # Checked before any campaign runs: a count below 1 joins nothing
+    # and would declare soundness vacuously.
+    for ok, message in (
+        (args.attacks >= 1, f"--attacks must be >= 1, got {args.attacks}"),
+        (args.jobs >= 1, f"--jobs must be >= 1, got {args.jobs}"),
+        (
+            opt_levels and all(0 <= level <= 3 for level in opt_levels),
+            f"--opt-levels must each be 0-3, got {args.opt_levels!r}",
+        ),
+    ):
+        if not ok:
+            print(f"error: {message}", file=sys.stderr)
+            return EXIT_TOOL_ERROR
 
     from repro.lang.errors import ReproError
     from repro.staticcheck.detectvalidate import validate_registry

@@ -56,6 +56,7 @@ from repro.cpu.simulator import TimingObserver
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracing import Tracer
 from repro.pipeline import observed_run
+from repro.runtime.ipds import IPDS
 from repro.runtime.observer import ExecutionObserver
 from repro.runtime.replay import TraceRecorder
 
@@ -138,7 +139,7 @@ def _executor(config, program, inputs):
     def execute():
         observers = _observers(config)
         if config in ("full_stack", "full_stack_traced", "ipds_only"):
-            observers[0] = program.new_ipds()
+            observers[0] = IPDS(program.tables)
         if tracer is None:
             return observed_run(program, observers=observers, inputs=inputs)
         started = time.perf_counter()

@@ -12,7 +12,7 @@ from repro.analysis import analyze_branches, analyze_definitions, analyze_purity
 from repro.ir import format_function, lower_program
 from repro.lang import parse_program
 from repro.pipeline import compile_program, observed_run
-from repro.runtime import ExecutionObserver
+from repro.runtime import IPDS, ExecutionObserver
 
 SOURCE = """
 int x;
@@ -60,7 +60,7 @@ def main() -> None:
     print(tables.describe())
 
     print("\n=== monitored replay ===")
-    ipds = program.new_ipds()
+    ipds = IPDS(program.tables)
 
     class Narrator(ExecutionObserver):
         """Prints each branch with the status the IPDS, next on the

@@ -119,7 +119,6 @@ def clean_run(
     program: ProtectedProgram,
     inputs: Sequence[int],
     *,
-    entry: str = "main",
     step_limit: int = DEFAULT_CONFIG.step_limit,
     observers: Sequence[object] = (),
 ) -> Tuple[RunResult, IPDS]:
@@ -133,7 +132,6 @@ def clean_run(
     result, ipds = monitored_run(
         program,
         inputs=inputs,
-        entry=entry,
         step_limit=step_limit,
         observers=observers,
     )
@@ -376,7 +374,6 @@ def execute_attack(
     tamper: Union[TamperSpec, Callable[[RunResult], LazyTamper]],
     *,
     index: int = 0,
-    entry: str = "main",
     config: CampaignConfig = DEFAULT_CONFIG,
     metrics: Optional[MetricsRegistry] = None,
     extra_observers: Sequence[object] = (),
@@ -411,7 +408,6 @@ def execute_attack(
     clean, clean_ipds = clean_run(
         program,
         inputs,
-        entry=entry,
         step_limit=config.step_limit,
         observers=hooks,
     )
@@ -438,7 +434,6 @@ def execute_attack(
     attacked, ipds = monitored_run(
         program,
         inputs=inputs,
-        entry=entry,
         tamper=tamper,
         step_limit=config.step_limit,
         flight_recorder=recorder,

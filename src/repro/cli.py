@@ -20,10 +20,10 @@ Subcommands:
   protected-branch fractions, a reason per unprotected branch, and the
   program's detectable tamper surface (informational; ``--fail-on
   never`` by default);
-* ``explain FILE TRACE`` — replay a recorded trace with a flight
-  recorder attached and explain every alarm against the compiler's
-  provenance sidecar (exit 0 no alarms / 1 explained alarms / 2 tool
-  error, the audit convention);
+* ``explain FILE TRACE`` — replay a recorded trace through a session
+  with a flight recorder attached and explain every alarm against the
+  compiler's provenance records (exit 0 no alarms / 1 explained alarms
+  / 2 tool error, the audit convention);
 * ``bench-diff``    — compare fresh ``BENCH_*.json`` files against the
   committed baselines in ``benchmarks/baselines/`` (same convention);
 * ``serve``         — long-lived detection daemon multiplexing many
@@ -51,18 +51,18 @@ Observability: ``run``, ``attack``, ``campaign`` and ``timing`` accept
 ``--metrics-out PATH`` (a structured JSON run manifest, or append-mode
 JSONL when the path ends in ``.jsonl``) and ``--trace-out PATH``
 (committed control-flow events for the single-run commands — directly
-replayable with ``repro.cli replay`` — or a per-attack outcome log for
-campaigns).  The same verbs accept ``--prom-out PATH`` (Prometheus
+replayable with ``repro.cli replay`` or ``explain`` — or a per-attack
+outcome log for campaigns).  The same verbs accept ``--prom-out PATH`` (Prometheus
 text-exposition rendering of the run's metrics, histograms included)
 and ``--chrome-trace-out PATH`` (hierarchical spans as Chrome
-trace-event JSON, loadable in Perfetto).  ``run`` and ``replay`` accept
-``--allow-unprotected`` for tolerant partial-coverage checking.
+trace-event JSON, loadable in Perfetto).  ``run``, ``replay`` and
+``explain`` accept ``--allow-unprotected`` for tolerant partial-coverage
+checking.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import random
 import sys
 from typing import List, Optional, Sequence
@@ -83,21 +83,19 @@ from .observability import (
     write_spans,
 )
 from .parallel.engine import run_campaign
-from .pipeline import (
-    compile_program,
-    compile_program_cached,
-    observed_run,
-    resolve_target,
-)
+from .pipeline import compile_program, compile_program_cached, resolve_target
 from .runtime.flight_recorder import DEFAULT_DEPTH
-from .runtime.replay import TraceRecorder, dump_trace, load_trace, read_trace
+from .runtime.replay import TraceRecorder, dump_trace, read_trace
 from .workloads.registry import get_workload, workload_names
 
 
-def _parse_inputs(text: str) -> List[int]:
-    if not text:
-        return []
-    return [int(piece) for piece in text.replace(",", " ").split()]
+def _inputs(text: str) -> List[int]:
+    try:
+        return [int(piece) for piece in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a list of integers: {text!r}"
+        ) from None
 
 
 def _positive_int(text: str) -> int:
@@ -202,15 +200,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         "run",
         file=args.file,
         inputs=args.inputs,
-        entry=args.entry,
         opt=args.opt,
         allow_unprotected=args.allow_unprotected,
     )
     spec = SessionSpec(
         mode="run",
         workload=args.file,
-        entry=args.entry,
-        inputs=tuple(_parse_inputs(args.inputs)),
+        inputs=tuple(args.inputs),
         opt_level=args.opt,
         allow_unprotected=args.allow_unprotected,
         forensics=args.forensics,
@@ -269,8 +265,7 @@ def cmd_attack(args: argparse.Namespace) -> int:
     spec = SessionSpec(
         mode="attack",
         workload=args.file,
-        entry=args.entry,
-        inputs=tuple(_parse_inputs(args.inputs)),
+        inputs=tuple(args.inputs),
         opt_level=args.opt,
         forensics=args.forensics,
         flight_recorder_depth=args.flight_recorder_depth,
@@ -487,20 +482,6 @@ def _coverage_compare_opt(args: argparse.Namespace) -> int:
     return EXIT_DIAGNOSTICS if violations else EXIT_CLEAN
 
 
-def cmd_record(args: argparse.Namespace) -> int:
-    source, name = resolve_target(args.file)
-    program = compile_program(source, name, args.opt)
-    recorder = TraceRecorder()
-    result = observed_run(
-        program, observers=[recorder], inputs=_parse_inputs(args.inputs)
-    )
-    with open(args.out, "w", encoding="utf-8") as handle:
-        count = dump_trace(recorder.events, handle)
-    print(f"status : {result.status.value}")
-    print(f"events : {count} -> {args.out}")
-    return 0
-
-
 def cmd_replay(args: argparse.Namespace) -> int:
     from .service.engine import SessionSpec
 
@@ -547,48 +528,43 @@ def _print_campaign_forensics(results) -> None:
 
 
 def cmd_explain(args: argparse.Namespace) -> int:
-    """Replay a recorded trace and explain its alarms offline.
+    """Replay a recorded trace through a forensics session and explain
+    its alarms offline.
 
     Exit codes follow the ``audit`` convention: 0 = no alarms, 1 =
-    alarms were raised (and explained), 2 = tool error.  Provenance is
-    deliberately read back from the packed binary image — explanations
-    come from the sidecar exactly as a deployed runtime would see them.
+    alarms were raised (and explained), 2 = tool error.
     """
-    from .correlation.binary_image import load_program
-    from .forensics import explain_trace, render_reports_text, reports_to_json
+    from .forensics import render_reports_text, reports_to_json
+    from .service.engine import SessionSpec
     from .staticcheck import sarif_report, write_output
 
-    metrics = MetricsRegistry()
-    tracer = Tracer(metrics=metrics)
     manifest = RunManifest.begin(
         "explain", file=args.file, trace=args.trace, opt=args.opt
     )
-    source, name = resolve_target(args.file)
-    with tracer.span("compile"):
-        program = compile_program(source, name, args.opt)
-    tables, _ = load_program(program.to_image())
-    events = list(load_trace(io.StringIO(read_trace(args.trace))))
-    with tracer.span("replay"):
-        _, reports = explain_trace(
-            tables,
-            events,
-            depth=args.depth,
-            allow_unprotected=args.allow_unprotected,
-            history_limit=args.history,
-        )
+    spec = SessionSpec(
+        mode="replay",
+        workload=args.file,
+        opt_level=args.opt,
+        allow_unprotected=args.allow_unprotected,
+        forensics=True,
+        flight_recorder_depth=args.depth,
+        trace_text=read_trace(args.trace),
+    )
+    session = _run_session(spec)
+    reports = session.reports
     print(render_reports_text(reports))
     if args.json:
         write_output(reports_to_json(reports), args.json)
     if args.sarif:
         diagnostics = [report.to_diagnostic() for report in reports]
-        write_output(sarif_report([(name, diagnostics)]), args.sarif)
-    metrics.increment("explain.events", len(events))
-    metrics.increment("explain.alarms", len(reports))
+        write_output(
+            sarif_report([(session.program_name, diagnostics)]), args.sarif
+        )
     _emit_telemetry(
         args,
         manifest,
-        tracer,
-        events=len(events),
+        session.tracer,
+        events=len(session.trace_events),
         alarms=len(reports),
         explained=sum(1 for report in reports if report.explained),
     )
@@ -870,8 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run a program under IPDS monitoring")
     p.add_argument("file")
-    p.add_argument("--inputs", default="", help="e.g. '1 2 3'")
-    p.add_argument("--entry", default="main")
+    p.add_argument("--inputs", type=_inputs, default="", help="e.g. '1 2 3'")
     _add_opt_arg(p)
     p.add_argument("--allow-unprotected", action="store_true",
                    help="tolerate calls into functions without correlation "
@@ -885,8 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("attack", help="run with a memory tampering")
     p.add_argument("file")
-    p.add_argument("--inputs", default="")
-    p.add_argument("--entry", default="main")
+    p.add_argument("--inputs", type=_inputs, default="")
     _add_opt_arg(p)
     p.add_argument("--trigger-kind", choices=["read", "step"], default="read")
     p.add_argument("--trigger", type=_positive_int, required=True,
@@ -901,13 +875,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "('-' for stdout)")
     _add_observability_args(p)
     p.set_defaults(func=cmd_attack)
-
-    p = sub.add_parser("record", help="record a control-flow event trace")
-    p.add_argument("file")
-    p.add_argument("--inputs", default="")
-    p.add_argument("--out", required=True)
-    _add_opt_arg(p)
-    p.set_defaults(func=cmd_record)
 
     p = sub.add_parser("replay", help="check a recorded trace offline")
     p.add_argument("file")
@@ -946,13 +913,11 @@ def build_parser() -> argparse.ArgumentParser:
              "(exit 0 no alarms / 1 explained alarms / 2 tool error)",
     )
     p.add_argument("file", help="a mini-C file or a workload name")
-    p.add_argument("trace", help="event trace from 'record' / --trace-out")
+    p.add_argument("trace", help="event trace from run/attack --trace-out")
     _add_opt_arg(p)
     p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH,
                    metavar="N", help="flight recorder ring size for the "
                    f"replay (default {DEFAULT_DEPTH})")
-    p.add_argument("--history", type=_positive_int, default=8, metavar="N",
-                   help="flight-recorder entries quoted per report")
     p.add_argument("--allow-unprotected", action="store_true",
                    help="tolerate trace events from functions without "
                         "correlation tables (partial coverage)")

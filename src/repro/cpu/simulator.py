@@ -82,7 +82,6 @@ class TimedRun:
 def timed_run(
     program: ProtectedProgram,
     inputs: Sequence[int] = (),
-    entry: str = "main",
     with_ipds: bool = True,
     processor: ProcessorParams = ProcessorParams(),
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
@@ -102,7 +101,6 @@ def timed_run(
     interpreter = Interpreter(
         program.module,
         inputs=inputs,
-        entry=entry,
         step_limit=step_limit,
         observers=[TimingObserver(model), *observers],
         trace_branches=False,

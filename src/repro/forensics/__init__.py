@@ -13,7 +13,6 @@ from .engine import (
     DEFAULT_HISTORY,
     explain_alarms,
     explain_ipds,
-    explain_trace,
 )
 from .observatory import (
     UNEXPLAINED,
@@ -43,7 +42,6 @@ __all__ = [
     "WorkloadObservation",
     "explain_alarms",
     "explain_ipds",
-    "explain_trace",
     "observe_log",
     "observe_outcomes",
     "observe_records",

@@ -23,8 +23,7 @@ from typing import Iterable, List, Optional
 
 from ..correlation.actions import BranchStatus
 from ..correlation.tables import ProgramTables
-from ..runtime.events import Event
-from ..runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
+from ..runtime.flight_recorder import FlightRecorder
 from ..runtime.ipds import IPDS, Alarm
 from .report import AlarmReport
 
@@ -42,22 +41,15 @@ def explain_alarms(
     tables: ProgramTables,
     recorder: Optional[FlightRecorder],
     alarms: Iterable[Alarm],
-    history_limit: int = DEFAULT_HISTORY,
 ) -> List[AlarmReport]:
     """Build one :class:`AlarmReport` per alarm."""
-    reports: List[AlarmReport] = []
-    for alarm in alarms:
-        reports.append(
-            _explain_one(tables, recorder, alarm, history_limit)
-        )
-    return reports
+    return [_explain_one(tables, recorder, alarm) for alarm in alarms]
 
 
 def _explain_one(
     tables: ProgramTables,
     recorder: Optional[FlightRecorder],
     alarm: Alarm,
-    history_limit: int,
 ) -> AlarmReport:
     fn_tables = tables.tables_for(alarm.function_name)
     notes: List[str] = []
@@ -73,7 +65,7 @@ def _explain_one(
             setter, transition = found
         history = tuple(
             entry.describe()
-            for entry in recorder.history(alarm.event_index, history_limit)
+            for entry in recorder.history(alarm.event_index, DEFAULT_HISTORY)
         )
 
     provenance = None
@@ -115,29 +107,6 @@ def _explain_one(
     )
 
 
-def explain_ipds(
-    ipds: IPDS, history_limit: int = DEFAULT_HISTORY
-) -> List[AlarmReport]:
+def explain_ipds(ipds: IPDS) -> List[AlarmReport]:
     """Explain every alarm a (recorder-carrying) IPDS instance raised."""
-    return explain_alarms(
-        ipds.tables, ipds.flight_recorder, ipds.alarms, history_limit
-    )
-
-
-def explain_trace(
-    tables: ProgramTables,
-    events: Iterable[Event],
-    depth: int = DEFAULT_DEPTH,
-    allow_unprotected: bool = False,
-    history_limit: int = DEFAULT_HISTORY,
-) -> "tuple[IPDS, List[AlarmReport]]":
-    """Replay a recorded event trace with a flight recorder attached and
-    explain its alarms offline — the engine behind ``repro explain``."""
-    recorder = FlightRecorder(depth)
-    ipds = IPDS(
-        tables,
-        allow_unprotected=allow_unprotected,
-        flight_recorder=recorder,
-    )
-    ipds.run(events)
-    return ipds, explain_ipds(ipds, history_limit)
+    return explain_alarms(ipds.tables, ipds.flight_recorder, ipds.alarms)

@@ -176,7 +176,7 @@ class _Frame:
 
 
 class Interpreter:
-    """Executes one module from its entry function.
+    """Executes one module from its ``main`` function.
 
     Consumers attach through ``observers`` —
     :class:`~repro.runtime.observer.ExecutionObserver` instances.  Each
@@ -187,7 +187,6 @@ class Interpreter:
         self,
         module: IRModule,
         inputs: Sequence[int] = (),
-        entry: str = "main",
         step_limit: int = 2_000_000,
         call_depth_limit: int = 256,
         tamper: Optional[Tamper] = None,
@@ -201,7 +200,6 @@ class Interpreter:
                 f"call depth limit must be >= 1, got {call_depth_limit}"
             )
         self._module = module
-        self._entry = entry
         self._inputs = list(inputs)
         self._input_cursor = 0
         self._step_limit = step_limit
@@ -233,11 +231,11 @@ class Interpreter:
     # -- public API -----------------------------------------------------
 
     def run(self) -> RunResult:
-        """Execute until the entry function returns or a fault occurs."""
+        """Execute until ``main`` returns or a fault occurs."""
         functions = decoded_functions(self._module)
-        entry_fn = functions.get(self._entry)
+        entry_fn = functions.get("main")
         if entry_fn is None:
-            self._module.function(self._entry)  # raises the IRError
+            self._module.function("main")  # raises the IRError
         status, return_value = self._execute(entry_fn)
         # Deliver any instructions still buffered at exit (normal
         # return, step/depth limits, faults) before end-of-execution.

@@ -44,20 +44,6 @@ class ProtectedProgram:
     #: key off this instead of re-deriving it from table contents.
     opt_level: int = 0
 
-    def new_ipds(
-        self,
-        allow_unprotected: bool = False,
-        flight_recorder=None,
-        alarm_sink=None,
-    ) -> IPDS:
-        """A fresh IPDS instance for one monitored execution."""
-        return IPDS(
-            self.tables,
-            allow_unprotected=allow_unprotected,
-            flight_recorder=flight_recorder,
-            alarm_sink=alarm_sink,
-        )
-
     def to_image(self) -> bytes:
         """The §5.4 binary table image: function information table plus
         packed BCV/BAT blobs, as the compiler would attach to the
@@ -150,7 +136,6 @@ def observed_run(
     program: ProtectedProgram,
     observers: Sequence[ExecutionObserver] = (),
     inputs: Sequence[int] = (),
-    entry: str = "main",
     tamper: Optional[Tamper] = None,
     step_limit: int = 2_000_000,
     trace_branches: bool = True,
@@ -161,7 +146,7 @@ def observed_run(
     checker, timing models, trace recorder, baseline capture — each
     event dispatched exactly once through the observer bus::
 
-        ipds = program.new_ipds()
+        ipds = IPDS(program.tables)
         recorder = TraceRecorder()
         result = observed_run(program, [ipds, recorder], inputs=[...])
 
@@ -172,7 +157,6 @@ def observed_run(
     interpreter = Interpreter(
         program.module,
         inputs=inputs,
-        entry=entry,
         tamper=tamper,
         step_limit=step_limit,
         observers=observers,
@@ -184,7 +168,6 @@ def observed_run(
 def monitored_run(
     program: ProtectedProgram,
     inputs: Sequence[int] = (),
-    entry: str = "main",
     tamper: Optional[Tamper] = None,
     step_limit: int = 2_000_000,
     allow_unprotected: bool = False,
@@ -198,7 +181,8 @@ def monitored_run(
     execution behind the IPDS on the bus.  ``alarm_sink`` is forwarded
     to the IPDS — the per-alarm hook an online alarm policy uses.
     """
-    ipds = program.new_ipds(
+    ipds = IPDS(
+        program.tables,
         allow_unprotected=allow_unprotected,
         flight_recorder=flight_recorder,
         alarm_sink=alarm_sink,
@@ -207,7 +191,6 @@ def monitored_run(
         program,
         observers=[ipds, *observers],
         inputs=inputs,
-        entry=entry,
         tamper=tamper,
         step_limit=step_limit,
     )

@@ -295,6 +295,10 @@ class DetectionDaemon:
             body.update(payload)
             data = encode(body)
             try:
+                if kind == "result":
+                    # Fold the session before its result is queued, so
+                    # a ``metrics`` request sent after it counts it.
+                    loop.call_soon_threadsafe(self._on_session_done, session)
                 loop.call_soon_threadsafe(queue.put_nowait, data)
             except RuntimeError:
                 pass  # loop already closed (daemon shutting down)
@@ -328,14 +332,11 @@ class DetectionDaemon:
             )
             return session.run()
 
-        future = loop.run_in_executor(self._executor, run_session)
-        future.add_done_callback(
-            lambda _future: self._on_session_done(session)
-        )
+        loop.run_in_executor(self._executor, run_session)
 
     def _on_session_done(self, session: DetectionSession) -> None:
         """Fold a finished session's telemetry into the daemon registry
-        (runs on the loop thread)."""
+        (runs on the loop thread, just before its ``result`` is queued)."""
         self.metrics.merge_snapshot(session.metrics.snapshot())
         self.metrics.increment(f"serve.sessions.{session.state.value}")
         if session.alarms:

@@ -49,7 +49,7 @@ from ..observability.tracing import SpanRecord, TraceContext, Tracer
 from ..pipeline import (
     ProtectedProgram,
     compile_program_cached,
-    observed_run,
+    monitored_run,
     resolve_target,
 )
 from ..runtime.flight_recorder import DEFAULT_DEPTH, FlightRecorder
@@ -114,7 +114,6 @@ class SessionSpec:
     workload: Optional[str] = None
     source: Optional[str] = None
     source_name: Optional[str] = None
-    entry: str = "main"
     inputs: Tuple[int, ...] = ()
     opt_level: int = 0
     step_limit: Optional[int] = None
@@ -364,21 +363,18 @@ class DetectionSession:
 
     def _execute_run(self) -> None:
         program = self._compile()
-        ipds = program.new_ipds(
-            allow_unprotected=self.spec.allow_unprotected,
-            flight_recorder=self._new_flight_recorder(),
-            alarm_sink=self._on_alarm,
-        )
-        self.ipds = ipds
         extra, recorder, progress = self._session_observers()
         with self.tracer.span("session.execute"):
-            result = observed_run(
+            result, ipds = monitored_run(
                 program,
-                observers=[ipds, *extra, progress],
                 inputs=self.spec.inputs,
-                entry=self.spec.entry,
                 step_limit=self.spec.effective_step_limit,
+                allow_unprotected=self.spec.allow_unprotected,
+                flight_recorder=self._new_flight_recorder(),
+                observers=[*extra, progress],
+                alarm_sink=self._on_alarm,
             )
+        self.ipds = ipds
         self.run_result = result
         if recorder is not None:
             self.trace_events = recorder.events
@@ -413,9 +409,7 @@ class DetectionSession:
         )
         if workload is None:
             with self.tracer.span("session.attack"):
-                execution = execute_attack(
-                    program, spec.inputs, spec.tamper, entry=spec.entry, **hooks
-                )
+                execution = execute_attack(program, spec.inputs, spec.tamper, **hooks)
         else:
             with self.tracer.span(
                 "session.attack",
@@ -442,7 +436,8 @@ class DetectionSession:
 
     def _execute_replay(self) -> None:
         program = self._compile()
-        ipds = program.new_ipds(
+        ipds = IPDS(
+            program.tables,
             allow_unprotected=self.spec.allow_unprotected,
             flight_recorder=self._new_flight_recorder(),
             alarm_sink=self._on_alarm,

@@ -49,7 +49,6 @@ _SPEC_FIELDS: Dict[str, Tuple[type, ...]] = {
     "workload": (str, _NONE),
     "source": (str, _NONE),
     "source_name": (str, _NONE),
-    "entry": (str,),
     "opt_level": (int,),
     "step_limit": (int, _NONE),
     "allow_unprotected": (bool,),

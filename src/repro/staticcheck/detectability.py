@@ -63,8 +63,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
+    Hashable,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -148,28 +151,30 @@ def _cfg_successors(block_instructions: Sequence[Instruction]) -> List[str]:
     return []
 
 
-def _has_cfg_cycle(fn: IRFunction) -> bool:
-    """Iterative three-color DFS over the block graph."""
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color: Dict[str, int] = {block.label: WHITE for block in fn.blocks}
-    for root in color:
-        if color[root] != WHITE:
+def _has_cycle(
+    roots: Iterable[Hashable],
+    successors: Callable[[Hashable], Iterable[Hashable]],
+) -> bool:
+    """Iterative three-color DFS: is a cycle reachable from ``roots``?
+    Each node's successors are computed once, when it is pushed."""
+    done: Set[Hashable] = set()
+    for root in roots:
+        if root in done:
             continue
-        stack: List[Tuple[str, int]] = [(root, 0)]
-        color[root] = GRAY
+        on_path = {root}
+        stack = [(root, iter(successors(root)))]
         while stack:
-            label, cursor = stack[-1]
-            successors = _cfg_successors(fn.block(label).instructions)
-            if cursor < len(successors):
-                stack[-1] = (label, cursor + 1)
-                nxt = successors[cursor]
-                if color[nxt] == GRAY:
+            node, pending = stack[-1]
+            for nxt in pending:
+                if nxt in on_path:
                     return True
-                if color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
+                if nxt not in done:
+                    on_path.add(nxt)
+                    stack.append((nxt, iter(successors(nxt))))
+                    break
             else:
-                color[label] = BLACK
+                on_path.remove(node)
+                done.add(node)
                 stack.pop()
     return False
 
@@ -195,7 +200,10 @@ def compute_callee_facts(
     total: Dict[str, bool] = {}
     callees: Dict[str, Set[str]] = {}
     for fn in functions:
-        ok = not _has_cfg_cycle(fn)
+        ok = not _has_cycle(
+            [block.label for block in fn.blocks],
+            lambda label: _cfg_successors(fn.block(label).instructions),
+        )
         called: Set[str] = set()
         for instruction in fn.instructions():
             if _faultable_division(instruction):
@@ -765,7 +773,9 @@ class WalkGraph:
         if (
             not escape
             and (must_alarm or clean_return)
-            and self._has_cycle(start)
+            and _has_cycle(
+                [start], lambda node: [nxt for _, nxt in self.expand(node).edges]
+            )
         ):
             escape = ("escape:loop",)
         if escape:
@@ -785,29 +795,6 @@ class WalkGraph:
         kind, detail = terminal
         path.append(f"{kind}{f'({detail})' if detail else ''}")
         return WalkResult(must_alarm, clean_return, tuple(path[-12:]))
-
-    def _has_cycle(self, start: _WalkState) -> bool:
-        """Three-color DFS over the (already expanded) reachable
-        subgraph from ``start``."""
-        WHITE, GRAY, BLACK = 0, 1, 2
-        color: Dict[_WalkState, int] = {start: GRAY}
-        stack: List[Tuple[_WalkState, int]] = [(start, 0)]
-        while stack:
-            node, cursor = stack[-1]
-            edges = self.expand(node).edges
-            if cursor < len(edges):
-                stack[-1] = (node, cursor + 1)
-                nxt = edges[cursor][1]
-                nxt_color = color.get(nxt, WHITE)
-                if nxt_color == GRAY:
-                    return True
-                if nxt_color == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, 0))
-            else:
-                color[node] = BLACK
-                stack.pop()
-        return False
 
 
 # ----------------------------------------------------------------------

@@ -40,6 +40,7 @@ from pathlib import Path
 from repro.attacks.campaign import TAMPER_VALUES
 from repro.interp.interpreter import Interpreter, LazyTamper
 from repro.pipeline import compile_program_cached
+from repro.runtime.ipds import IPDS
 from repro.runtime.observer import ExecutionObserver
 from repro.workloads import all_workloads
 
@@ -151,7 +152,7 @@ def run_record(
     tamper=None,
     batched: bool = True,
 ) -> dict:
-    ipds = program.new_ipds()
+    ipds = IPDS(program.tables)
     recorder = StreamRecorder()
     result = Interpreter(
         program.module,

@@ -162,9 +162,9 @@ def test_timing_small(capsys):
     assert "normalized perf" in out
 
 
-def test_record_and_replay_clean(source_file, tmp_path, capsys):
+def test_run_trace_out_replays_clean(source_file, tmp_path, capsys):
     trace = str(tmp_path / "trace.jsonl")
-    assert main(["record", source_file, "--inputs", "5 1", "--out", trace]) == 0
+    assert main(["run", source_file, "--inputs", "5 1", "--trace-out", trace]) == 0
     capsys.readouterr()
     assert main(["replay", source_file, trace]) == 0
     out = capsys.readouterr().out
@@ -421,9 +421,9 @@ def test_compile_finds_a_workload_by_name(capsys):
     assert "tables for main" in capsys.readouterr().out
 
 
-def test_record_finds_a_workload_by_name(tmp_path, capsys):
+def test_run_trace_out_finds_a_workload_by_name(tmp_path, capsys):
     trace = tmp_path / "t.jsonl"
-    assert main(["record", "telnetd", "--out", str(trace)]) == 0
+    assert main(["run", "telnetd", "--trace-out", str(trace)]) == 0
     assert "status : ok" in capsys.readouterr().out
     assert trace.read_text().startswith('{"k": "call", "fn": "main"}')
 
@@ -480,6 +480,42 @@ def test_a_count_below_one_is_a_usage_error(argv, option, capsys):
         main(argv)
     assert excinfo.value.code == 2
     assert f"argument {option}: must be >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "telnetd", "--inputs", "1 x 3"],
+        ["attack", "telnetd", "--inputs", "1 x 3", "--trigger", "1",
+         "--address", "0x1000", "--value", "0"],
+    ],
+    ids=["run", "attack"],
+)
+def test_inputs_that_are_not_integers_are_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --inputs: not a list of integers: '1 x 3'" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (["record", "telnetd", "--out", "t.jsonl"], "'record'"),
+        (["explain", "telnetd", "t.jsonl", "--history", "3"], "--history"),
+        (["run", "telnetd", "--entry", "main"], "--entry"),
+        (["attack", "telnetd", "--entry", "main", "--trigger", "1",
+          "--address", "0x1000", "--value", "0"], "--entry"),
+    ],
+    ids=["record", "explain-history", "run-entry", "attack-entry"],
+)
+def test_removed_verb_and_options_are_usage_errors(argv, word, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert word in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("port", ["99999", "-5"])
@@ -671,10 +707,39 @@ def _tampered_trace(source_file, tmp_path, capsys):
 
 def test_explain_clean_trace_exits_zero(source_file, tmp_path, capsys):
     trace = str(tmp_path / "clean.jsonl")
-    assert main(["record", source_file, "--inputs", "5 1", "--out", trace]) == 0
+    assert main(["run", source_file, "--inputs", "5 1", "--trace-out", trace]) == 0
     capsys.readouterr()
     assert main(["explain", source_file, trace]) == 0
     assert "no alarms" in capsys.readouterr().out
+
+
+def test_offline_explain_writes_the_live_forensics_bytes(
+    source_file, tmp_path, capsys
+):
+    """``repro explain`` on an attack's trace writes the AlarmReport
+    document the attack's own ``--forensics`` wrote, byte for byte."""
+    from repro.interp import GLOBAL_BASE
+
+    trace, live, offline = (
+        str(tmp_path / name) for name in ("t.jsonl", "live.json", "offline.json")
+    )
+    rc = main(
+        [
+            "attack", source_file,
+            "--inputs", "5 1",
+            "--trigger", "2",
+            "--address", hex(GLOBAL_BASE),
+            "--value", "0",
+            "--forensics",
+            "--forensics-out", live,
+            "--trace-out", trace,
+        ]
+    )
+    assert rc == 2
+    assert main(["explain", source_file, trace, "--json", offline]) == 1
+    capsys.readouterr()
+    with open(live, "rb") as a, open(offline, "rb") as b:
+        assert a.read() == b.read()
 
 
 def test_explain_tampered_trace_exits_one(source_file, tmp_path, capsys):

@@ -24,6 +24,7 @@ from repro import TamperSpec, compile_program
 from repro.interp import GLOBAL_BASE, STACK_BASE
 from repro.interp.interpreter import Interpreter
 from repro.runtime.flight_recorder import FlightRecorder
+from repro.runtime.ipds import IPDS
 from repro.runtime.observer import ExecutionObserver
 
 from .test_zero_false_positives import programs
@@ -151,11 +152,11 @@ def test_buffer_survives_mid_segment_alarms(source, inputs, seed):
         address,
         rng.choice([0, 1, -1, 7, -999, 0x41414141]),
     )
-    ref_ipds = program.new_ipds()
+    ref_ipds = IPDS(program.tables)
     reference = FlatLog()
     _run(program, inputs, [ref_ipds, reference], batched=False, tamper=tamper)
 
-    ipds = program.new_ipds()
+    ipds = IPDS(program.tables)
     log = BatchLog()
     _run(program, inputs, [ipds, log], batched=True, tamper=tamper)
 
@@ -189,7 +190,7 @@ def test_buffer_survives_flight_recorder_eviction(source, inputs, seed, depth):
 
     def capture(batched):
         recorder = FlightRecorder(depth=depth)
-        ipds = program.new_ipds(flight_recorder=recorder)
+        ipds = IPDS(program.tables, flight_recorder=recorder)
         _run(program, inputs, [ipds], batched=batched, tamper=tamper)
         return (
             [str(a) for a in ipds.alarms],

@@ -21,8 +21,8 @@ def lower(source):
     return lower_program(parse_program(source))
 
 
-def run(source, inputs=(), entry="main", **kwargs):
-    return Interpreter(lower(source), inputs=inputs, entry=entry, **kwargs).run()
+def run(source, inputs=(), **kwargs):
+    return Interpreter(lower(source), inputs=inputs, **kwargs).run()
 
 
 # ----------------------------------------------------------------------

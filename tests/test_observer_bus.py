@@ -274,7 +274,7 @@ def test_one_execution_feeds_all_four_consumers():
     program = compile_program(workload.source, workload.name)
     inputs = workload.make_inputs(random.Random("equiv:all4"))
 
-    ipds = program.new_ipds()
+    ipds = IPDS(program.tables)
     model = TimingModel(ProcessorParams(), None)
     syscalls = SyscallTraceObserver()
     recorder = TraceRecorder()
@@ -306,7 +306,7 @@ def test_tampered_single_pass_alarms_match_and_replay_offline():
     program = compile_program(FIGURE1, "fig1.c")
     tamper = TamperSpec("read", 2, GLOBAL_BASE, 0)
 
-    ipds = program.new_ipds()
+    ipds = IPDS(program.tables)
     recorder = TraceRecorder()
     observed_run(
         program, observers=[ipds, recorder], inputs=[5, 1], tamper=tamper

@@ -2,7 +2,6 @@
 
 
 from repro import (
-    IPDS,
     ProtectedProgram,
     RunStatus,
     compile_program,
@@ -30,14 +29,6 @@ def test_compile_program_returns_protected_program():
     assert program.build_stats
 
 
-def test_new_ipds_instances_are_independent():
-    program = compile_program(SOURCE)
-    a = program.new_ipds()
-    b = program.new_ipds()
-    assert a is not b
-    assert isinstance(a, IPDS)
-
-
 def test_monitored_and_unmonitored_agree():
     program = compile_program(SOURCE)
     inputs = [1, 1, 1, 1, 0]
@@ -51,13 +42,6 @@ def test_step_limit_threads_through():
     program = compile_program("void main() { while (1) { } }")
     result, _ = monitored_run(program, step_limit=500)
     assert result.status is RunStatus.STEP_LIMIT
-
-
-def test_entry_override():
-    source = "void other() { emit(42); } void main() { emit(1); }"
-    program = compile_program(source)
-    result = observed_run(program, entry="other")
-    assert result.outputs == [42]
 
 
 def test_to_image_roundtrip():

@@ -362,7 +362,8 @@ def test_metrics_prometheus_format_and_histograms(daemon):
         )
         assert client.result(sid)["state"] == "alarmed"
 
-        metrics = _metrics_after(client, "serve.sessions.alarmed")
+        metrics = client.metrics()
+        assert metrics["counters"]["serve.sessions.alarmed"] == 1
         assert metrics["uptime_monotonic_seconds"] > 0
         histograms = metrics["histograms"]
         assert histograms["session"]["count"] == 1
@@ -383,18 +384,20 @@ def test_metrics_prometheus_format_and_histograms(daemon):
         client.shutdown()
 
 
-def _metrics_after(client, counter):
-    """The ``metrics`` reply once ``counter`` is set.  Session telemetry
-    folds into the daemon registry on a loop callback that races the
-    next request, so poll until it lands."""
-    import time
-
-    for _ in range(200):
-        metrics = client.metrics()
-        if counter in metrics["counters"]:
-            return metrics
-        time.sleep(0.01)
-    raise AssertionError(f"{counter} never appeared")
+def test_metrics_after_a_result_count_that_session(daemon):
+    """The daemon folds a session into its registry before it sends the
+    session's ``result``, so a ``metrics`` request sent right after the
+    result always counts the session."""
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        for done in range(1, 31):
+            sid = client.submit(
+                {"mode": "run", "workload": "telnetd", "inputs": [1, 2, 3]}
+            )
+            assert client.result(sid)["state"] == "completed"
+            counters = client.metrics()["counters"]
+            assert counters.get("serve.sessions.completed") == done
+            assert counters.get("session.started") == done
+        client.shutdown()
 
 
 def test_run_session_histograms_are_its_spans(daemon):
@@ -408,7 +411,8 @@ def test_run_session_histograms_are_its_spans(daemon):
             {"mode": "run", "workload": "telnetd", "inputs": [1, 2, 3]}
         )
         assert client.result(sid)["state"] == "completed"
-        metrics = _metrics_after(client, "serve.sessions.completed")
+        metrics = client.metrics()
+        assert metrics["counters"]["serve.sessions.completed"] == 1
         [session] = daemon.registry.list()
         spans = {span.name for span in session.tracer.finished}
         assert spans == {"session", "session.compile", "session.execute"}

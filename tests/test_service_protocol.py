@@ -32,7 +32,7 @@ EXPLICIT = {"mode": "attack", "workload": "telnetd", "inputs": [5, 1]}
         ({**INDEXED, "attack_index": "2"}, "attack_index"),
         ({**RUN, "step_limit": -3}, "step_limit"),
         ({**RUN, "inputs": [True, False]}, "inputs"),
-        ({**RUN, "entry": 5}, "entry"),
+        ({**RUN, "entry": "main"}, "entry"),
         ({**EXPLICIT, "tamper": {**TAMPER, "trigger": True}}, "trigger"),
         ({**EXPLICIT, "tamper": {**TAMPER, "value": 2.9}}, "value"),
         ({**EXPLICIT, "tamper": {**TAMPER, "trigger": 0}}, "trigger"),
@@ -48,7 +48,7 @@ EXPLICIT = {"mode": "attack", "workload": "telnetd", "inputs": [5, 1]}
         "attack-index-string",
         "step-limit-negative",
         "inputs-bools",
-        "entry-int",
+        "entry-unknown",
         "tamper-trigger-bool",
         "tamper-value-float",
         "tamper-trigger-0",
@@ -129,7 +129,7 @@ def test_any_json_spec_is_a_protocol_error_or_a_well_typed_spec(payload):
     assert spec.mode in ("run", "attack", "replay")
     for name in ("workload", "source", "source_name", "trace_text"):
         assert _optional(getattr(spec, name), str), name
-    assert type(spec.entry) is str and type(spec.seed_prefix) is str
+    assert type(spec.seed_prefix) is str
     assert spec.attack_model in ("input", "process")
     assert type(spec.opt_level) is int and 0 <= spec.opt_level <= 3
     assert _optional(spec.step_limit, int)

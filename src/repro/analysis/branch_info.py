@@ -132,15 +132,17 @@ class InferenceInfo:
     index: int  # instruction index within the block
     op: RelOp
     bound: int
+    taken_set: OutcomeSet
+    nottaken_set: OutcomeSet
 
     def implied_interval(self, taken: bool) -> Optional[Interval]:
         """Interval of mem[var] when the branch goes ``taken``
         (None when that side is not an interval)."""
         return Interval.from_relop(self.op, self.bound, taken)
 
-    def implied_set(self, taken: bool) -> "OutcomeSet":
+    def implied_set(self, taken: bool) -> OutcomeSet:
         """Full outcome-set form (handles the non-interval sides)."""
-        return OutcomeSet.from_relop(self.op, self.bound, taken)
+        return self.taken_set if taken else self.nottaken_set
 
 
 @dataclass
@@ -279,7 +281,15 @@ def analyze_branch(
         )
         if clean_gap(load.var, load_index):
             inferences.append(
-                InferenceInfo(load.var, "load", load_index, eff_op, eff_bound)
+                InferenceInfo(
+                    load.var,
+                    "load",
+                    load_index,
+                    eff_op,
+                    eff_bound,
+                    check.taken_set,
+                    check.nottaken_set,
+                )
             )
 
     # Store-based inference: a store of any chain register reveals the
@@ -298,7 +308,13 @@ def analyze_branch(
                 store_op, store_bound = solutions[instruction.src]
                 inferences.append(
                     InferenceInfo(
-                        instruction.var, "store", index, store_op, store_bound
+                        instruction.var,
+                        "store",
+                        index,
+                        store_op,
+                        store_bound,
+                        OutcomeSet.from_relop(store_op, store_bound, True),
+                        OutcomeSet.from_relop(store_op, store_bound, False),
                     )
                 )
 

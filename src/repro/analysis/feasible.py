@@ -124,8 +124,7 @@ class FeasRange:
             return self.interval.subsumes(outcome.interval)
         return not self.interval.contains(outcome.hole) or self.hole == outcome.hole
 
-    def intersect_outcome(self, outcome: OutcomeSet) -> "FeasRange":
-        other = FeasRange.from_outcome(outcome)
+    def intersect(self, other: "FeasRange") -> "FeasRange":
         interval = self.interval.intersect(other.interval)
         hole = self.hole if self.hole is not None else other.hole
         return _canonical(interval, hole)
@@ -182,16 +181,26 @@ def _env_join(a: FeasEnv, b: FeasEnv) -> FeasEnv:
     """Pointwise join in one pass over ``a``.  A range both sides agree
     on (the same object, or an equal canonical one) is its own join and
     ``a``'s is reused; otherwise ``a``'s range joins on the left,
-    because the one-hole join keeps the first common hole."""
+    because the one-hole join keeps the first common hole.  When the
+    join equals ``a``, ``a`` itself is returned, so callers test for a
+    change with ``is``."""
     joined: FeasEnv = {}
+    same = True
     for var, mine in a.items():
         theirs = b.get(var)
         if theirs is None:
+            same = False
             continue
-        value = mine if mine is theirs or mine == theirs else mine.join(theirs)
-        if not value.is_top:
+        if mine is theirs or mine == theirs:
+            value = mine
+        else:
+            value = mine.join(theirs)
+            same = same and value == mine
+        if value.is_top:
+            same = False
+        else:
             joined[var] = value
-    return joined
+    return a if same else joined
 
 
 def _env_widen(old: FeasEnv, new: FeasEnv) -> FeasEnv:
@@ -378,33 +387,69 @@ def _transfer(
     return env, snapshots
 
 
+#: One direction of one branch, ready to intersect: the check as
+#: ``(load index, range)`` (``None`` without a check) and each
+#: non-trivial inference as ``(var, range)``, in the facts' order.
+EdgeRanges = Tuple[
+    Optional[Tuple[int, FeasRange]], Tuple[Tuple[Variable, FeasRange], ...]
+]
+
+#: A branch block's edge ranges, per direction.
+EdgeTable = Dict[bool, EdgeRanges]
+
+
+def edge_tables(facts_by_pc: Dict[int, BranchFacts]) -> Dict[str, EdgeTable]:
+    """Every analyzable branch block's edge table, keyed by block label.
+
+    The ranges are fixed per block and direction, so a function builds
+    them once and every visit of the edge only intersects."""
+    tables: Dict[str, EdgeTable] = {}
+    for facts in facts_by_pc.values():
+        check = facts.check
+        table: EdgeTable = {}
+        for taken in (True, False):
+            checked: Optional[Tuple[int, FeasRange]] = None
+            if check is not None:
+                checked = (
+                    check.load_index,
+                    FeasRange.from_outcome(check.outcome_set(taken)),
+                )
+            implied: List[Tuple[Variable, FeasRange]] = []
+            for inference in facts.inferences:
+                outcome = inference.implied_set(taken)
+                if not outcome.is_trivial:
+                    implied.append(
+                        (inference.var, FeasRange.from_outcome(outcome))
+                    )
+            table[taken] = (checked, tuple(implied))
+        tables[facts.block_label] = table
+    return tables
+
+
 def _edge_env(
-    facts: Optional[BranchFacts],
+    table: Optional[EdgeTable],
     env_out: FeasEnv,
     snapshots: Dict[int, FeasRange],
     taken: bool,
 ) -> Optional[FeasEnv]:
     """The environment flowing along one conditional edge, refined by
-    the direction's implications — ``None`` when the direction is
-    infeasible from this abstract state (a pruned edge)."""
-    if facts is None:
+    the direction's ranges — ``None`` when the direction is infeasible
+    from this abstract state (a pruned edge).  A missing snapshot or
+    binding is top: it never prunes, and takes a stored range as is."""
+    if table is None:
         return dict(env_out)
-    check = facts.check
+    check, implied = table[taken]
     if check is not None:
-        tested = snapshots.get(check.load_index, FeasRange.top())
-        if tested.intersect_outcome(check.outcome_set(taken)).is_empty:
+        tested = snapshots.get(check[0])
+        if tested is not None and tested.intersect(check[1]).is_empty:
             return None
     env = dict(env_out)
-    for inference in facts.inferences:
-        implied = inference.implied_set(taken)
-        if implied.is_trivial:
-            continue
-        refined = env.get(inference.var, FeasRange.top()).intersect_outcome(
-            implied
-        )
+    for var, allowed in implied:
+        current = env.get(var)
+        refined = allowed if current is None else current.intersect(allowed)
         if refined.is_empty:
             return None
-        _env_set(env, inference.var, refined)
+        _env_set(env, var, refined)
     return env
 
 
@@ -449,9 +494,14 @@ def render_edge(label: str, taken: bool) -> str:
     return f"{label}:{'T' if taken else 'NT'}"
 
 
+#: A block's last visit in one fixpoint: its load snapshots and the
+#: directions its edge ranges refused.
+_Visit = Tuple[Dict[int, FeasRange], Tuple[bool, ...]]
+
+
 def propagate_from_edge(
     programs: Dict[str, BlockProgram],
-    facts_of_label: Dict[str, BranchFacts],
+    tables: Dict[str, EdgeTable],
     source_label: str,
     taken: bool,
     prune: bool = True,
@@ -464,41 +514,63 @@ def propagate_from_edge(
     statically infeasible.  ``prune=False`` propagates infeasible edges
     *unrefined* instead of dropping them (the plain-MFP comparison the
     property tests exercise)."""
+    solved = _solve_edge(programs, tables, source_label, taken, prune)
+    if solved is None:
+        return None
+    states, visits = solved
+    return states, _pruned(visits)
+
+
+def _solve_edge(
+    programs: Dict[str, BlockProgram],
+    tables: Dict[str, EdgeTable],
+    source_label: str,
+    taken: bool,
+    prune: bool,
+) -> Optional[Tuple[Dict[str, FeasEnv], Dict[str, _Visit]]]:
+    """:func:`propagate_from_edge`, with each block's last visit."""
     source = programs[source_label]
     env_out, snapshots = _transfer(source, {})
-    seed = _edge_env(facts_of_label.get(source_label), env_out, snapshots, taken)
+    seed = _edge_env(tables.get(source_label), env_out, snapshots, taken)
     if seed is None:
         return None
     start = source.taken_target if taken else source.fallthrough_target
     states: Dict[str, FeasEnv] = {start: seed}
-    _iterate_states(programs, facts_of_label, states, [start], prune)
-    return states, _fixpoint_pruned(programs, facts_of_label, states, prune)
+    return states, _iterate_states(programs, tables, states, [start], prune)
 
 
 def _iterate_states(
     programs: Dict[str, BlockProgram],
-    facts_of_label: Dict[str, BranchFacts],
+    tables: Dict[str, EdgeTable],
     states: Dict[str, FeasEnv],
     worklist: List[str],
     prune: bool,
-) -> None:
-    """Run the forward range worklist to a fixpoint, in place."""
+) -> Dict[str, _Visit]:
+    """Run the forward range worklist to a fixpoint, in place.
+
+    Returns every reached block's last visit.  A block is queued again
+    whenever its state changes, so its last visit ran on its final
+    state: the snapshots are the fixpoint's, and the refused directions
+    are the edges infeasible at the fixpoint.  Only those are honest
+    witnesses — an edge refused on an earlier visit may have become
+    feasible once more state joined in."""
+    visits: Dict[str, _Visit] = {}
     join_counts: Dict[str, int] = {}
     while worklist:
         label = worklist.pop()
         program = programs[label]
         env_out, snapshots = _transfer(program, states[label])
-        if program.is_return:
-            continue
+        refused: Tuple[bool, ...] = ()
         edges: List[Tuple[str, FeasEnv]] = []
         if program.jump_target is not None:
             edges.append((program.jump_target, env_out))
-        else:
-            facts = facts_of_label.get(label)
+        elif not program.is_return:
+            table = tables.get(label)
             for direction in (True, False):
-                edge_env = _edge_env(facts, env_out, snapshots, direction)
+                edge_env = _edge_env(table, env_out, snapshots, direction)
                 if edge_env is None:
                     if prune:
+                        refused += (direction,)
                         continue
                     edge_env = dict(env_out)
                 target = (
@@ -507,47 +579,34 @@ def _iterate_states(
                     else program.fallthrough_target
                 )
                 edges.append((target, edge_env))
+        visits[label] = (snapshots, refused)
         for next_label, env in edges:
-            if next_label not in states:
+            old = states.get(next_label)
+            if old is None:
                 states[next_label] = env
                 worklist.append(next_label)
                 continue
-            joined = _env_join(states[next_label], env)
-            if joined == states[next_label]:
+            joined = _env_join(old, env)
+            if joined is old:
                 continue
             count = join_counts.get(next_label, 0) + 1
             join_counts[next_label] = count
             if count > WIDEN_AFTER:
-                joined = _env_widen(states[next_label], joined)
-            if joined != states[next_label]:
-                states[next_label] = joined
-                worklist.append(next_label)
+                joined = _env_widen(old, joined)
+                if joined == old:
+                    continue
+            states[next_label] = joined
+            worklist.append(next_label)
+    return visits
 
 
-def _fixpoint_pruned(
-    programs: Dict[str, BlockProgram],
-    facts_of_label: Dict[str, BranchFacts],
-    states: Dict[str, FeasEnv],
-    prune: bool,
-) -> Set[Tuple[str, bool]]:
-    """Conditional edges infeasible at the fixpoint.
-
-    Pruned edges are decided at the *fixpoint*: an edge skipped early
-    in the iteration may have become feasible once more state joined
-    in, and only fixpoint-infeasible edges are honest witnesses.
-    """
-    pruned: Set[Tuple[str, bool]] = set()
-    if prune:
-        for label, env_in in states.items():
-            program = programs[label]
-            if program.branch_pc is None or program.is_return:
-                continue
-            env_out, snapshots = _transfer(program, env_in)
-            facts = facts_of_label.get(label)
-            for direction in (True, False):
-                if _edge_env(facts, env_out, snapshots, direction) is None:
-                    pruned.add((label, direction))
-    return pruned
+def _pruned(visits: Dict[str, _Visit]) -> Set[Tuple[str, bool]]:
+    """The conditional edges infeasible at the fixpoint."""
+    return {
+        (label, direction)
+        for label, (_, refused) in visits.items()
+        for direction in refused
+    }
 
 
 def entry_reachability(
@@ -567,14 +626,12 @@ def entry_reachability(
     needs to hold over *feasible* clean prefixes).
     """
     programs = summarize_blocks(fn, def_map)
-    facts_of_label = {
-        facts.block_label: facts for facts in facts_by_pc.values()
-    }
     entry = fn.entry.label
     states: Dict[str, FeasEnv] = {entry: {}}
-    _iterate_states(programs, facts_of_label, states, [entry], prune=True)
-    pruned = _fixpoint_pruned(programs, facts_of_label, states, prune=True)
-    return set(states), pruned
+    visits = _iterate_states(
+        programs, edge_tables(facts_by_pc), states, [entry], prune=True
+    )
+    return set(states), _pruned(visits)
 
 
 def analyze_feasible(
@@ -584,11 +641,9 @@ def analyze_feasible(
 ) -> FeasibleAnalysis:
     """Run the feasible-path MFP from every conditional edge."""
     programs = summarize_blocks(fn, def_map)
+    tables = edge_tables(facts_by_pc)
     facts_of_label = {
         facts.block_label: facts for facts in facts_by_pc.values()
-    }
-    pc_of_label = {
-        program.label: program.branch_pc for program in programs.values()
     }
     findings: Dict[Tuple[int, bool], Dict[int, FeasibleFinding]] = {}
     for block in fn.blocks:
@@ -596,22 +651,19 @@ def analyze_feasible(
             continue
         source_pc = block.terminator.address
         for taken in (True, False):
-            result = propagate_from_edge(
-                programs, facts_of_label, block.label, taken
-            )
-            if result is None:
+            solved = _solve_edge(programs, tables, block.label, taken, True)
+            if solved is None:
                 continue
-            states, pruned = result
+            states, visits = solved
             witness = tuple(
-                sorted(render_edge(label, d) for label, d in pruned)
+                sorted(render_edge(label, d) for label, d in _pruned(visits))
             )
             per_target: Dict[int, FeasibleFinding] = {}
-            for label, env_in in states.items():
+            for label in states:
                 facts = facts_of_label.get(label)
                 if facts is None or facts.check is None:
                     continue
-                program = programs[label]
-                env_out, snapshots = _transfer(program, env_in)
+                snapshots, _ = visits[label]
                 tested = snapshots.get(
                     facts.check.load_index, FeasRange.top()
                 )
@@ -623,11 +675,10 @@ def analyze_feasible(
                     forced = False
                 else:
                     continue
-                target_pc = pc_of_label[label]
-                per_target[target_pc] = FeasibleFinding(
+                per_target[facts.pc] = FeasibleFinding(
                     source_pc=source_pc,
                     taken=taken,
-                    target_pc=target_pc,
+                    target_pc=facts.pc,
                     forced=forced,
                     implied=str(tested),
                     witness=witness,

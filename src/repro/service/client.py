@@ -58,13 +58,16 @@ class ServeClient:
         deadline = time.monotonic() + connect_timeout
         while True:
             try:
-                if socket_path is not None:
-                    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                if socket_path is None:
+                    return socket.create_connection((host, port))
+                sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                try:
                     sock.connect(socket_path)
-                else:
-                    sock = socket.create_connection((host, port))
+                except OSError:
+                    sock.close()
+                    raise
                 return sock
-            except (ConnectionRefusedError, FileNotFoundError, OSError):
+            except OSError:
                 if time.monotonic() >= deadline:
                     raise
                 time.sleep(0.05)

@@ -38,6 +38,7 @@ from ..attacks.campaign import (
     run_workload_campaign,
 )
 from ..forensics.observatory import primary_reason
+from ..interp.interpreter import RunStatus
 from ..interp.state import STACK_BASE, MemoryMap
 from ..ir.instructions import Variable
 from ..pipeline import ProtectedProgram
@@ -52,6 +53,10 @@ from .detectability import (
 #: Verdict value used when an attack cannot be joined (tamper never
 #: fired, or the address resolves to no mapped variable).
 UNJOINED = "unjoined"
+
+#: How an attacked run ends when it was cut short rather than ran to
+#: completion: DET801's progress assumption (DESIGN §4h) does not hold.
+TRUNCATED = (RunStatus.STEP_LIMIT, RunStatus.CALL_DEPTH)
 
 
 @dataclass(frozen=True)
@@ -71,6 +76,8 @@ class AttackJoin:
     #: ``repro obs`` attribution of the first alarm (forensics
     #: campaigns only; None otherwise or when undetected).
     reason: Optional[str] = None
+    #: How the attacked run ended.
+    attack_status: RunStatus = RunStatus.OK
 
     def to_dict(self) -> dict:
         record = {
@@ -82,6 +89,7 @@ class AttackJoin:
             "fired": self.fired,
             "control_flow_changed": self.control_flow_changed,
             "detected": self.detected,
+            "attack_status": self.attack_status.value,
         }
         if self.witness:
             record["witness"] = list(self.witness)
@@ -136,6 +144,18 @@ class WorkloadSoundness:
         return self.det801_escapes + self.det803_alarms
 
     @property
+    def det801_progress_not_met(self) -> List[AttackJoin]:
+        """Proven-detected attacks whose attacked run was truncated
+        (step or call-depth limit).  Reported apart because DET801
+        assumes the run progresses; an escape among them still counts
+        in :attr:`det801_escapes`."""
+        return [
+            j
+            for j in self.joins
+            if j.verdict == PROVEN_DETECTED and j.attack_status in TRUNCATED
+        ]
+
+    @property
     def predicted_lower_bound_pct(self) -> float:
         """Static lower bound on the detected-of-changed rate: every
         DET801 attack is proven to alarm, and a detected attack has by
@@ -183,6 +203,9 @@ class WorkloadSoundness:
             ),
             "det801_escapes": [j.to_dict() for j in self.det801_escapes],
             "det803_alarms": [j.to_dict() for j in self.det803_alarms],
+            "det801_progress_not_met": [
+                j.to_dict() for j in self.det801_progress_not_met
+            ],
             "reason_counts": self.reason_counts(),
         }
 
@@ -311,6 +334,7 @@ def join_outcomes(
                 detected=outcome.detected,
                 witness=witness,
                 reason=reason,
+                attack_status=outcome.attack_status,
             )
         )
     return joins

@@ -99,9 +99,6 @@ class ValueSet:
         hole = self.hole if self.hole is not None else other.hole
         return _normalize(interval, hole)
 
-    def intersect_outcome(self, outcome: OutcomeSet) -> "ValueSet":
-        return self.intersect(ValueSet.from_outcome(outcome))
-
     def join(self, other: "ValueSet") -> "ValueSet":
         """Convex-hull union.  The hole survives only when both sides
         exclude it, which keeps equality correlations provable across
@@ -166,16 +163,26 @@ def env_join(a: Env, b: Env) -> Env:
     sides agree on (the same object, or an equal one) is its own join,
     because every value set is in canonical form, so ``a``'s is reused.
     The value join is not commutative (it keeps the first hole that
-    both sides exclude), so ``a``'s value always goes on the left."""
+    both sides exclude), so ``a``'s value always goes on the left.
+    When the join equals ``a``, ``a`` itself is returned, so callers
+    test for a change with ``is``."""
     joined: Env = {}
+    same = True
     for var, left in a.items():
         right = b.get(var)
         if right is None:
+            same = False
             continue
-        value = left if left is right or left == right else left.join(right)
-        if not value.is_top:
+        if left is right or left == right:
+            value = left
+        else:
+            value = left.join(right)
+            same = same and value == left
+        if value.is_top:
+            same = False
+        else:
             joined[var] = value
-    return joined
+    return a if same else joined
 
 
 def env_widen(old: Env, new: Env) -> Env:

@@ -18,7 +18,10 @@ block the walk produces a :class:`BlockSummary`:
   the branch tested (no potential store in between) — the same "clean
   gap" rule the paper needs for sound inference;
 * ``const_outcome`` — set when the branch condition folds to a
-  constant (fuel for the dead-branch detector).
+  constant (fuel for the dead-branch detector);
+* ``edge_values`` — per direction, the check's outcome set and every
+  constraint as value sets (:class:`~repro.staticcheck.domain.ValueSet`),
+  built once so the MFP's edge rules only intersect.
 
 Symbolic values are affine forms ``sign * t + offset`` over *load
 terms* (the value observed by one particular load), plus constants and
@@ -131,6 +134,14 @@ class CheckFact:
         return OutcomeSet.from_relop(self.op, self.bound, taken)
 
 
+#: One direction of a branch, ready to intersect: the check as
+#: ``(term, values)`` (``None`` without a check) and each constraint as
+#: ``(var, values)``.
+EdgeValues = Tuple[
+    Optional[Tuple[LoadTerm, ValueSet]], Tuple[Tuple[Variable, ValueSet], ...]
+]
+
+
 #: Interval-transfer steps: ("load", term) | ("store", var, spec) |
 #: ("call", callee, (vars...)) | ("clobber", (vars...)).  Store specs:
 #: ("const", c) | ("affine", term, sign, offset) | ("top",).  A call
@@ -151,6 +162,9 @@ class BlockSummary:
     constraints: Dict[bool, Tuple[Tuple[Variable, OutcomeSet], ...]] = field(
         default_factory=dict
     )
+    #: direction -> the check's outcome set and each constraint's as
+    #: value sets, built once for :func:`edge_environment`
+    edge_values: Dict[bool, EdgeValues] = field(default_factory=dict)
     branch_pc: Optional[int] = None
     taken_target: Optional[str] = None
     fallthrough_target: Optional[str] = None
@@ -396,6 +410,17 @@ def summarize_block(
 
     if not summary.constraints and summary.branch_pc is not None:
         summary.constraints = {True: (), False: ()}
+    check = summary.check
+    for taken, constraints in summary.constraints.items():
+        summary.edge_values[taken] = (
+            None
+            if check is None
+            else (check.term, ValueSet.from_outcome(check.outcome_set(taken))),
+            tuple(
+                (var, ValueSet.from_outcome(outcome))
+                for var, outcome in constraints
+            ),
+        )
     return summary
 
 
@@ -468,16 +493,20 @@ def edge_environment(
 ) -> Optional[Env]:
     """The environment that flows along one conditional edge, refined
     by everything the branch direction implies — or ``None`` when the
-    direction is statically infeasible from this state."""
+    direction is statically infeasible from this state.  A missing
+    snapshot or binding is top: it never prunes, and takes a stored
+    value set as is."""
     if summary.const_outcome is not None and summary.const_outcome != taken:
         return None
-    if summary.check is not None:
-        tested = snapshots.get(summary.check.term, ValueSet.top())
-        if tested.intersect_outcome(summary.check.outcome_set(taken)).is_empty:
+    check, constraints = summary.edge_values[taken]
+    if check is not None:
+        tested = snapshots.get(check[0])
+        if tested is not None and tested.intersect(check[1]).is_empty:
             return None
     env: Env = dict(env_out)
-    for var, outcome in summary.constraints.get(taken, ()):
-        refined = env_get(env, var).intersect_outcome(outcome)
+    for var, values in constraints:
+        current = env.get(var)
+        refined = values if current is None else current.intersect(values)
         if refined.is_empty:
             return None
         env_set(env, var, refined)

@@ -47,7 +47,7 @@ from ..correlation.provenance import REASON_FEASIBLE, ActionProvenance
 from ..correlation.tables import FunctionTables
 from ..ir.function import IRFunction, IRModule
 from .diagnostics import Diagnostic, DiagnosticSink
-from .domain import Env, ValueSet, env_get, env_set
+from .domain import Env, ValueSet, env_set
 from .facts import BlockSummary, Term, edge_environment, summarize_function, transfer_block
 from .mfp import EdgeRule, solve_from_edge
 
@@ -302,6 +302,7 @@ def _relaxed_refinement(summary: BlockSummary, env_out: Env, taken: bool) -> Env
     variable's hostile range cannot be silently re-enacted — deleting
     that witness entry surfaces as ``FP703``."""
     env: Env = dict(env_out)
-    for var, outcome in summary.constraints.get(taken, ()):
-        env_set(env, var, env_get(env, var).intersect_outcome(outcome))
+    for var, values in summary.edge_values[taken][1]:
+        current = env.get(var)
+        env_set(env, var, values if current is None else current.intersect(values))
     return env

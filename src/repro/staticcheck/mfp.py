@@ -64,20 +64,22 @@ def solve_range_mfp(
                 )
                 edges.append((next_label, edge_env))
         for next_label, env in edges:
-            if next_label not in states:
+            old = states.get(next_label)
+            if old is None:
                 states[next_label] = env
                 worklist.append(next_label)
                 continue
-            joined = env_join(states[next_label], env)
-            if joined == states[next_label]:
+            joined = env_join(old, env)
+            if joined is old:
                 continue
             count = join_counts.get(next_label, 0) + 1
             join_counts[next_label] = count
             if count > WIDEN_AFTER:
-                joined = env_widen(states[next_label], joined)
-            if joined != states[next_label]:
-                states[next_label] = joined
-                worklist.append(next_label)
+                joined = env_widen(old, joined)
+                if joined == old:
+                    continue
+            states[next_label] = joined
+            worklist.append(next_label)
     return states
 
 

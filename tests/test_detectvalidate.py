@@ -243,3 +243,55 @@ def test_tool_rejects_out_of_range_arguments_before_any_campaign(
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.err
     assert "soundness" not in captured.out
+
+
+def test_join_carries_the_attacked_runs_status(program):
+    (join,) = join_outcomes(
+        program, [_outcome(program, attack_status=RunStatus.STEP_LIMIT)], "demo"
+    )
+    assert join.attack_status is RunStatus.STEP_LIMIT
+    assert join.to_dict()["attack_status"] == "step_limit"
+
+
+def test_det801_progress_not_met_bucket(capsys, monkeypatch):
+    """DET801 joins whose attacked run was truncated are reported in
+    their own bucket; the bucket is reporting only, so a truncated
+    DET801 escape is still unsound."""
+    from repro.staticcheck import detectvalidate
+
+    def join(index, verdict, detected, status):
+        return AttackJoin(
+            index=index, target_label="t", address=1, value=2,
+            verdict=verdict, fired=True, control_flow_changed=True,
+            detected=detected, attack_status=status,
+        )
+
+    truncated = join(3, "DET801", False, RunStatus.STEP_LIMIT)
+    too_deep = join(4, "DET801", True, RunStatus.CALL_DEPTH)
+    finished = join(5, "DET801", True, RunStatus.OK)
+    not_801 = join(6, "DET802", False, RunStatus.STEP_LIMIT)
+    result = WorkloadSoundness("w", 0, [truncated, too_deep, finished, not_801])
+    assert result.det801_progress_not_met == [truncated, too_deep]
+    assert result.det801_escapes == [truncated]
+    document = result.to_dict()
+    assert [j["index"] for j in document["det801_progress_not_met"]] == [3, 4]
+    assert [j["attack_status"] for j in document["det801_progress_not_met"]] == [
+        "step_limit",
+        "call_depth",
+    ]
+
+    monkeypatch.setattr(
+        detectvalidate, "validate_registry", lambda **_: SoundnessReport([result])
+    )
+    assert _load_tool().main(["--opt-levels", "0"]) == 1
+    captured = capsys.readouterr()
+    assert "progress-not-met=2 |" in captured.out
+    assert (
+        "  progress not met: attack 3 (DET801, t = 2) stopped at "
+        "step_limit, not detected" in captured.out
+    )
+    assert (
+        "  progress not met: attack 4 (DET801, t = 2) stopped at "
+        "call_depth, detected" in captured.out
+    )
+    assert "UNSOUND: w opt0 attack 3: DET801" in captured.err

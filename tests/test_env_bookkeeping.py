@@ -5,7 +5,9 @@
 object both sides share.  They must equal the pointwise definition: the
 key-set intersection, with ``a[var].join(b[var])`` (resp. ``widen``)
 and top dropped.  The value join is not commutative, so the operand
-order is part of that definition.
+order is part of that definition.  Both fixpoints test a join for a
+change with ``is``, so a join hands back its left operand itself
+exactly when the definition equals it.
 """
 
 from hypothesis import example, given, settings
@@ -69,7 +71,10 @@ def _holes(canonical):
 def _check_pair(pair, join, widen):
     a, b = pair
     for left, right in ((a, b), (b, a)):
-        assert join(left, right) == _pointwise(left, right, lambda x, y: x.join(y))
+        joined = join(left, right)
+        expected = _pointwise(left, right, lambda x, y: x.join(y))
+        assert joined == expected
+        assert (joined is left) == (expected == left)
         assert widen(left, right) == _pointwise(left, right, lambda x, y: x.widen(y))
 
 
@@ -92,6 +97,22 @@ def test_value_join_keeps_the_left_operands_hole():
         a, b = _holes(canonical)
         assert str(join(a, b)[VARS[0]]) == "[0, 10]\\{3}"
         assert str(join(b, a)[VARS[0]]) == "[0, 10]\\{8}"
+
+
+def test_join_hands_back_its_left_operand_only_when_unchanged():
+    for canonical, join in ((_normalize, env_join), (_canonical, _env_join)):
+        small = canonical(Interval(0, 5), None)
+        wide = canonical(Interval(0, 9), None)
+        top = canonical(Interval(NEG_INF, POS_INF), None)
+        a = {VARS[0]: small, VARS[1]: wide}
+        assert join(a, dict(a)) is a
+        assert join(a, {VARS[0]: canonical(Interval(0, 5), None), VARS[1]: small}) is a
+        assert join(a, {**a, VARS[2]: small}) is a
+        assert join(a, {VARS[0]: small}) == {VARS[0]: small}
+        assert join(a, {VARS[0]: wide, VARS[1]: wide}) == {VARS[0]: wide, VARS[1]: wide}
+        with_top = {VARS[0]: small, VARS[1]: top}
+        assert join(with_top, dict(with_top)) == {VARS[0]: small}
+        assert join({}, a) == {}
 
 
 def test_top_is_one_shared_instance():

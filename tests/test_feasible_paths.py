@@ -32,7 +32,10 @@ from repro.analysis.defs import DefinitionMap, analyze_definitions
 from repro.analysis.feasible import (
     FeasRange,
     _canonical,
+    _edge_env,
+    _transfer,
     analyze_feasible,
+    edge_tables,
     propagate_from_edge,
     render_edge,
     summarize_blocks,
@@ -411,7 +414,7 @@ def test_widen_covers_both_operands(a, b, v):
 
 @given(a=FEAS_RANGES, outcome=OUTCOMES, v=SAMPLES)
 def test_intersect_outcome_is_sound_and_reducing(a, outcome, v):
-    refined = a.intersect_outcome(outcome)
+    refined = a.intersect(FeasRange.from_outcome(outcome))
     if a.contains(v) and outcome.contains_value(v):
         assert refined.contains(v)
     # The refinement can only shrink: one representable hole means the
@@ -517,10 +520,7 @@ def _builder_context(source):
     def_map, _ = analyze_definitions(fn, module, purity)
     facts_by_pc = analyze_branches(fn, def_map)
     programs = summarize_blocks(fn, def_map)
-    facts_of_label = {
-        facts.block_label: facts for facts in facts_by_pc.values()
-    }
-    return fn, def_map, facts_by_pc, programs, facts_of_label
+    return fn, def_map, facts_by_pc, programs, edge_tables(facts_by_pc)
 
 
 def _range_subset(a, b):
@@ -545,16 +545,16 @@ def _env_subset(tight, loose, top):
 @settings(max_examples=25, deadline=None)
 @given(source=branchy_source())
 def test_pruned_mfp_is_at_least_as_tight_as_plain(source):
-    fn, _, _, programs, facts_of_label = _builder_context(source)
+    fn, _, _, programs, tables = _builder_context(source)
     for block in fn.blocks:
         if not block.ends_in_cond_branch():
             continue
         for taken in (True, False):
             pruned = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=True
+                programs, tables, block.label, taken, prune=True
             )
             plain = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=False
+                programs, tables, block.label, taken, prune=False
             )
             assert (pruned is None) == (plain is None)
             if pruned is None:
@@ -567,33 +567,64 @@ def test_pruned_mfp_is_at_least_as_tight_as_plain(source):
                     env, plain_states[label], FeasRange.top()
                 ), (block.label, taken, label)
             # Every claimed prune re-proves from the returned fixpoint.
-            from repro.analysis.feasible import _edge_env, _transfer
-
             for label, direction in pruned_edges:
                 env_out, snapshots = _transfer(
                     programs[label], pruned_states[label]
                 )
                 assert (
-                    _edge_env(
-                        facts_of_label.get(label), env_out, snapshots, direction
-                    )
+                    _edge_env(tables.get(label), env_out, snapshots, direction)
                     is None
                 )
+
+
+def _refused_at_fixpoint(programs, tables, states):
+    """Every reached branch direction whose edge ranges refuse the
+    fixpoint state, recomputed from scratch."""
+    refused = set()
+    for label, env_in in states.items():
+        program = programs[label]
+        if program.branch_pc is None:
+            continue
+        env_out, snapshots = _transfer(program, env_in)
+        for direction in (True, False):
+            if _edge_env(tables.get(label), env_out, snapshots, direction) is None:
+                refused.add((label, direction))
+    return refused
+
+
+@settings(max_examples=25, deadline=None)
+@given(source=branchy_source())
+def test_pruned_set_is_exactly_the_refused_reached_directions(source):
+    """The pruned set read off each block's last visit is the set of
+    reached branch directions refused at the returned fixpoint: every
+    prune re-proves, and no refused direction goes unreported."""
+    fn, _, _, programs, tables = _builder_context(source)
+    for block in fn.blocks:
+        if not block.ends_in_cond_branch():
+            continue
+        for taken in (True, False):
+            result = propagate_from_edge(programs, tables, block.label, taken)
+            if result is None:
+                continue
+            states, pruned_edges = result
+            expected = _refused_at_fixpoint(programs, tables, states)
+            assert pruned_edges <= expected, (block.label, taken)
+            assert expected <= pruned_edges, (block.label, taken)
 
 
 @settings(max_examples=25, deadline=None)
 @given(source=unprunable_source())
 def test_pruning_changes_nothing_without_infeasible_edges(source):
-    fn, _, _, programs, facts_of_label = _builder_context(source)
+    fn, _, _, programs, tables = _builder_context(source)
     for block in fn.blocks:
         if not block.ends_in_cond_branch():
             continue
         for taken in (True, False):
             pruned = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=True
+                programs, tables, block.label, taken, prune=True
             )
             plain = propagate_from_edge(
-                programs, facts_of_label, block.label, taken, prune=False
+                programs, tables, block.label, taken, prune=False
             )
             assert (pruned is None) == (plain is None)
             if pruned is None:
@@ -605,9 +636,7 @@ def test_pruning_changes_nothing_without_infeasible_edges(source):
 @settings(max_examples=25, deadline=None)
 @given(source=branchy_source())
 def test_findings_witness_the_fixpoint_pruned_set(source):
-    fn, def_map, facts_by_pc, programs, facts_of_label = _builder_context(
-        source
-    )
+    fn, def_map, facts_by_pc, programs, tables = _builder_context(source)
     label_of_pc = {
         program.branch_pc: program.label
         for program in programs.values()
@@ -616,7 +645,7 @@ def test_findings_witness_the_fixpoint_pruned_set(source):
     analysis = analyze_feasible(fn, def_map, facts_by_pc)
     for (source_pc, taken), per_target in analysis.findings.items():
         result = propagate_from_edge(
-            programs, facts_of_label, label_of_pc[source_pc], taken
+            programs, tables, label_of_pc[source_pc], taken
         )
         assert result is not None
         _, pruned_edges = result

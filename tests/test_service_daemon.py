@@ -181,12 +181,10 @@ def test_quarantine_policy_over_the_wire(daemon, tmp_path):
 
         # The quarantined trace replays to the identical alarms —
         # through the daemon itself this time.
+        with open(trace_path, encoding="utf-8") as handle:
+            trace_text = handle.read()
         replay_sid = client.submit(
-            {
-                "mode": "replay",
-                "workload": "atftpd",
-                "trace_text": open(trace_path, encoding="utf-8").read(),
-            }
+            {"mode": "replay", "workload": "atftpd", "trace_text": trace_text}
         )
         replayed = client.result(replay_sid)
         assert replayed["state"] == "alarmed"
@@ -547,3 +545,23 @@ def test_cli_serve_smoke(tmp_path, capsys):
         client.shutdown()
     thread.join(10)
     assert rc_box["rc"] == 0
+
+
+def test_client_closes_every_socket_of_a_failed_connect(tmp_path, monkeypatch):
+    """A client that races a daemon retries every 50 ms; each attempt
+    whose connect fails closes its socket, and so does the last one,
+    whose error reaches the caller."""
+    import socket
+
+    made = []
+
+    class TrackedSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(socket, "socket", TrackedSocket)
+    with pytest.raises(OSError):
+        ServeClient(socket_path=str(tmp_path / "missing.sock"), connect_timeout=0.2)
+    assert len(made) >= 2
+    assert [sock.fileno() for sock in made] == [-1] * len(made)

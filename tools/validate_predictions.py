@@ -10,6 +10,11 @@ violation:
 * a ``DET801`` (proven detected) attack the IPDS did not catch, or
 * a ``DET803`` (proven undetected) attack that raised an alarm.
 
+DET801 assumes the attacked run makes progress.  Under each workload
+line the tool lists the DET801 attacks whose attacked run hit the step
+or call-depth limit ("progress not met"); this is reporting only, and
+such an attack that escaped is still a violation.
+
 Also prints the static detection-rate lower bound next to the measured
 detected-of-changed rate per opt level — the bound must never exceed
 the measurement (that too is asserted).
@@ -94,11 +99,19 @@ def main(argv=None):
             f"DET801={result.count('DET801')} "
             f"DET802={result.count('DET802')} "
             f"DET803={result.count('DET803')} "
-            f"unjoined={result.count('unjoined')} | "
+            f"unjoined={result.count('unjoined')} "
+            f"progress-not-met={len(result.det801_progress_not_met)} | "
             f"bound {result.predicted_lower_bound_pct:.1f}% <= "
             f"measured {result.measured_pct_detected_of_changed:.1f}%"
         )
         print(line)
+        for join in result.det801_progress_not_met:
+            print(
+                f"  progress not met: attack {join.index} (DET801, "
+                f"{join.target_label} = {join.value}) stopped at "
+                f"{join.attack_status.value}, "
+                f"{'detected' if join.detected else 'not detected'}"
+            )
         for join in result.det801_escapes:
             failures.append(
                 f"{result.workload} opt{result.opt_level} attack "

@@ -126,9 +126,9 @@ def test_fig7_summary_shape(benchmark, compiled_workloads):
     def summarize():
         for name in workload_names():
             if name not in _RESULTS:
-                workload, program = compiled_workloads[name]
+                workload, _ = compiled_workloads[name]
                 _RESULTS[name] = run_workload_campaign(
-                    workload, attacks=ATTACKS, program=program
+                    workload, attacks=ATTACKS
                 )
         return CampaignSummary([_RESULTS[n] for n in workload_names()])
 

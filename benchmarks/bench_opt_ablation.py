@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.attacks import run_workload_campaign
+from repro.attacks import CampaignConfig, run_workload_campaign
 from repro.pipeline import compile_program
 from repro.workloads import all_workloads, workload_names
 
@@ -56,15 +56,13 @@ def test_opt_ablation_per_workload(benchmark, name):
     benchmark.extra_info["sets_opt2"] = _set_entries(opt2)
     benchmark.extra_info["sets_opt3"] = _set_entries(opt3)
 
-    plain_result = run_workload_campaign(
-        workload, attacks=ATTACKS, program=plain
-    )
-    opt_result = run_workload_campaign(workload, attacks=ATTACKS, program=opt)
-    opt2_result = run_workload_campaign(
-        workload, attacks=ATTACKS, program=opt2
-    )
-    opt3_result = run_workload_campaign(
-        workload, attacks=ATTACKS, program=opt3
+    # The campaigns attack the compile cache's build at each level
+    # (compiled here, outside the timed section above).
+    plain_result, opt_result, opt2_result, opt3_result = (
+        run_workload_campaign(
+            workload, attacks=ATTACKS, config=CampaignConfig(opt_level=level)
+        )
+        for level in range(4)
     )
     _DETECTED[name] = (
         plain_result.pct_detected,

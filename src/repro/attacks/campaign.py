@@ -79,9 +79,11 @@ class CampaignConfig:
     """How every attack of a campaign runs — validated once, here.
 
     Picklable, so pool shards receive it as is.  ``opt_level`` picks
-    the compiled program; the rest shape each attack:
+    the compiled program (every shard attacks the compile cache's build
+    at that level); the rest shape each attack:
 
-    * ``step_limit`` bounds both runs of an attack;
+    * ``step_limit`` bounds both runs of an attack (its default is
+      also the budget of the daemon's indexed attacks);
     * ``attack_model`` selects the threat model (``"input"`` or
       ``"process"``, see :func:`run_attack_detailed`);
     * ``forensics`` flight-records the attack run and explains its
@@ -150,14 +152,6 @@ def record_ipds_metrics(metrics: MetricsRegistry, ipds: IPDS) -> None:
     metrics.increment("ipds.events", ipds.stats.events)
     metrics.increment("ipds.checks", ipds.stats.checks)
     metrics.increment("ipds.alarms", len(ipds.alarms))
-    if ipds.stats.unprotected_calls:
-        metrics.increment(
-            "ipds.unprotected_calls", ipds.stats.unprotected_calls
-        )
-    if ipds.stats.unprotected_branches:
-        metrics.increment(
-            "ipds.unprotected_branches", ipds.stats.unprotected_branches
-        )
 
 
 @dataclass(frozen=True)
@@ -574,20 +568,17 @@ def run_workload_campaign(
     seed_prefix: str = "",
     config: CampaignConfig = DEFAULT_CONFIG,
     *,
-    program: Optional[ProtectedProgram] = None,
     jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
     tracer=None,
 ) -> WorkloadResult:
     """Attack one workload ``attacks`` times independently.
 
-    A one-workload :func:`repro.parallel.engine.run_campaign`: the
-    merged result is identical at any ``jobs`` for the same
-    ``seed_prefix``.  ``program`` (a pre-compiled program) is what the
-    in-process ``jobs=1`` shard attacks; pool shards ignore it and
-    recompile through the content-addressed cache instead (same
-    program, built once per process).  ``metrics`` accumulates campaign
-    telemetry, merged back across shards.
+    A one-workload :func:`repro.parallel.engine.run_campaign`: every
+    shard attacks the compile cache's build at ``config.opt_level``,
+    and the merged result is identical at any ``jobs`` for the same
+    ``seed_prefix``.  ``metrics`` accumulates campaign telemetry,
+    merged back across shards.
     """
     from ..parallel.engine import run_campaign
 
@@ -599,5 +590,4 @@ def run_workload_campaign(
         jobs=jobs,
         metrics=metrics,
         tracer=tracer,
-        program=program,
     ).results[0]

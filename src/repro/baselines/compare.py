@@ -18,12 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..attacks.campaign import (
-    CampaignConfig,
-    attack_rng,
-    clean_run,
-    run_attack_detailed,
-)
+from ..attacks.campaign import attack_rng, clean_run, run_attack_detailed
 from ..ir.instructions import Call, Instruction
 from ..pipeline import ProtectedProgram, compile_program
 from ..runtime.observer import ExecutionObserver
@@ -94,7 +89,6 @@ def compare_detectors(
     test_sessions: int = 40,
     n: int = 5,
     program: Optional[ProtectedProgram] = None,
-    step_limit: int = 500_000,
 ) -> ComparisonResult:
     """Run the full head-to-head for one workload.
 
@@ -113,7 +107,7 @@ def compare_detectors(
     def session_trace(prefix: str, index: int) -> List[str]:
         syscalls = SyscallTraceObserver()
         inputs = workload.make_inputs(attack_rng(prefix, workload.name, index))
-        clean_run(program, inputs, step_limit=step_limit, observers=(syscalls,))
+        clean_run(program, inputs, observers=(syscalls,))
         return syscalls.symbols
 
     for index in range(train_sessions):
@@ -124,7 +118,6 @@ def compare_detectors(
     )
 
     changed = ipds_hits = ngram_hits = 0
-    config = CampaignConfig(step_limit=step_limit)
     for index in range(attacks):
         syscalls = SyscallTraceObserver()
         outcome = run_attack_detailed(
@@ -132,7 +125,6 @@ def compare_detectors(
             workload,
             index,
             seed_prefix="cmp:",
-            config=config,
             extra_observers=(syscalls,),
         ).outcome
         if outcome.control_flow_changed:

@@ -43,9 +43,9 @@ on stderr and exits 2.
 
 Forensics: ``run``, ``attack`` and ``campaign`` accept ``--forensics``
 (attach a bounded flight recorder and print a causal explanation for
-every alarm) and ``--flight-recorder-depth N``; the single-run commands
-also take ``--forensics-out PATH`` for the JSON ``AlarmReport``
-document.
+every alarm) and ``--flight-recorder-depth N``, which ``explain`` takes
+too; the single-run commands also take ``--forensics-out PATH`` for the
+JSON ``AlarmReport`` document.
 
 Observability: ``run``, ``attack``, ``campaign`` and ``timing`` accept
 ``--metrics-out PATH`` (a structured JSON run manifest, or append-mode
@@ -55,9 +55,7 @@ replayable with ``repro.cli replay`` or ``explain`` — or a per-attack
 outcome log for campaigns).  The same verbs accept ``--prom-out PATH`` (Prometheus
 text-exposition rendering of the run's metrics, histograms included)
 and ``--chrome-trace-out PATH`` (hierarchical spans as Chrome
-trace-event JSON, loadable in Perfetto).  ``run``, ``replay`` and
-``explain`` accept ``--allow-unprotected`` for tolerant partial-coverage
-checking.
+trace-event JSON, loadable in Perfetto).
 """
 
 from __future__ import annotations
@@ -201,14 +199,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         file=args.file,
         inputs=args.inputs,
         opt=args.opt,
-        allow_unprotected=args.allow_unprotected,
     )
     spec = SessionSpec(
         mode="run",
         workload=args.file,
         inputs=tuple(args.inputs),
         opt_level=args.opt,
-        allow_unprotected=args.allow_unprotected,
         forensics=args.forensics,
         flight_recorder_depth=args.flight_recorder_depth,
         record_trace=bool(args.trace_out),
@@ -231,7 +227,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         outputs=list(result.outputs),
         steps=result.steps,
         alarms=[str(alarm) for alarm in ipds.alarms],
-        unprotected_calls=ipds.stats.unprotected_calls,
     )
     if ipds.detected:
         for alarm in ipds.alarms:
@@ -489,7 +484,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
         mode="replay",
         workload=args.file,
         opt_level=args.opt,
-        allow_unprotected=args.allow_unprotected,
         trace_text=read_trace(args.trace),
     )
     session = _run_session(spec)
@@ -545,9 +539,8 @@ def cmd_explain(args: argparse.Namespace) -> int:
         mode="replay",
         workload=args.file,
         opt_level=args.opt,
-        allow_unprotected=args.allow_unprotected,
         forensics=True,
-        flight_recorder_depth=args.depth,
+        flight_recorder_depth=args.flight_recorder_depth,
         trace_text=read_trace(args.trace),
     )
     session = _run_session(spec)
@@ -771,6 +764,10 @@ def _add_forensics_args(p: argparse.ArgumentParser) -> None:
                    help="attach a flight recorder and explain any alarms "
                         "(setting event, violated compiler correlation, "
                         "causal chain)")
+    _add_flight_recorder_depth_arg(p)
+
+
+def _add_flight_recorder_depth_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument("--flight-recorder-depth", type=_positive_int,
                    default=DEFAULT_DEPTH, metavar="N",
                    help=f"flight recorder ring size in committed events "
@@ -848,9 +845,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--inputs", type=_inputs, default="", help="e.g. '1 2 3'")
     _add_opt_arg(p)
-    p.add_argument("--allow-unprotected", action="store_true",
-                   help="tolerate calls into functions without correlation "
-                        "tables (partial coverage) instead of erroring")
     _add_forensics_args(p)
     p.add_argument("--forensics-out", default=None, metavar="PATH",
                    help="write the alarm forensics report as JSON "
@@ -880,9 +874,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("trace")
     _add_opt_arg(p)
-    p.add_argument("--allow-unprotected", action="store_true",
-                   help="tolerate trace events from functions without "
-                        "correlation tables (partial coverage)")
     p.set_defaults(func=cmd_replay)
 
     p = sub.add_parser("campaign", help="Figure-7 campaign on a workload")
@@ -915,12 +906,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="a mini-C file or a workload name")
     p.add_argument("trace", help="event trace from run/attack --trace-out")
     _add_opt_arg(p)
-    p.add_argument("--depth", type=_positive_int, default=DEFAULT_DEPTH,
-                   metavar="N", help="flight recorder ring size for the "
-                   f"replay (default {DEFAULT_DEPTH})")
-    p.add_argument("--allow-unprotected", action="store_true",
-                   help="tolerate trace events from functions without "
-                        "correlation tables (partial coverage)")
+    _add_flight_recorder_depth_arg(p)
     _add_report_args(
         p,
         json_help="write the AlarmReport document ('-' for stdout)",

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..interp.interpreter import Interpreter, RunResult
+from ..interp.interpreter import DEFAULT_STEP_LIMIT, Interpreter, RunResult
 from ..pipeline import ProtectedProgram
 from ..runtime.events import BranchEvent, CallEvent, ReturnEvent
 from ..runtime.observer import ExecutionObserver
@@ -85,7 +85,7 @@ def timed_run(
     with_ipds: bool = True,
     processor: ProcessorParams = ProcessorParams(),
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
-    step_limit: int = 2_000_000,
+    step_limit: int = DEFAULT_STEP_LIMIT,
     observers: Sequence[ExecutionObserver] = (),
 ) -> TimedRun:
     """Execute once under the timing model.
@@ -144,7 +144,7 @@ def normalized_performance(
     workload_name: str = "",
     processor: ProcessorParams = ProcessorParams(),
     ipds_params: IPDSHardwareParams = IPDSHardwareParams(),
-    step_limit: int = 2_000_000,
+    step_limit: int = DEFAULT_STEP_LIMIT,
     observers: Sequence[ExecutionObserver] = (),
 ) -> PerformanceComparison:
     """Baseline and IPDS configurations measured from **one** execution.

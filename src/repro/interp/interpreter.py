@@ -60,6 +60,11 @@ from .decode import (
 )
 from .state import MemoryMap, STACK_BASE
 
+#: Step budget of one run unless its caller sets another: a monitored,
+#: timed or session run.  A campaign attack's budget is
+#: ``CampaignConfig.step_limit``.
+DEFAULT_STEP_LIMIT = 2_000_000
+
 
 class RunStatus(enum.Enum):
     """How an execution ended."""
@@ -187,7 +192,7 @@ class Interpreter:
         self,
         module: IRModule,
         inputs: Sequence[int] = (),
-        step_limit: int = 2_000_000,
+        step_limit: int = DEFAULT_STEP_LIMIT,
         call_depth_limit: int = 256,
         tamper: Optional[Tamper] = None,
         trace_branches: bool = True,

@@ -45,7 +45,6 @@ from ..attacks.campaign import (
 )
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import TraceContext, Tracer, maybe_span
-from ..pipeline import ProtectedProgram
 from ..workloads.registry import Workload, get_workload, resolve_workloads
 from .cache import cached_compile
 
@@ -110,19 +109,16 @@ def _normalize_jobs(jobs: int) -> int:
     return min(jobs, MAX_JOBS)
 
 
-def _run_shard(
-    task: ShardTask,
-    workload: Optional[Workload] = None,
-    program: Optional[ProtectedProgram] = None,
-) -> ShardResult:
+def _run_shard(task: ShardTask, workload: Optional[Workload] = None) -> ShardResult:
     """The attack loop: one shard of one workload's campaign.
 
-    Pool workers get only the task and resolve the workload and its
-    program themselves; the in-process shard of a ``jobs=1`` campaign
-    passes them in, so ad-hoc workloads and pre-compiled programs work
-    there.  A metered or traced shard records its ``shard`` and
-    ``shard.compile`` spans, whose histograms ride in the metrics snapshot;
-    an unmetered, untraced one builds no tracer.
+    Pool workers get only the task and resolve the workload themselves;
+    the in-process shard of a ``jobs=1`` campaign passes it in, so
+    ad-hoc workloads work there.  Either way the shard attacks the
+    compile cache's build at ``config.opt_level``.  A metered or traced
+    shard records its ``shard`` and ``shard.compile`` spans, whose
+    histograms ride in the metrics snapshot; an unmetered, untraced one
+    builds no tracer.
     """
     if workload is None:
         workload = get_workload(task.workload)
@@ -140,11 +136,10 @@ def _run_shard(
         attacks=len(task.indices),
         first_index=task.indices[0] if task.indices else -1,
     ):
-        if program is None:
-            with maybe_span(tracer, "shard.compile", workload=task.workload):
-                program = cached_compile(
-                    workload.source, workload.name, config.opt_level
-                )
+        with maybe_span(tracer, "shard.compile", workload=task.workload):
+            program = cached_compile(
+                workload.source, workload.name, config.opt_level
+            )
         outcomes = [
             run_attack(
                 program,
@@ -220,7 +215,6 @@ def run_campaign(
     jobs: int = 1,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
-    program: Optional[ProtectedProgram] = None,
 ) -> CampaignSummary:
     """The Figure-7 experiment, optionally sharded across processes.
 
@@ -241,14 +235,9 @@ def run_campaign(
     ``campaign`` root with one ``shard`` span per shard, linked back
     under the root via the :class:`TraceContext` shipped in each
     :class:`ShardTask`.
-
-    ``program`` (one-workload campaigns only) is a pre-compiled program
-    for the in-process shard; pool shards compile through the cache.
     """
     jobs = _normalize_jobs(jobs)
     chosen = resolve_workloads(workloads)
-    if program is not None and len(chosen) != 1:
-        raise ValueError("a pre-compiled program needs exactly one workload")
     if metrics is not None:
         metrics.increment("campaign.workloads", len(chosen))
         metrics.increment("campaign.jobs", jobs)
@@ -278,9 +267,7 @@ def run_campaign(
         if jobs == 1 or attacks <= 0 or not chosen:
             shards: Dict[str, List[ShardResult]] = {
                 workload.name: [
-                    _run_shard(
-                        task(workload, tuple(range(attacks))), workload, program
-                    )
+                    _run_shard(task(workload, tuple(range(attacks))), workload)
                 ]
                 for workload in chosen
             }

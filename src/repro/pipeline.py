@@ -22,7 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .correlation.bat_builder import BuildStats, build_program_tables
 from .correlation.tables import ProgramTables
-from .interp.interpreter import Interpreter, RunResult, Tamper
+from .interp.interpreter import DEFAULT_STEP_LIMIT, Interpreter, RunResult, Tamper
 from .ir.function import IRModule
 from .ir.builder import lower_program
 from .lang.parser import parse_program
@@ -137,7 +137,7 @@ def observed_run(
     observers: Sequence[ExecutionObserver] = (),
     inputs: Sequence[int] = (),
     tamper: Optional[Tamper] = None,
-    step_limit: int = 2_000_000,
+    step_limit: int = DEFAULT_STEP_LIMIT,
     trace_branches: bool = True,
 ) -> RunResult:
     """Execute once, fanning events out to every observer.
@@ -169,8 +169,7 @@ def monitored_run(
     program: ProtectedProgram,
     inputs: Sequence[int] = (),
     tamper: Optional[Tamper] = None,
-    step_limit: int = 2_000_000,
-    allow_unprotected: bool = False,
+    step_limit: int = DEFAULT_STEP_LIMIT,
     flight_recorder=None,
     observers: Sequence[ExecutionObserver] = (),
     alarm_sink=None,
@@ -183,7 +182,6 @@ def monitored_run(
     """
     ipds = IPDS(
         program.tables,
-        allow_unprotected=allow_unprotected,
         flight_recorder=flight_recorder,
         alarm_sink=alarm_sink,
     )

@@ -111,11 +111,10 @@ class FrameRecord:
     seq: int
     kind: str  # "call" | "return"
     function: str
-    frame_id: Optional[int]  # None for unprotected sentinel frames
+    frame_id: int
 
     def describe(self) -> str:
-        frame = "unprotected" if self.frame_id is None else f"frame {self.frame_id}"
-        return f"#{self.seq} {self.kind} {self.function} ({frame})"
+        return f"#{self.seq} {self.kind} {self.function} (frame {self.frame_id})"
 
     def to_dict(self) -> dict:
         return {

@@ -82,16 +82,13 @@ class Alarm:
 
 @dataclass
 class IPDSStats:
-    """Counters for one monitored execution."""
+    """Counters for one monitored execution: ``events`` counts every
+    committed event (an alarm's ``event_index`` and a flight record's
+    ``seq`` are this count), ``checks`` every BCV-marked branch
+    verified."""
 
     events: int = 0
-    branch_events: int = 0
     checks: int = 0
-    updates: int = 0
-    actions_fired: int = 0
-    max_stack_depth: int = 0
-    unprotected_calls: int = 0
-    unprotected_branches: int = 0
 
 
 class IPDS(ExecutionObserver):
@@ -101,13 +98,9 @@ class IPDS(ExecutionObserver):
     process on an alarm is the ``alarm_sink``'s job (a sink that raises,
     like the kill-session policy, aborts the run).
 
-    ``allow_unprotected`` selects the tolerant partial-coverage mode:
-    a call into a function with no compiled tables pushes a sentinel
-    frame that is counted (``stats.unprotected_calls``) and skipped —
-    branches committed inside it are counted but never checked or used
-    for updates — instead of hard-raising :class:`IPDSError`.  This is
-    the deployment reality of a binary linked against unanalyzed
-    libraries.
+    The compiler builds tables for every function of a module, so a
+    call into a function without tables is a protocol violation
+    (:class:`IPDSError`), never a frame that goes unchecked.
 
     ``alarm_sink`` is an optional callback invoked with each
     :class:`Alarm` immediately after it is recorded — the hook an
@@ -120,13 +113,11 @@ class IPDS(ExecutionObserver):
     def __init__(
         self,
         tables: ProgramTables,
-        allow_unprotected: bool = False,
         flight_recorder: Optional[FlightRecorder] = None,
         alarm_sink: Optional[Callable[[Alarm], None]] = None,
     ):
         self._tables = tables
-        self._stack: List[Optional[BSVFrame]] = []
-        self._allow_unprotected = allow_unprotected
+        self._stack: List[BSVFrame] = []
         # Frame ids are assigned whether or not a recorder is attached,
         # so alarms (which carry frame_id) are identical either way.
         self._next_frame_id = 0
@@ -169,17 +160,12 @@ class IPDS(ExecutionObserver):
         if not stack:
             raise IPDSError("branch event with empty table stack")
         frame = stack[-1]
-        if frame is None:
-            # Branch inside an unprotected frame: observed, not checked.
-            stats.unprotected_branches += 1
-            return None
         tables = frame.tables
         if tables.function_name != event.function_name:
             raise IPDSError(
                 f"branch event from {event.function_name!r} but active "
                 f"frame is {tables.function_name!r}"
             )
-        stats.branch_events += 1
         taken = event.taken
         status = frame._status
         checked = False
@@ -211,8 +197,6 @@ class IPDS(ExecutionObserver):
         recorder = self.flight_recorder
         transitions: tuple = ()
         if actions:
-            stats.updates += 1
-            stats.actions_fired += len(actions)
             if recorder is None:
                 for target, action in actions:
                     if action is _SET_T:
@@ -278,25 +262,15 @@ class IPDS(ExecutionObserver):
     # -- internals ---------------------------------------------------------
 
     def _push(self, function_name: str) -> None:
-        frame_id: Optional[int] = None
         try:
             tables = self._tables.tables_for(function_name)
         except KeyError:
-            if not self._allow_unprotected:
-                raise IPDSError(
-                    f"call into unprotected function {function_name!r}"
-                ) from None
-            # Tolerant mode: account for the frame so returns stay
-            # balanced, but there is nothing to check inside it.
-            self.stats.unprotected_calls += 1
-            self._stack.append(None)
-        else:
-            self._next_frame_id += 1
-            frame_id = self._next_frame_id
-            self._stack.append(BSVFrame(tables, frame_id=frame_id))
-        self.stats.max_stack_depth = max(
-            self.stats.max_stack_depth, len(self._stack)
-        )
+            raise IPDSError(
+                f"call into unprotected function {function_name!r}"
+            ) from None
+        self._next_frame_id += 1
+        frame_id = self._next_frame_id
+        self._stack.append(BSVFrame(tables, frame_id=frame_id))
         if self.flight_recorder is not None:
             self.flight_recorder.record(
                 FrameRecord(
@@ -317,11 +291,9 @@ class IPDS(ExecutionObserver):
                     seq=self.stats.events,
                     kind="return",
                     function=function_name,
-                    frame_id=None if frame is None else frame.frame_id,
+                    frame_id=frame.frame_id,
                 )
             )
-        if frame is None:
-            return  # unprotected sentinel: nothing to verify
         if frame.tables.function_name != function_name:
             raise IPDSError(
                 f"return from {function_name!r} but top of stack is "

@@ -36,13 +36,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..attacks.campaign import (
+    DEFAULT_CONFIG,
     AttackExecution,
     CampaignConfig,
     execute_attack,
     record_ipds_metrics,
     run_attack_detailed,
 )
-from ..interp.interpreter import RunResult, TamperSpec
+from ..interp.interpreter import DEFAULT_STEP_LIMIT, RunResult, TamperSpec
 from ..lang.errors import ReproError
 from ..observability.metrics import MetricsRegistry
 from ..observability.tracing import SpanRecord, TraceContext, Tracer
@@ -57,12 +58,6 @@ from ..runtime.ipds import IPDS, Alarm
 from ..runtime.observer import ProgressObserver
 from ..runtime.replay import TraceRecorder, load_trace
 from .policy import AlarmPolicy, LogPolicy, PolicyAction
-
-#: Step budget of a run/attack session (the interpreter default) and of
-#: an indexed campaign attack (the campaign default) — kept distinct so
-#: session-driven executions match their CLI counterparts exactly.
-RUN_STEP_LIMIT = 2_000_000
-ATTACK_STEP_LIMIT = 500_000
 
 #: Control-flow events between progress emissions / kill-flag checks.
 PROGRESS_EVERY = 10_000
@@ -117,7 +112,6 @@ class SessionSpec:
     inputs: Tuple[int, ...] = ()
     opt_level: int = 0
     step_limit: Optional[int] = None
-    allow_unprotected: bool = False
     forensics: bool = False
     flight_recorder_depth: int = DEFAULT_DEPTH
     record_trace: bool = False
@@ -166,11 +160,14 @@ class SessionSpec:
 
     @property
     def effective_step_limit(self) -> int:
+        """``step_limit``, or the budget the session's CLI counterpart
+        runs with: a campaign attack's for an indexed attack, a single
+        run's otherwise."""
         if self.step_limit is not None:
             return self.step_limit
         if self.mode == "attack" and self.attack_index is not None:
-            return ATTACK_STEP_LIMIT
-        return RUN_STEP_LIMIT
+            return DEFAULT_CONFIG.step_limit
+        return DEFAULT_STEP_LIMIT
 
     def resolve_program_source(self) -> Tuple[str, str]:
         """``(source text, name)`` for compilation."""
@@ -369,7 +366,6 @@ class DetectionSession:
                 program,
                 inputs=self.spec.inputs,
                 step_limit=self.spec.effective_step_limit,
-                allow_unprotected=self.spec.allow_unprotected,
                 flight_recorder=self._new_flight_recorder(),
                 observers=[*extra, progress],
                 alarm_sink=self._on_alarm,
@@ -438,7 +434,6 @@ class DetectionSession:
         program = self._compile()
         ipds = IPDS(
             program.tables,
-            allow_unprotected=self.spec.allow_unprotected,
             flight_recorder=self._new_flight_recorder(),
             alarm_sink=self._on_alarm,
         )

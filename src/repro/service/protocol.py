@@ -51,7 +51,6 @@ _SPEC_FIELDS: Dict[str, Tuple[type, ...]] = {
     "source_name": (str, _NONE),
     "opt_level": (int,),
     "step_limit": (int, _NONE),
-    "allow_unprotected": (bool,),
     "forensics": (bool,),
     "flight_recorder_depth": (int,),
     "record_trace": (bool,),

@@ -346,11 +346,10 @@ def validate_workload(
     attacks: int = 30,
     seed_prefix: str = "",
     jobs: int = 1,
-    step_limit: int = 500_000,
-    forensics: bool = True,
     result: Optional[WorkloadResult] = None,
 ) -> WorkloadSoundness:
-    """Run (or reuse) one seeded campaign and join every attack.
+    """Run (or reuse) one seeded forensics campaign and join every
+    attack.
 
     ``result`` short-circuits the campaign when the caller already ran
     it (the benchmark reuses its own sweep); it must come from the same
@@ -366,9 +365,7 @@ def validate_workload(
             workload,
             attacks=attacks,
             seed_prefix=seed_prefix,
-            config=CampaignConfig(
-                step_limit=step_limit, opt_level=opt_level, forensics=forensics
-            ),
+            config=CampaignConfig(opt_level=opt_level, forensics=True),
             jobs=jobs,
         )
     return WorkloadSoundness(
@@ -383,8 +380,6 @@ def validate_registry(
     attacks: int = 30,
     seed_prefix: str = "",
     jobs: int = 1,
-    step_limit: int = 500_000,
-    forensics: bool = True,
     names: Optional[Sequence[str]] = None,
 ) -> SoundnessReport:
     """The full soundness sweep: every registry workload at every
@@ -400,8 +395,6 @@ def validate_registry(
                     attacks=attacks,
                     seed_prefix=seed_prefix,
                     jobs=jobs,
-                    step_limit=step_limit,
-                    forensics=forensics,
                 )
             )
     return report

@@ -58,8 +58,10 @@ def test_detection_implies_change(telnetd):
 
 
 def test_workload_result_rates(telnetd):
-    workload, program = telnetd
-    result = run_workload_campaign(workload, attacks=25, program=program)
+    workload, _ = telnetd
+    result = run_workload_campaign(
+        workload, attacks=25, config=CampaignConfig(opt_level=0)
+    )
     assert result.total == 25
     assert 0 <= result.detected <= result.changed <= result.total
     if result.changed:

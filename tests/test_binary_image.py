@@ -13,7 +13,7 @@ from repro.correlation.binary_image import (
 )
 from repro.correlation.encoding import table_sizes
 from repro.pipeline import compile_program, observed_run
-from repro.runtime import IPDS
+from repro.runtime import IPDS, FlightRecorder
 from repro.workloads import all_workloads
 
 
@@ -121,12 +121,16 @@ def test_loaded_tables_drive_an_identical_ipds(packed):
     program, _, image = packed
     loaded, _ = load_program(image)
     inputs = [3, 2, 1, 7, 1, 4, 1, 12, 0]
-    original_ipds = IPDS(program.tables)
-    loaded_ipds = IPDS(loaded)
+    original_ipds = IPDS(program.tables, flight_recorder=FlightRecorder(4096))
+    loaded_ipds = IPDS(loaded, flight_recorder=FlightRecorder(4096))
     observed_run(program, observers=[original_ipds, loaded_ipds], inputs=inputs)
     assert original_ipds.alarms == loaded_ipds.alarms
-    assert original_ipds.stats.checks == loaded_ipds.stats.checks
-    assert original_ipds.stats.actions_fired == loaded_ipds.stats.actions_fired
+    assert original_ipds.stats == loaded_ipds.stats
+    # Every check and every BAT action fired the same way.
+    records = original_ipds.flight_recorder.records
+    assert original_ipds.flight_recorder.evictions == 0
+    assert records == loaded_ipds.flight_recorder.records
+    assert any(getattr(record, "transitions", ()) for record in records)
 
 
 def test_bad_magic_rejected():

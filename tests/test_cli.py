@@ -292,11 +292,31 @@ def test_run_trace_out_is_replayable(source_file, tmp_path, capsys):
     assert "clean" in capsys.readouterr().out
 
 
-def test_run_allow_unprotected_flag_accepted(source_file, capsys):
-    assert main(
-        ["run", source_file, "--inputs", "5 1", "--allow-unprotected"]
-    ) == 0
-    assert "alarms : none" in capsys.readouterr().out
+HELPER = """
+int helper(int x) {
+  if (x > 3) { return x + 1; }
+  return x;
+}
+void main() { emit(helper(read_int())); }
+"""
+
+
+@pytest.mark.parametrize("verb", ["replay", "explain"])
+def test_a_call_into_a_function_without_tables_is_a_tool_error(
+    verb, source_file, tmp_path, capsys
+):
+    """Every function has tables, so a trace whose call names a
+    function the program lacks cannot be checked: exit 2, never a
+    clean verdict."""
+    helper = tmp_path / "helper.c"
+    helper.write_text(HELPER)
+    trace = str(tmp_path / "helper.jsonl")
+    assert main(["run", str(helper), "--inputs", "5", "--trace-out", trace]) == 0
+    capsys.readouterr()
+    assert main([verb, source_file, trace]) == 2
+    captured = capsys.readouterr()
+    assert "error: call into unprotected function 'helper'" in captured.err
+    assert "clean" not in captured.out and "no alarms" not in captured.out
 
 
 def test_metrics_out_manifests_for_all_commands(source_file, tmp_path, capsys):
@@ -508,8 +528,23 @@ def test_inputs_that_are_not_integers_are_a_usage_error(argv, capsys):
         (["run", "telnetd", "--entry", "main"], "--entry"),
         (["attack", "telnetd", "--entry", "main", "--trigger", "1",
           "--address", "0x1000", "--value", "0"], "--entry"),
+        (["run", "telnetd", "--allow-unprotected"], "--allow-unprotected"),
+        (["replay", "telnetd", "t.jsonl", "--allow-unprotected"],
+         "--allow-unprotected"),
+        (["explain", "telnetd", "t.jsonl", "--allow-unprotected"],
+         "--allow-unprotected"),
+        (["explain", "telnetd", "t.jsonl", "--depth", "8"], "--depth"),
     ],
-    ids=["record", "explain-history", "run-entry", "attack-entry"],
+    ids=[
+        "record",
+        "explain-history",
+        "run-entry",
+        "attack-entry",
+        "run-allow-unprotected",
+        "replay-allow-unprotected",
+        "explain-allow-unprotected",
+        "explain-depth",
+    ],
 )
 def test_removed_verb_and_options_are_usage_errors(argv, word, capsys):
     with pytest.raises(SystemExit) as excinfo:
@@ -750,6 +785,20 @@ def test_explain_tampered_trace_exits_one(source_file, tmp_path, capsys):
     assert "violated correlation" in out
     assert "causal chain" in out
     assert "fully explained" in out
+
+
+def test_explain_takes_the_flight_recorder_depth_its_note_names(
+    source_file, tmp_path, capsys
+):
+    """A degraded report tells the user to raise
+    ``--flight-recorder-depth``, and ``explain`` takes that flag."""
+    trace = _tampered_trace(source_file, tmp_path, capsys)
+    assert main(
+        ["explain", source_file, trace, "--flight-recorder-depth", "1"]
+    ) == 1
+    out = capsys.readouterr().out
+    assert "depth 1" in out
+    assert "raise --flight-recorder-depth" in out
 
 
 def test_explain_missing_trace_is_tool_error(source_file, capsys):

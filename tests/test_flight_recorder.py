@@ -105,8 +105,8 @@ def test_record_descriptions():
     text = branch.describe()
     assert "#3 br main@0x40 T" in text
     assert "SET_T slot 5" in text
-    frame = FrameRecord(seq=1, kind="call", function="f", frame_id=None)
-    assert "unprotected" in frame.describe()
+    frame = FrameRecord(seq=1, kind="call", function="f", frame_id=2)
+    assert frame.describe() == "#1 call f (frame 2)"
 
 
 # -- IPDS integration ---------------------------------------------------

@@ -110,18 +110,15 @@ def test_forensics_does_not_perturb_campaigns(name):
     forensics-off reports are byte-identical to a build without the
     feature."""
     workload = get_workload(name)
-    program = compile_program_cached(workload.source, name, 0)
     base = run_workload_campaign(
         workload,
         attacks=10,
-        config=CampaignConfig(forensics=False),
-        program=program,
+        config=CampaignConfig(opt_level=0, forensics=False),
     )
     traced = run_workload_campaign(
         workload,
         attacks=10,
-        config=CampaignConfig(forensics=True),
-        program=program,
+        config=CampaignConfig(opt_level=0, forensics=True),
     )
     for off, on in zip(base.attacks, traced.attacks):
         assert off.explanations == ()
@@ -136,12 +133,12 @@ def test_forensics_does_not_perturb_campaigns(name):
 
 def test_campaign_forensics_chains_name_the_correlation():
     workload = get_workload("telnetd")
-    program = compile_program_cached(workload.source, "telnetd", 0)
     result = run_workload_campaign(
         workload,
         attacks=12,
-        config=CampaignConfig(forensics=True, flight_recorder_depth=DEPTH),
-        program=program,
+        config=CampaignConfig(
+            opt_level=0, forensics=True, flight_recorder_depth=DEPTH
+        ),
     )
     chains = [c for o in result.attacks for c in o.explanations]
     assert chains

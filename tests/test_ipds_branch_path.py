@@ -11,7 +11,7 @@ the same alarms, counters, live BSV frames and flight records.
 """
 
 from dataclasses import asdict, fields
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -129,10 +129,9 @@ class ReferenceChecker:
     """§5.4 read literally: check with ``matches``, then ``apply`` each
     BAT entry in order; records what a flight recorder should hold."""
 
-    def __init__(self, tables, allow_unprotected):
+    def __init__(self, tables):
         self.tables = tables
-        self.allow_unprotected = allow_unprotected
-        self.stack: List[Optional[_Frame]] = []
+        self.stack: List[_Frame] = []
         self.alarms: List[Alarm] = []
         self.records: list = []
         #: (alarm, top frame's statuses) as an alarm sink sees them.
@@ -143,21 +142,13 @@ class ReferenceChecker:
     def on_call(self, event):
         self.stats["events"] += 1
         tables = self.tables.by_function.get(event.function_name)
-        frame_id = None
         if tables is None:
-            if not self.allow_unprotected:
-                raise IPDSError(
-                    f"call into unprotected function {event.function_name!r}"
-                )
-            self.stats["unprotected_calls"] += 1
-            self.stack.append(None)
-        else:
-            self.next_frame_id += 1
-            frame_id = self.next_frame_id
-            self.stack.append(_Frame(tables, frame_id))
-        self.stats["max_stack_depth"] = max(
-            self.stats["max_stack_depth"], len(self.stack)
-        )
+            raise IPDSError(
+                f"call into unprotected function {event.function_name!r}"
+            )
+        self.next_frame_id += 1
+        frame_id = self.next_frame_id
+        self.stack.append(_Frame(tables, frame_id))
         self.records.append(
             FrameRecord(self.stats["events"], "call", event.function_name, frame_id)
         )
@@ -173,10 +164,10 @@ class ReferenceChecker:
                 self.stats["events"],
                 "return",
                 event.function_name,
-                None if frame is None else frame.frame_id,
+                frame.frame_id,
             )
         )
-        if frame is not None and frame.tables.function_name != event.function_name:
+        if frame.tables.function_name != event.function_name:
             raise IPDSError(
                 f"return from {event.function_name!r} but top of stack is "
                 f"{frame.tables.function_name!r}"
@@ -188,16 +179,12 @@ class ReferenceChecker:
         if not self.stack:
             raise IPDSError("branch event with empty table stack")
         frame = self.stack[-1]
-        if frame is None:
-            self.stats["unprotected_branches"] += 1
-            return None
         tables = frame.tables
         if tables.function_name != event.function_name:
             raise IPDSError(
                 f"branch event from {event.function_name!r} but active "
                 f"frame is {tables.function_name!r}"
             )
-        self.stats["branch_events"] += 1
         slot = tables.slot_of(event.pc)
         checked = slot is not None and slot in tables.bcv_slots
         expected = None
@@ -218,12 +205,9 @@ class ReferenceChecker:
                 self.alarms.append(alarm)
         entries = () if slot is None else tables.bat.get((slot, event.taken), ())
         transitions = []
-        if entries:
-            self.stats["updates"] += 1
         for target, action in entries:
             before = frame.vector[target]
             frame.vector[target] = action.apply(before)
-            self.stats["actions_fired"] += 1
             transitions.append(
                 BSVTransition(
                     slot=target,
@@ -253,12 +237,13 @@ class ReferenceChecker:
 
 # -- streams ------------------------------------------------------------
 
-#: Callees: two protected functions and one with no tables.
-CALLEES = ("f", "g", "u")
+#: Callees: the two protected functions, and one call in ten into
+#: ``u``, which has no tables and must raise (so ending the stream).
+_CALLEE = st.integers(0, 9).map(lambda i: "u" if i == 0 else ("f", "g")[i % 2])
 BRANCH_PCS = {"f": F_PCS + (F_STRAY,), "g": G_PCS, "u": (0x400300,)}
 
 _op = st.one_of(
-    st.tuples(st.just("call"), st.sampled_from(CALLEES)),
+    st.tuples(st.just("call"), _CALLEE),
     st.tuples(st.just("ret"), st.booleans()),
     st.tuples(
         st.just("br"), st.integers(0, len(F_PCS)), st.booleans(), st.booleans()
@@ -305,16 +290,15 @@ def drive(checker, events):
 
 
 def live_snapshots(ipds: IPDS):
-    return [None if frame is None else frame.snapshot() for frame in ipds._stack]
+    return [frame.snapshot() for frame in ipds._stack]
 
 
-def checked_run(events, allow_unprotected, recorder=None):
+def checked_run(events, recorder=None):
     """Run ``events`` through an IPDS whose alarm sink notes each alarm
     with the statuses of the frame that raised it."""
     sunk = []
     ipds = IPDS(
         TABLES,
-        allow_unprotected=allow_unprotected,
         flight_recorder=recorder,
         alarm_sink=lambda alarm: sunk.append(
             (alarm, ipds.current_frame().snapshot())
@@ -325,19 +309,14 @@ def checked_run(events, allow_unprotected, recorder=None):
 
 
 @settings(max_examples=300, deadline=None)
-@given(
-    ops=st.lists(_op, max_size=60),
-    allow_unprotected=st.booleans(),
-)
-def test_branch_path_matches_reference_checker(ops, allow_unprotected):
+@given(ops=st.lists(_op, max_size=60))
+def test_branch_path_matches_reference_checker(ops):
     events = [CallEvent("f")] + build_stream(ops)
-    reference = ReferenceChecker(TABLES, allow_unprotected)
+    reference = ReferenceChecker(TABLES)
     expected_results, expected_error = drive(reference, events)
-    expected_frames = [
-        None if frame is None else frame.snapshot() for frame in reference.stack
-    ]
+    expected_frames = [frame.snapshot() for frame in reference.stack]
 
-    ipds, results, error, sunk = checked_run(events, allow_unprotected)
+    ipds, results, error, sunk = checked_run(events)
     assert error == expected_error
     assert results == expected_results
     assert [asdict(alarm) for alarm in ipds.alarms] == [
@@ -348,9 +327,7 @@ def test_branch_path_matches_reference_checker(ops, allow_unprotected):
     assert live_snapshots(ipds) == expected_frames
 
     recorder = FlightRecorder(depth=len(events) + 1)
-    recorded, results, error, sunk = checked_run(
-        events, allow_unprotected, recorder
-    )
+    recorded, results, error, sunk = checked_run(events, recorder)
     assert error == expected_error
     assert results == expected_results
     assert recorded.alarms == ipds.alarms
@@ -360,14 +337,5 @@ def test_branch_path_matches_reference_checker(ops, allow_unprotected):
     assert list(recorder.records) == reference.records
 
 
-def test_stats_carry_all_eight_counters():
-    assert [field.name for field in fields(IPDSStats)] == [
-        "events",
-        "branch_events",
-        "checks",
-        "updates",
-        "actions_fired",
-        "max_stack_depth",
-        "unprotected_calls",
-        "unprotected_branches",
-    ]
+def test_stats_carry_two_counters():
+    assert [field.name for field in fields(IPDSStats)] == ["events", "checks"]

@@ -321,7 +321,7 @@ def test_tampered_single_pass_alarms_match_and_replay_offline():
 
 
 # ----------------------------------------------------------------------
-# Partial coverage (allow_unprotected)
+# Every call needs tables: a function without them is an IPDSError
 # ----------------------------------------------------------------------
 
 
@@ -341,30 +341,29 @@ def test_unprotected_call_raises_by_default():
         observed_run(program, observers=[strict], inputs=[5, 9])
 
 
-def test_allow_unprotected_counts_and_skips():
-    program = compile_program(WITH_HELPER, "helper.c")
-    partial = _drop_function(program.tables, "helper")
-    tolerant = IPDS(partial, allow_unprotected=True)
-    result = observed_run(program, observers=[tolerant], inputs=[5, 9])
-    assert result.status is RunStatus.OK
-    assert tolerant.stats.unprotected_calls == 1
-    assert tolerant.stats.unprotected_branches >= 1
-    assert not tolerant.detected
-
-    # Protected functions around the gap are still fully checked.
-    full = IPDS(program.tables)
-    observed_run(program, observers=[full], inputs=[5, 9])
-    assert tolerant.stats.checks == full.stats.checks
-
-
-def test_replay_allow_unprotected():
+def test_call_without_tables_stops_the_checker_at_the_call():
     program = compile_program(WITH_HELPER, "helper.c")
     recorder = TraceRecorder()
     observed_run(program, observers=[recorder], inputs=[5, 9])
+    call = recorder.events.index(CallEvent("helper"))
+
+    strict = IPDS(_drop_function(program.tables, "helper"))
+    with pytest.raises(IPDSError, match="call into unprotected function 'helper'"):
+        observed_run(program, observers=[strict], inputs=[5, 9])
+    # The call is the last event it took, and it pushed no frame.
+    assert strict.stats.events == call + 1
+    assert strict.stack_depth == 1
+    assert strict.current_frame().tables.function_name == "main"
+
+
+def test_replay_into_a_function_without_tables_raises():
+    program = compile_program(WITH_HELPER, "helper.c")
+    recorder = TraceRecorder()
+    observed_run(program, observers=[recorder], inputs=[5, 9])
+    assert IPDS(program.tables).run(recorder.events) == []
     partial = _drop_function(program.tables, "helper")
-    with pytest.raises(IPDSError):
+    with pytest.raises(IPDSError, match="call into unprotected function 'helper'"):
         IPDS(partial).run(recorder.events)
-    assert IPDS(partial, allow_unprotected=True).run(recorder.events) == []
 
 
 # ----------------------------------------------------------------------

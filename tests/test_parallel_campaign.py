@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from repro.attacks import (
     AttackOutcome,
+    CampaignConfig,
     CampaignError,
     run_attack,
     run_workload_campaign,
@@ -19,7 +20,7 @@ from repro.parallel import ShardResult, run_campaign, shard_indices
 from repro.parallel.engine import merge_shard_results
 from repro.pipeline import compile_program_cached
 from repro.reporting import render_figure7
-from repro.workloads import get_workload
+from repro.workloads import get_workload, workload_names
 
 WORKLOADS = ["telnetd", "httpd"]
 ATTACKS = 6
@@ -80,6 +81,18 @@ def test_run_workload_campaign_jobs_delegates(serial_summary):
         workload, attacks=ATTACKS, seed_prefix=SEED, jobs=2
     )
     assert sharded.attacks == serial_summary.results[0].attacks
+
+
+@pytest.mark.parametrize("name", workload_names())
+def test_opt3_workload_campaign_is_the_same_at_any_job_count(name):
+    """Every shard, in process or pooled, attacks the compile cache's
+    build at ``config.opt_level``, so no build of another level can
+    leak into one of them."""
+    workload = get_workload(name)
+    config = CampaignConfig(opt_level=3)
+    serial = run_workload_campaign(workload, attacks=30, config=config, jobs=1)
+    sharded = run_workload_campaign(workload, attacks=30, config=config, jobs=2)
+    assert sharded.attacks == serial.attacks
 
 
 def test_engine_serial_matches_legacy_loop(serial_summary):

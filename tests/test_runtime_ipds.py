@@ -139,14 +139,17 @@ def test_kill_action_forgives_direction_flip():
 
 
 def test_unchecked_branch_never_verified():
-    program, _, slot_b = make_tables()
+    program, slot_a, _ = make_tables()
     ipds = IPDS(program)
     ipds.process(CallEvent("f"))
+    frame = ipds.current_frame()
+    frame.apply(slot_a, BranchAction.SET_T)
     ipds.process(BranchEvent("f", PC_B, True))
     ipds.process(BranchEvent("f", PC_B, False))
     assert not ipds.detected
     assert ipds.stats.checks == 0
-    assert ipds.stats.updates >= 1
+    # Its BAT actions still fire: taken, PC_B forgets PC_A's status.
+    assert frame.snapshot() == {}
 
 
 def test_fresh_frame_per_activation():
@@ -169,7 +172,6 @@ def test_stack_depth_tracked():
     ipds.process(CallEvent("f"))
     ipds.process(CallEvent("f"))
     assert ipds.stack_depth == 2
-    assert ipds.stats.max_stack_depth == 2
     ipds.process(ReturnEvent("f"))
     assert ipds.stack_depth == 1
 

@@ -217,6 +217,27 @@ def test_replay_of_a_mistyped_trace_fails_the_session(daemon):
         client.shutdown()
 
 
+def test_replay_of_a_call_into_a_function_without_tables_fails(daemon):
+    """Every function has tables, so a trace that calls one the program
+    lacks cannot be checked: the session fails instead of skipping it."""
+    trace = '{"k": "call", "fn": "main"}\n{"k": "call", "fn": "helper"}\n'
+    with ServeClient(socket_path=daemon.socket_path) as client:
+        sid = client.submit(
+            {
+                "mode": "replay",
+                "source": FIGURE1,
+                "source_name": "figure1",
+                "trace_text": trace,
+            }
+        )
+        result = client.result(sid)
+        assert result["state"] == "failed"
+        assert result["error"] == (
+            "IPDSError: call into unprotected function 'helper'"
+        )
+        client.shutdown()
+
+
 def test_failed_session_result_is_nested_like_every_other(daemon):
     """A FAILED session's ``result`` event carries the record under
     ``result``, the shape a finished session's has."""

@@ -26,7 +26,7 @@ EXPLICIT = {"mode": "attack", "workload": "telnetd", "inputs": [5, 1]}
         ({**RUN, "opt_level": 5}, "opt_level"),
         ({**RUN, "opt_level": True}, "opt_level"),
         ({**RUN, "opt_level": "3"}, "opt_level"),
-        ({**RUN, "allow_unprotected": "false"}, "allow_unprotected"),
+        ({**RUN, "allow_unprotected": False}, "allow_unprotected"),
         ({**RUN, "forensics": "no"}, "forensics"),
         ({**INDEXED, "attack_index": -1}, "attack_index"),
         ({**INDEXED, "attack_index": "2"}, "attack_index"),
@@ -42,7 +42,7 @@ EXPLICIT = {"mode": "attack", "workload": "telnetd", "inputs": [5, 1]}
         "opt-5",
         "opt-true",
         "opt-string",
-        "allow-unprotected-string",
+        "allow-unprotected-unknown",
         "forensics-string",
         "attack-index-negative",
         "attack-index-string",
@@ -138,7 +138,7 @@ def test_any_json_spec_is_a_protocol_error_or_a_well_typed_spec(payload):
     assert spec.flight_recorder_depth >= 1
     assert _optional(spec.attack_index, int)
     assert spec.attack_index is None or spec.attack_index >= 0
-    for name in ("allow_unprotected", "forensics", "record_trace", "timed"):
+    for name in ("forensics", "record_trace", "timed"):
         assert type(getattr(spec, name)) is bool, name
     assert spec.read_files is False
     assert type(spec.inputs) is tuple

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.cpu import IPDSHardwareParams, timed_run
-from repro.pipeline import compile_program, monitored_run
+from repro.pipeline import compile_program, observed_run
+from repro.runtime import IPDS
+from repro.runtime.observer import ExecutionObserver
 
 DEEP_RECURSION = """
 int g;
@@ -25,11 +27,24 @@ def program():
     return compile_program(DEEP_RECURSION)
 
 
+class DepthProbe(ExecutionObserver):
+    """Rides behind the IPDS and notes its deepest table stack."""
+
+    def __init__(self, ipds):
+        self.ipds = ipds
+        self.deepest = 0
+
+    def on_call(self, event):
+        self.deepest = max(self.deepest, self.ipds.stack_depth)
+
+
 def test_deep_recursion_is_functionally_clean(program):
-    result, ipds = monitored_run(program, inputs=[5, 40])
+    ipds = IPDS(program.tables)
+    probe = DepthProbe(ipds)
+    result = observed_run(program, [ipds, probe], inputs=[5, 40])
     assert result.ok
     assert not ipds.detected
-    assert ipds.stats.max_stack_depth >= 41
+    assert probe.deepest >= 41
 
 
 def test_tiny_buffers_spill_under_recursion(program):

@@ -35,6 +35,18 @@ def test_clean_runs_never_alarm(name, opt_level):
         clean_run(program, workload.make_inputs(attack_rng("zfp:", name, session)))
 
 
+@OPT_LEVELS
+@pytest.mark.parametrize("name", workload_names())
+def test_every_function_has_tables(name, opt_level):
+    """The IPDS raises on a call into a function without tables; the
+    compiler builds tables for every function, so no run reaches that."""
+    workload = get_workload(name)
+    program = compile_program_cached(workload.source, workload.name, opt_level)
+    assert set(program.tables.by_function) == {
+        fn.name for fn in program.module.functions
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def serial_campaign(opt_level):
     return run_campaign(attacks=2, config=CampaignConfig(opt_level=opt_level))

@@ -227,3 +227,22 @@ def test_monitoring_does_not_perturb_execution(source, inputs):
     assert bare.branch_trace == observed.branch_trace
     assert bare.status is observed.status
     assert bare.steps == observed.steps
+
+
+# ----------------------------------------------------------------------
+# Property 4: every function has tables, so the IPDS never meets a call
+# it cannot check.
+# ----------------------------------------------------------------------
+
+
+@settings(
+    max_examples=30,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(source=programs(), opt_level=st.integers(0, 3))
+def test_every_function_has_tables(source, opt_level):
+    program = compile_program(source, "random.c", opt_level)
+    assert set(program.tables.by_function) == {
+        fn.name for fn in program.module.functions
+    }

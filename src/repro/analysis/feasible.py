@@ -57,7 +57,7 @@ from ..ir.instructions import (
 )
 from .branch_info import BranchFacts, OutcomeSet
 from .defs import DefinitionMap
-from .ranges import Interval
+from .ranges import NEG_INF, POS_INF, Interval
 
 #: Joins into one block before widening kicks in (matches the auditor's
 #: MFP so honest witnesses re-prove under the same loop treatment).
@@ -66,123 +66,86 @@ WIDEN_AFTER = 8
 
 # ----------------------------------------------------------------------
 # The builder's range lattice: an interval minus at most one interior
-# point.  Semantically the twin of the auditor's ValueSet
+# point, as a flat ``(lo, hi, hole)`` tuple in canonical form.
+# Semantically the twin of the auditor's ranges
 # (:mod:`repro.staticcheck.domain`), implemented independently so the
-# two sides share no reasoning code.
+# two sides share no reasoning code.  All operations over-approximate.
 # ----------------------------------------------------------------------
 
+#: ``[lo, hi] \ {hole}``; empty when ``lo > hi``; no hole is ``None``.
+Range = Tuple[float, float, Optional[int]]
 
-def _canonical(interval: Interval, hole: Optional[int]) -> "FeasRange":
+#: No information.
+TOP: Range = (NEG_INF, POS_INF, None)
+
+
+def canonical(lo: float, hi: float, hole: Optional[int]) -> Range:
     """Drop holes outside the interval; fold endpoint holes inward."""
-    if interval.is_empty or hole is None or not interval.contains(hole):
-        return FeasRange(interval, None)
-    if interval.lo == interval.hi:
-        return FeasRange(Interval.empty(), None)
-    if hole == interval.lo:
-        return FeasRange(Interval(interval.lo + 1, interval.hi), None)
-    if hole == interval.hi:
-        return FeasRange(Interval(interval.lo, interval.hi - 1), None)
-    return FeasRange(interval, hole)
+    if hole is None or not lo <= hole <= hi:
+        return (lo, hi, None)
+    if lo == hi:
+        return (1, 0, None)
+    if hole == lo:
+        return (lo + 1, hi, None)
+    if hole == hi:
+        return (lo, hi - 1, None)
+    return (lo, hi, hole)
 
 
-@dataclass(frozen=True)
-class FeasRange:
-    """``[lo, hi] \\ {hole}`` — all operations over-approximate."""
-
-    interval: Interval
-    hole: Optional[int] = None
-
-    @staticmethod
-    def top() -> "FeasRange":
-        """No information; one shared instance."""
-        return _FEAS_TOP
-
-    @staticmethod
-    def point(value: int) -> "FeasRange":
-        return FeasRange(Interval.point(value), None)
-
-    @staticmethod
-    def from_outcome(outcome: OutcomeSet) -> "FeasRange":
-        if outcome.interval is not None:
-            return FeasRange(outcome.interval, None)
-        return _canonical(Interval.top(), outcome.hole)
-
-    @property
-    def is_empty(self) -> bool:
-        return self.interval.is_empty
-
-    @property
-    def is_top(self) -> bool:
-        return self.interval.is_top and self.hole is None
-
-    def within_outcome(self, outcome: OutcomeSet) -> bool:
-        """Every value of this set satisfies ``outcome`` — the forced-
-        outcome test at a checked branch."""
-        if self.is_empty:
-            return True
-        if outcome.interval is not None:
-            return self.interval.subsumes(outcome.interval)
-        return not self.interval.contains(outcome.hole) or self.hole == outcome.hole
-
-    def intersect(self, other: "FeasRange") -> "FeasRange":
-        interval = self.interval.intersect(other.interval)
-        hole = self.hole if self.hole is not None else other.hole
-        return _canonical(interval, hole)
-
-    def join(self, other: "FeasRange") -> "FeasRange":
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        interval = self.interval.union_hull(other.interval)
-        for candidate in (self.hole, other.hole):
-            if candidate is None:
-                continue
-            if not self.contains(candidate) and not other.contains(candidate):
-                return _canonical(interval, candidate)
-        return FeasRange(interval, None)
-
-    def widen(self, newer: "FeasRange") -> "FeasRange":
-        interval = self.interval.widen_against(newer.interval)
-        hole = self.hole if self.hole == newer.hole else None
-        return _canonical(interval, hole)
-
-    def affine_image(self, sign: int, offset: int) -> "FeasRange":
-        interval = self.interval
-        if sign == -1:
-            interval = interval.negate()
-        interval = interval.shift(offset)
-        hole = None if self.hole is None else sign * self.hole + offset
-        return _canonical(interval, hole)
-
-    def contains(self, value: int) -> bool:
-        return self.interval.contains(value) and value != self.hole
-
-    def __str__(self) -> str:
-        if self.hole is None:
-            return str(self.interval)
-        return f"{self.interval}\\{{{self.hole}}}"
+def from_outcome(outcome: OutcomeSet) -> Range:
+    interval = outcome.interval
+    if interval is not None:
+        return (interval.lo, interval.hi, None)
+    return canonical(NEG_INF, POS_INF, outcome.hole)
 
 
-_FEAS_TOP = FeasRange(Interval.top(), None)
+def within_outcome(values: Range, outcome: OutcomeSet) -> bool:
+    """Every value of ``values`` satisfies ``outcome`` — the forced-
+    outcome test at a checked branch."""
+    lo, hi, hole = values
+    if lo > hi:
+        return True
+    interval = outcome.interval
+    if interval is not None:
+        return Interval(lo, hi).subsumes(interval)
+    excluded = outcome.hole
+    assert excluded is not None  # the punctured side of == / !=
+    return not lo <= excluded <= hi or hole == excluded
 
-#: Abstract environment: variable -> range; missing means top.
-FeasEnv = Dict[Variable, FeasRange]
+
+def intersect(a: Range, b: Range) -> Range:
+    hole = a[2] if a[2] is not None else b[2]
+    return canonical(max(a[0], b[0]), min(a[1], b[1]), hole)
 
 
-def _env_set(env: FeasEnv, var: Variable, value: FeasRange) -> None:
-    if value.is_top:
-        env.pop(var, None)
-    else:
-        env[var] = value
+def affine_image(values: Range, sign: int, offset: int) -> Range:
+    """``{sign * v + offset : v in values}`` (``sign`` is ±1)."""
+    lo, hi, hole = values
+    if lo > hi:
+        return (lo, hi, None)
+    if sign == -1:
+        lo, hi = -hi, -lo
+    image = None if hole is None else sign * hole + offset
+    return canonical(lo + offset, hi + offset, image)
+
+
+def render(values: Range) -> str:
+    interval = str(Interval(values[0], values[1]))
+    return interval if values[2] is None else f"{interval}\\{{{values[2]}}}"
+
+
+#: Abstract environment: variable slot -> range; missing means top.
+FeasEnv = Dict[int, Range]
 
 
 def _env_join(a: FeasEnv, b: FeasEnv) -> FeasEnv:
-    """Pointwise join in one pass over ``a``.  A range both sides agree
-    on (the same object, or an equal canonical one) is its own join and
-    ``a``'s is reused; otherwise ``a``'s range joins on the left,
-    because the one-hole join keeps the first common hole.  When the
-    join equals ``a``, ``a`` itself is returned, so callers test for a
+    """Pointwise join in one pass over ``a``; top is dropped.  A range
+    both sides agree on is its own join and ``a``'s is reused.  The
+    one-hole join is the convex hull, keeping the first of ``a``'s and
+    ``b``'s holes that neither side contains (a canonical hole is
+    interior to its range, so to the hull); ``a``'s range goes on the
+    left, so the choice depends on the operand order.  When the join
+    equals ``a``, ``a`` itself is returned, so callers test for a
     change with ``is``."""
     joined: FeasEnv = {}
     same = True
@@ -191,12 +154,24 @@ def _env_join(a: FeasEnv, b: FeasEnv) -> FeasEnv:
         if theirs is None:
             same = False
             continue
-        if mine is theirs or mine == theirs:
-            value = mine
-        else:
-            value = mine.join(theirs)
-            same = same and value == mine
-        if value.is_top:
+        value = mine
+        if mine is not theirs and mine != theirs:
+            lo, hi, hole = mine
+            tlo, thi, thole = theirs
+            if lo > hi:
+                value = theirs
+            elif tlo <= thi:
+                jlo = tlo if tlo < lo else lo
+                jhi = thi if thi > hi else hi
+                if hole is not None and (hole == thole or not tlo <= hole <= thi):
+                    value = (jlo, jhi, hole)
+                elif thole is not None and not lo <= thole <= hi:
+                    value = (jlo, jhi, thole)
+                else:
+                    value = (jlo, jhi, None)
+            if value != mine:
+                same = False
+        if value == TOP:
             same = False
         else:
             joined[var] = value
@@ -204,28 +179,48 @@ def _env_join(a: FeasEnv, b: FeasEnv) -> FeasEnv:
 
 
 def _env_widen(old: FeasEnv, new: FeasEnv) -> FeasEnv:
-    """Pointwise widening in one pass over ``old`` (a range both sides
-    agree on widens to itself)."""
+    """Pointwise widening in one pass over ``old``: bounds that grew
+    jump to ±inf, a hole survives only where both sides keep it (a
+    range both sides agree on widens to itself)."""
     widened: FeasEnv = {}
     for var, mine in old.items():
         theirs = new.get(var)
         if theirs is None:
             continue
-        value = mine if mine is theirs or mine == theirs else mine.widen(theirs)
-        if not value.is_top:
-            widened[var] = value
+        if mine is not theirs and mine != theirs:
+            lo, hi, hole = mine
+            nlo, nhi, nhole = theirs
+            if lo > hi:
+                lo, hi = nlo, nhi
+            elif nlo <= nhi:
+                lo = lo if nlo >= lo else NEG_INF
+                hi = hi if nhi <= hi else POS_INF
+            mine = canonical(lo, hi, hole if hole == nhole else None)
+        if mine != TOP:
+            widened[var] = mine
     return widened
+
+
+def _env_set(env: FeasEnv, var: int, value: Range) -> None:
+    if value == TOP:
+        env.pop(var, None)
+    else:
+        env[var] = value
 
 
 # ----------------------------------------------------------------------
 # Per-block interval-transfer programs
 # ----------------------------------------------------------------------
 
-#: Steps: ("load", var, index) | ("store", var, spec) | ("clobber", vars)
-#: with store specs ("const", c) | ("affine", load_index, sign, offset) |
-#: ("top",).  Calls and indirect stores become plain clobbers — opt 3
-#: deliberately claims *less* per transfer than the auditor can prove,
-#: so every claim survives re-proof.
+#: A function's variable numbering: each variable's small-int slot,
+#: shared by its block programs, edge tables and environments.
+Slots = Dict[Variable, int]
+
+#: Steps: ("load", slot, index) | ("store", slot, spec) | ("clobber",
+#: slots) with store specs ("const", c) | ("affine", load_index, sign,
+#: offset) | ("top",).  Calls and indirect stores become plain clobbers
+#: — opt 3 deliberately claims *less* per transfer than the auditor can
+#: prove, so every claim survives re-proof.
 _Step = Tuple
 
 
@@ -240,6 +235,10 @@ class BlockProgram:
     fallthrough_target: Optional[str] = None
     jump_target: Optional[str] = None
     is_return: bool = False
+
+
+def _slot(slots: Slots, var: Variable) -> int:
+    return slots.setdefault(var, len(slots))
 
 
 def _resolve(env: Dict[Reg, Tuple], operand) -> Optional[Tuple]:
@@ -283,15 +282,19 @@ def _fold(op: str, lhs: Optional[Tuple], rhs: Optional[Tuple]) -> Optional[Tuple
 
 
 def summarize_blocks(
-    fn: IRFunction, def_map: DefinitionMap
+    fn: IRFunction, def_map: DefinitionMap, slots: Slots
 ) -> Dict[str, BlockProgram]:
-    """Reduce every block to a :class:`BlockProgram`."""
+    """Reduce every block to a :class:`BlockProgram`, numbering each
+    variable it names in ``slots``."""
     return {
-        block.label: _block_program(block, def_map) for block in fn.blocks
+        block.label: _block_program(block, def_map, slots)
+        for block in fn.blocks
     }
 
 
-def _block_program(block: BasicBlock, def_map: DefinitionMap) -> BlockProgram:
+def _block_program(
+    block: BasicBlock, def_map: DefinitionMap, slots: Slots
+) -> BlockProgram:
     program = BlockProgram(label=block.label, steps=[])
     env: Dict[Reg, Tuple] = {}
     for index, instruction in enumerate(block.instructions):
@@ -327,7 +330,7 @@ def _block_program(block: BasicBlock, def_map: DefinitionMap) -> BlockProgram:
             # tracks them; claiming less keeps claims re-provable).
             env.pop(instruction.dest, None)
         elif isinstance(instruction, Load):
-            program.steps.append(("load", instruction.var, index))
+            program.steps.append(("load", _slot(slots, instruction.var), index))
             env[instruction.dest] = ("affine", index, 1, 0)
         elif isinstance(instruction, Store):
             value = _resolve(env, instruction.src)
@@ -338,7 +341,7 @@ def _block_program(block: BasicBlock, def_map: DefinitionMap) -> BlockProgram:
             else:
                 _, idx, sign, offset = value
                 spec = ("affine", idx, sign, offset)
-            program.steps.append(("store", instruction.var, spec))
+            program.steps.append(("store", _slot(slots, instruction.var), spec))
             continue  # the store step covers the def site exactly
         elif isinstance(instruction, Jump):
             program.jump_target = instruction.target
@@ -354,33 +357,33 @@ def _block_program(block: BasicBlock, def_map: DefinitionMap) -> BlockProgram:
                 env.pop(dest, None)
         sites = def_map.at(block.label, index)
         if sites:
-            affected = tuple(
-                sorted({s.var for s in sites}, key=lambda v: (v.name, v.uid))
+            affected = sorted({s.var for s in sites}, key=lambda v: (v.name, v.uid))
+            program.steps.append(
+                ("clobber", tuple(_slot(slots, var) for var in affected))
             )
-            program.steps.append(("clobber", affected))
     return program
 
 
 def _transfer(
     program: BlockProgram, env_in: FeasEnv
-) -> Tuple[FeasEnv, Dict[int, FeasRange]]:
+) -> Tuple[FeasEnv, Dict[int, Range]]:
     """Exit environment + per-load snapshots (keyed by load index)."""
     env: FeasEnv = dict(env_in)
-    snapshots: Dict[int, FeasRange] = {}
+    snapshots: Dict[int, Range] = {}
     for step in program.steps:
         kind = step[0]
         if kind == "load":
-            snapshots[step[2]] = env.get(step[1], _FEAS_TOP)
+            snapshots[step[2]] = env.get(step[1], TOP)
         elif kind == "store":
             _, var, spec = step
             if spec[0] == "const":
-                _env_set(env, var, FeasRange.point(spec[1]))
+                value: Range = (spec[1], spec[1], None)
             elif spec[0] == "affine":
                 _, idx, sign, offset = spec
-                base = snapshots.get(idx, FeasRange.top())
-                _env_set(env, var, base.affine_image(sign, offset))
+                value = affine_image(snapshots.get(idx, TOP), sign, offset)
             else:
-                _env_set(env, var, FeasRange.top())
+                value = TOP
+            _env_set(env, var, value)
         else:  # clobber
             for var in step[1]:
                 env.pop(var, None)
@@ -389,17 +392,18 @@ def _transfer(
 
 #: One direction of one branch, ready to intersect: the check as
 #: ``(load index, range)`` (``None`` without a check) and each
-#: non-trivial inference as ``(var, range)``, in the facts' order.
-EdgeRanges = Tuple[
-    Optional[Tuple[int, FeasRange]], Tuple[Tuple[Variable, FeasRange], ...]
-]
+#: non-trivial inference as ``(slot, range)``, in the facts' order.
+EdgeRanges = Tuple[Optional[Tuple[int, Range]], Tuple[Tuple[int, Range], ...]]
 
 #: A branch block's edge ranges, per direction.
 EdgeTable = Dict[bool, EdgeRanges]
 
 
-def edge_tables(facts_by_pc: Dict[int, BranchFacts]) -> Dict[str, EdgeTable]:
-    """Every analyzable branch block's edge table, keyed by block label.
+def edge_tables(
+    facts_by_pc: Dict[int, BranchFacts], slots: Slots
+) -> Dict[str, EdgeTable]:
+    """Every analyzable branch block's edge table, keyed by block label
+    (inferred variables numbered in ``slots``).
 
     The ranges are fixed per block and direction, so a function builds
     them once and every visit of the edge only intersects."""
@@ -408,18 +412,18 @@ def edge_tables(facts_by_pc: Dict[int, BranchFacts]) -> Dict[str, EdgeTable]:
         check = facts.check
         table: EdgeTable = {}
         for taken in (True, False):
-            checked: Optional[Tuple[int, FeasRange]] = None
+            checked: Optional[Tuple[int, Range]] = None
             if check is not None:
                 checked = (
                     check.load_index,
-                    FeasRange.from_outcome(check.outcome_set(taken)),
+                    from_outcome(check.outcome_set(taken)),
                 )
-            implied: List[Tuple[Variable, FeasRange]] = []
+            implied: List[Tuple[int, Range]] = []
             for inference in facts.inferences:
                 outcome = inference.implied_set(taken)
                 if not outcome.is_trivial:
                     implied.append(
-                        (inference.var, FeasRange.from_outcome(outcome))
+                        (_slot(slots, inference.var), from_outcome(outcome))
                     )
             table[taken] = (checked, tuple(implied))
         tables[facts.block_label] = table
@@ -429,7 +433,7 @@ def edge_tables(facts_by_pc: Dict[int, BranchFacts]) -> Dict[str, EdgeTable]:
 def _edge_env(
     table: Optional[EdgeTable],
     env_out: FeasEnv,
-    snapshots: Dict[int, FeasRange],
+    snapshots: Dict[int, Range],
     taken: bool,
 ) -> Optional[FeasEnv]:
     """The environment flowing along one conditional edge, refined by
@@ -441,13 +445,15 @@ def _edge_env(
     check, implied = table[taken]
     if check is not None:
         tested = snapshots.get(check[0])
-        if tested is not None and tested.intersect(check[1]).is_empty:
-            return None
+        if tested is not None:
+            lo, hi, _ = intersect(tested, check[1])
+            if lo > hi:
+                return None
     env = dict(env_out)
     for var, allowed in implied:
         current = env.get(var)
-        refined = allowed if current is None else current.intersect(allowed)
-        if refined.is_empty:
+        refined = allowed if current is None else intersect(current, allowed)
+        if refined[0] > refined[1]:
             return None
         _env_set(env, var, refined)
     return env
@@ -496,7 +502,7 @@ def render_edge(label: str, taken: bool) -> str:
 
 #: A block's last visit in one fixpoint: its load snapshots and the
 #: directions its edge ranges refused.
-_Visit = Tuple[Dict[int, FeasRange], Tuple[bool, ...]]
+_Visit = Tuple[Dict[int, Range], Tuple[bool, ...]]
 
 
 def propagate_from_edge(
@@ -625,11 +631,12 @@ def entry_reachability(
     clean-prefix BSV refinement (the must-state at a tamper point only
     needs to hold over *feasible* clean prefixes).
     """
-    programs = summarize_blocks(fn, def_map)
+    slots: Slots = {}
+    programs = summarize_blocks(fn, def_map, slots)
     entry = fn.entry.label
     states: Dict[str, FeasEnv] = {entry: {}}
     visits = _iterate_states(
-        programs, edge_tables(facts_by_pc), states, [entry], prune=True
+        programs, edge_tables(facts_by_pc, slots), states, [entry], prune=True
     )
     return set(states), _pruned(visits)
 
@@ -640,8 +647,9 @@ def analyze_feasible(
     facts_by_pc: Dict[int, BranchFacts],
 ) -> FeasibleAnalysis:
     """Run the feasible-path MFP from every conditional edge."""
-    programs = summarize_blocks(fn, def_map)
-    tables = edge_tables(facts_by_pc)
+    slots: Slots = {}
+    programs = summarize_blocks(fn, def_map, slots)
+    tables = edge_tables(facts_by_pc, slots)
     facts_of_label = {
         facts.block_label: facts for facts in facts_by_pc.values()
     }
@@ -664,14 +672,12 @@ def analyze_feasible(
                 if facts is None or facts.check is None:
                     continue
                 snapshots, _ = visits[label]
-                tested = snapshots.get(
-                    facts.check.load_index, FeasRange.top()
-                )
-                if tested.is_empty:
+                tested = snapshots.get(facts.check.load_index, TOP)
+                if tested[0] > tested[1]:
                     continue
-                if tested.within_outcome(facts.check.taken_set):
+                if within_outcome(tested, facts.check.taken_set):
                     forced = True
-                elif tested.within_outcome(facts.check.nottaken_set):
+                elif within_outcome(tested, facts.check.nottaken_set):
                     forced = False
                 else:
                     continue
@@ -680,7 +686,7 @@ def analyze_feasible(
                     taken=taken,
                     target_pc=facts.pc,
                     forced=forced,
-                    implied=str(tested),
+                    implied=render(tested),
                     witness=witness,
                 )
             if per_target:

@@ -54,7 +54,7 @@ from ..correlation.provenance import sort_records
 from ..correlation.tables import EventKey, FunctionTables
 from ..ir.function import IRFunction, IRModule
 from .diagnostics import Diagnostic, DiagnosticSink
-from .domain import Env, ValueSet
+from .domain import TOP, Env, ValueRange, render, subset_of_outcome
 from .facts import (
     BlockSummary,
     Term,
@@ -308,12 +308,12 @@ def _prove_entry(
             f"branch condition is constant "
             f"{'taken' if target.const_outcome else 'not-taken'}"
         )
-    observed = snapshots.get(target.check.term, ValueSet.top())
+    observed = snapshots.get(target.check.term, TOP)
     claimed: OutcomeSet = target.check.outcome_set(claimed_taken)
-    if observed.subset_of_outcome(claimed):
+    if subset_of_outcome(observed, claimed):
         return None
     return (
-        f"value of {target.check.var} at the check is {observed}, "
+        f"value of {target.check.var} at the check is {render(observed)}, "
         f"not within the claimed outcome set {claimed}"
     )
 
@@ -322,7 +322,7 @@ def _live_rule(tables: FunctionTables, cut: FrozenSet[EventKey]) -> EdgeRule:
     """The edge rule of a proof while its prediction is live."""
 
     def rule(
-        summary: BlockSummary, env_out: Env, snapshots: Dict[Term, ValueSet], direction: bool
+        summary: BlockSummary, env_out: Env, snapshots: Dict[Term, ValueRange], direction: bool
     ) -> Optional[Env]:
         """Liveness cut: crossing an edge whose BAT actions write the
         obligation's slot replaces the prediction — the runtime keeps a

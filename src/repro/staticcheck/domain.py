@@ -4,9 +4,9 @@ The builder's subsumption test works over two set shapes (see
 :mod:`repro.analysis.branch_info`): closed intervals, and punctured
 lines (the non-interval side of ``==`` / ``!=``).  The auditor must be
 able to *carry* both shapes along paths, so its lattice element is an
-interval with at most one missing interior point:
+interval with at most one missing interior point, a flat tuple:
 
-    ValueSet(interval=[lo, hi], hole=q)   meaning   [lo, hi] \\ {q}
+    (lo, hi, hole)   meaning   [lo, hi] \\ {hole}
 
 All operations over-approximate (the result always contains the exact
 set), which is the direction soundness needs: the auditor proves a BAT
@@ -16,141 +16,109 @@ checked branch still lies inside the claimed outcome set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..analysis.branch_info import OutcomeSet
-from ..analysis.ranges import Interval
+from ..analysis.ranges import NEG_INF, POS_INF, Interval
 from ..ir.instructions import Variable
 
+#: ``[lo, hi] \ {hole}``; empty when ``lo > hi``; no hole is ``None``.
+ValueRange = Tuple[float, float, Optional[int]]
 
-def _normalize(interval: Interval, hole: Optional[int]) -> "ValueSet":
+#: No information.
+TOP: ValueRange = (NEG_INF, POS_INF, None)
+
+
+def normalize(lo: float, hi: float, hole: Optional[int]) -> ValueRange:
     """Canonical form: drop holes outside the interval, convert holes at
     a finite endpoint into a tighter interval."""
-    if interval.is_empty or hole is None or not interval.contains(hole):
-        return ValueSet(interval, None)
-    if interval.lo == interval.hi:  # single point minus itself
-        return ValueSet(Interval.empty(), None)
-    if hole == interval.lo:
-        return ValueSet(Interval(interval.lo + 1, interval.hi), None)
-    if hole == interval.hi:
-        return ValueSet(Interval(interval.lo, interval.hi - 1), None)
-    return ValueSet(interval, hole)
+    if hole is None or not lo <= hole <= hi:
+        return (lo, hi, None)
+    if lo == hi:  # single point minus itself
+        return (1, 0, None)
+    if hole == lo:
+        return (lo + 1, hi, None)
+    if hole == hi:
+        return (lo, hi - 1, None)
+    return (lo, hi, hole)
 
 
-@dataclass(frozen=True)
-class ValueSet:
-    """An interval minus at most one interior point."""
-
-    interval: Interval
-    hole: Optional[int] = None
-
-    # -- constructors ---------------------------------------------------
-
-    @staticmethod
-    def top() -> "ValueSet":
-        """No information; one shared instance."""
-        return _TOP
-
-    @staticmethod
-    def empty() -> "ValueSet":
-        return ValueSet(Interval.empty(), None)
-
-    @staticmethod
-    def point(value: int) -> "ValueSet":
-        return ValueSet(Interval.point(value), None)
-
-    @staticmethod
-    def from_outcome(outcome: OutcomeSet) -> "ValueSet":
-        if outcome.interval is not None:
-            return ValueSet(outcome.interval, None)
-        return _normalize(Interval.top(), outcome.hole)
-
-    # -- queries ---------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return self.interval.is_empty
-
-    @property
-    def is_top(self) -> bool:
-        return self.interval.is_top and self.hole is None
-
-    def contains(self, value: int) -> bool:
-        return self.interval.contains(value) and value != self.hole
-
-    def subset_of_outcome(self, outcome: OutcomeSet) -> bool:
-        """True when every value in this set satisfies ``outcome`` —
-        the auditor's proof obligation at the checked branch."""
-        if self.is_empty:
-            return True
-        if outcome.interval is not None:
-            # The hole cannot help unless it sits at an endpoint, and
-            # normalization already folded endpoint holes away.
-            return self.interval.subsumes(outcome.interval)
-        return not self.interval.contains(outcome.hole) or self.hole == outcome.hole
-
-    # -- lattice operations ----------------------------------------------
-
-    def intersect(self, other: "ValueSet") -> "ValueSet":
-        interval = self.interval.intersect(other.interval)
-        # Exact intersection may puncture two points; keeping one is a
-        # sound over-approximation.
-        hole = self.hole if self.hole is not None else other.hole
-        return _normalize(interval, hole)
-
-    def join(self, other: "ValueSet") -> "ValueSet":
-        """Convex-hull union.  The hole survives only when both sides
-        exclude it, which keeps equality correlations provable across
-        joins of identical punctured sets."""
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        interval = self.interval.union_hull(other.interval)
-        for candidate in (self.hole, other.hole):
-            if candidate is None:
-                continue
-            if not self.contains(candidate) and not other.contains(candidate):
-                return _normalize(interval, candidate)
-        return ValueSet(interval, None)
-
-    def widen(self, newer: "ValueSet") -> "ValueSet":
-        """Widening for loop fixpoints: bounds that grew jump to ±inf."""
-        interval = self.interval.widen_against(newer.interval)
-        hole = self.hole if self.hole == newer.hole else None
-        return _normalize(interval, hole)
-
-    # -- transfer --------------------------------------------------------
-
-    def affine_image(self, sign: int, offset: int) -> "ValueSet":
-        """The set of ``sign * v + offset`` for ``v`` in this set."""
-        interval = self.interval
-        if sign == -1:
-            interval = interval.negate()
-        interval = interval.shift(offset)
-        hole = None if self.hole is None else sign * self.hole + offset
-        return _normalize(interval, hole)
-
-    def __str__(self) -> str:
-        if self.hole is None:
-            return str(self.interval)
-        return f"{self.interval}\\{{{self.hole}}}"
+def from_outcome(outcome: OutcomeSet) -> ValueRange:
+    if outcome.interval is not None:
+        return (outcome.interval.lo, outcome.interval.hi, None)
+    return normalize(NEG_INF, POS_INF, outcome.hole)
 
 
-_TOP = ValueSet(Interval.top(), None)
+def subset_of_outcome(values: ValueRange, outcome: OutcomeSet) -> bool:
+    """True when every value in ``values`` satisfies ``outcome`` — the
+    auditor's proof obligation at the checked branch."""
+    lo, hi, hole = values
+    if lo > hi:
+        return True
+    if outcome.interval is not None:
+        # The hole cannot help unless it sits at an endpoint, and
+        # normalization already folded endpoint holes away.
+        return Interval(lo, hi).subsumes(outcome.interval)
+    excluded = outcome.hole
+    assert excluded is not None  # a punctured line
+    return not lo <= excluded <= hi or hole == excluded
+
+
+def intersect(a: ValueRange, b: ValueRange) -> ValueRange:
+    # Exact intersection may puncture two points; keeping one is a
+    # sound over-approximation.
+    hole = a[2] if a[2] is not None else b[2]
+    return normalize(max(a[0], b[0]), min(a[1], b[1]), hole)
+
+
+def join(a: ValueRange, b: ValueRange) -> ValueRange:
+    """Convex-hull union.  A hole survives only when both sides exclude
+    it, which keeps equality correlations provable across joins of
+    identical punctured sets; of two such holes ``a``'s is kept, so the
+    join is not commutative.  A normalized hole is interior to its own
+    set, hence to the hull."""
+    alo, ahi, ahole = a
+    blo, bhi, bhole = b
+    if alo > ahi:
+        return b
+    if blo > bhi:
+        return a
+    lo = blo if blo < alo else alo
+    hi = bhi if bhi > ahi else ahi
+    if ahole is not None and (ahole == bhole or not blo <= ahole <= bhi):
+        return (lo, hi, ahole)
+    if bhole is not None and not alo <= bhole <= ahi:
+        return (lo, hi, bhole)
+    return (lo, hi, None)
+
+
+def affine_image(values: ValueRange, sign: int, offset: int) -> ValueRange:
+    """The set of ``sign * v + offset`` for ``v`` in ``values``."""
+    lo, hi, hole = values
+    if lo > hi:
+        return (lo, hi, None)
+    if sign == -1:
+        lo, hi = -hi, -lo
+    image = None if hole is None else sign * hole + offset
+    return normalize(lo + offset, hi + offset, image)
+
+
+def render(values: ValueRange) -> str:
+    interval = str(Interval(values[0], values[1]))
+    return interval if values[2] is None else f"{interval}\\{{{values[2]}}}"
+
 
 #: An abstract environment: variable -> value set; missing means top.
-Env = Dict[Variable, ValueSet]
+Env = Dict[Variable, ValueRange]
 
 
-def env_get(env: Env, var: Variable) -> ValueSet:
-    return env.get(var, _TOP)
+def env_get(env: Env, var: Variable) -> ValueRange:
+    return env.get(var, TOP)
 
 
-def env_set(env: Env, var: Variable, value: ValueSet) -> None:
+def env_set(env: Env, var: Variable, value: ValueRange) -> None:
     """Store a binding, keeping the dict sparse (top is implicit)."""
-    if value.is_top:
+    if value == TOP:
         env.pop(var, None)
     else:
         env[var] = value
@@ -162,10 +130,9 @@ def env_join(a: Env, b: Env) -> Env:
     One pass over ``a``, probing ``b`` once per variable.  A value both
     sides agree on (the same object, or an equal one) is its own join,
     because every value set is in canonical form, so ``a``'s is reused.
-    The value join is not commutative (it keeps the first hole that
-    both sides exclude), so ``a``'s value always goes on the left.
-    When the join equals ``a``, ``a`` itself is returned, so callers
-    test for a change with ``is``."""
+    The value join is not commutative, so ``a``'s value always goes on
+    the left.  When the join equals ``a``, ``a`` itself is returned, so
+    callers test for a change with ``is``."""
     joined: Env = {}
     same = True
     for var, left in a.items():
@@ -173,12 +140,12 @@ def env_join(a: Env, b: Env) -> Env:
         if right is None:
             same = False
             continue
-        if left is right or left == right:
-            value = left
-        else:
-            value = left.join(right)
-            same = same and value == left
-        if value.is_top:
+        value = left
+        if left is not right and left != right:
+            value = join(left, right)
+            if value != left:
+                same = False
+        if value == TOP:
             same = False
         else:
             joined[var] = value
@@ -187,13 +154,23 @@ def env_join(a: Env, b: Env) -> Env:
 
 def env_widen(old: Env, new: Env) -> Env:
     """Pointwise widening of ``new`` against the previous state, in one
-    pass over ``old`` (a value both sides agree on widens to itself)."""
+    pass over ``old``: bounds that grew jump to ±inf, and a hole
+    survives only where both sides keep it (a value both sides agree on
+    widens to itself)."""
     widened: Env = {}
     for var, left in old.items():
         right = new.get(var)
         if right is None:
             continue
-        value = left if left is right or left == right else left.widen(right)
-        if not value.is_top:
-            widened[var] = value
+        if left is not right and left != right:
+            lo, hi, hole = left
+            rlo, rhi, rhole = right
+            if lo > hi:
+                lo, hi = rlo, rhi
+            elif rlo <= rhi:
+                lo = lo if rlo >= lo else NEG_INF
+                hi = hi if rhi <= hi else POS_INF
+            left = normalize(lo, hi, hole if hole == rhole else None)
+        if left != TOP:
+            widened[var] = left
     return widened

@@ -20,8 +20,8 @@ block the walk produces a :class:`BlockSummary`:
 * ``const_outcome`` — set when the branch condition folds to a
   constant (fuel for the dead-branch detector);
 * ``edge_values`` — per direction, the check's outcome set and every
-  constraint as value sets (:class:`~repro.staticcheck.domain.ValueSet`),
-  built once so the MFP's edge rules only intersect.
+  constraint as value ranges (:mod:`repro.staticcheck.domain`), built
+  once so the MFP's edge rules only intersect.
 
 Symbolic values are affine forms ``sign * t + offset`` over *load
 terms* (the value observed by one particular load), plus constants and
@@ -52,7 +52,16 @@ from ..ir.instructions import (
     UnOp,
     Variable,
 )
-from .domain import Env, ValueSet, env_get, env_set
+from .domain import (
+    TOP,
+    Env,
+    ValueRange,
+    affine_image,
+    env_get,
+    env_set,
+    from_outcome,
+    intersect,
+)
 
 
 @dataclass(frozen=True)
@@ -138,7 +147,7 @@ class CheckFact:
 #: ``(term, values)`` (``None`` without a check) and each constraint as
 #: ``(var, values)``.
 EdgeValues = Tuple[
-    Optional[Tuple[LoadTerm, ValueSet]], Tuple[Tuple[Variable, ValueSet], ...]
+    Optional[Tuple[LoadTerm, ValueRange]], Tuple[Tuple[Variable, ValueRange], ...]
 ]
 
 
@@ -415,11 +424,8 @@ def summarize_block(
         summary.edge_values[taken] = (
             None
             if check is None
-            else (check.term, ValueSet.from_outcome(check.outcome_set(taken))),
-            tuple(
-                (var, ValueSet.from_outcome(outcome))
-                for var, outcome in constraints
-            ),
+            else (check.term, from_outcome(check.outcome_set(taken))),
+            tuple((var, from_outcome(outcome)) for var, outcome in constraints),
         )
     return summary
 
@@ -440,7 +446,7 @@ def summarize_function(
 
 def transfer_block(
     summary: BlockSummary, env_in: Env, transfers=None
-) -> Tuple[Env, Dict[Term, ValueSet]]:
+) -> Tuple[Env, Dict[Term, ValueRange]]:
     """Run the interval-transfer steps over an input environment.
 
     Returns the exit environment and the *snapshots*: the value set
@@ -453,7 +459,7 @@ def transfer_block(
     behaviour.
     """
     env: Env = dict(env_in)
-    snapshots: Dict[Term, ValueSet] = {}
+    snapshots: Dict[Term, ValueRange] = {}
     for step in summary.steps:
         kind = step[0]
         if kind == "load":
@@ -461,18 +467,17 @@ def transfer_block(
         elif kind == "store":
             _, var, spec = step
             if spec[0] == "const":
-                env_set(env, var, ValueSet.point(spec[1]))
+                env_set(env, var, (spec[1], spec[1], None))
             elif spec[0] == "affine":
                 _, term, sign, offset = spec
-                base = snapshots.get(term, ValueSet.top())
-                env_set(env, var, base.affine_image(sign, offset))
+                env_set(env, var, affine_image(snapshots.get(term, TOP), sign, offset))
             else:
-                env_set(env, var, ValueSet.top())
+                env_set(env, var, TOP)
         elif kind == "call":
             _, callee, affected = step
             for var in affected:
                 if transfers is None:
-                    env_set(env, var, ValueSet.top())
+                    env_set(env, var, TOP)
                 else:
                     env_set(
                         env,
@@ -481,14 +486,14 @@ def transfer_block(
                     )
         else:  # clobber
             for var in step[1]:
-                env_set(env, var, ValueSet.top())
+                env_set(env, var, TOP)
     return env, snapshots
 
 
 def edge_environment(
     summary: BlockSummary,
     env_out: Env,
-    snapshots: Dict[Term, ValueSet],
+    snapshots: Dict[Term, ValueRange],
     taken: bool,
 ) -> Optional[Env]:
     """The environment that flows along one conditional edge, refined
@@ -501,13 +506,15 @@ def edge_environment(
     check, constraints = summary.edge_values[taken]
     if check is not None:
         tested = snapshots.get(check[0])
-        if tested is not None and tested.intersect(check[1]).is_empty:
-            return None
+        if tested is not None:
+            lo, hi, _ = intersect(tested, check[1])
+            if lo > hi:
+                return None
     env: Env = dict(env_out)
     for var, values in constraints:
         current = env.get(var)
-        refined = values if current is None else current.intersect(values)
-        if refined.is_empty:
+        refined = values if current is None else intersect(current, values)
+        if refined[0] > refined[1]:
             return None
         env_set(env, var, refined)
     return env

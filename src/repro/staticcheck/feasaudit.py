@@ -47,7 +47,7 @@ from ..correlation.provenance import REASON_FEASIBLE, ActionProvenance
 from ..correlation.tables import FunctionTables
 from ..ir.function import IRFunction, IRModule
 from .diagnostics import Diagnostic, DiagnosticSink
-from .domain import Env, ValueSet, env_set
+from .domain import TOP, Env, ValueRange, env_set, intersect, render, subset_of_outcome
 from .facts import BlockSummary, Term, edge_environment, summarize_function, transfer_block
 from .mfp import EdgeRule, solve_from_edge
 
@@ -248,13 +248,13 @@ def _reprove_record(
             pc=record.target_pc,
         )
         return
-    tested = snapshots.get(check.term, ValueSet.top())
+    tested = snapshots.get(check.term, TOP)
     claimed = check.outcome_set(record.action == BranchAction.SET_T.value)
-    if not tested.subset_of_outcome(claimed):
+    if not subset_of_outcome(tested, claimed):
         sink.emit(
             "FP703",
             f"{where}: under the declared witness the checked value "
-            f"reaches {tested}, which does not force outcome set "
+            f"reaches {render(tested)}, which does not force outcome set "
             f"{claimed} — the claimed range is laundered through an "
             f"unproven pruned merge",
             function=fn.name,
@@ -272,7 +272,7 @@ def _witness_rule(witness: Set[Edge]) -> EdgeRule:
     never carry the proof."""
 
     def rule(
-        summary: BlockSummary, env_out: Env, snapshots: Dict[Term, ValueSet], direction: bool
+        summary: BlockSummary, env_out: Env, snapshots: Dict[Term, ValueRange], direction: bool
     ) -> Optional[Env]:
         if (summary.label, direction) in witness:
             return None  # the record claims this edge never runs
@@ -304,5 +304,5 @@ def _relaxed_refinement(summary: BlockSummary, env_out: Env, taken: bool) -> Env
     env: Env = dict(env_out)
     for var, values in summary.edge_values[taken][1]:
         current = env.get(var)
-        env_set(env, var, values if current is None else current.intersect(values))
+        env_set(env, var, values if current is None else intersect(current, values))
     return env

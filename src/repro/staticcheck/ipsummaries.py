@@ -39,7 +39,7 @@ from ..analysis.purity import PurityResult
 from ..analysis.ranges import NEG_INF, POS_INF, Interval
 from ..ir.function import IRModule
 from ..ir.instructions import VarKind, Variable
-from .domain import ValueSet
+from .domain import TOP, ValueRange, join
 from .facts import LoadTerm, summarize_function
 
 #: Fixpoint rounds before interval widening (recursion backstop).
@@ -122,7 +122,7 @@ class IPTransfer:
             0 if delta.hi <= 0 else POS_INF,
         )
 
-    def image(self, values: ValueSet) -> ValueSet:
+    def image(self, values: ValueRange) -> ValueRange:
         """Over-approximate the variable's value set after the call.
 
         The call *may* write (sites are weak), so the incoming set is
@@ -133,19 +133,18 @@ class IPTransfer:
         if self.is_identity:
             return values
         if self.top:
-            return ValueSet.top()
+            return TOP
         closure = self.delta_closure()
         result = values
         if self.delta_hull is not None and not self.delta_hull.is_empty:
-            result = result.join(_shift_set(values, closure))
+            result = join(result, _shift_set(values, closure))
         if self.const_hull is not None and not self.const_hull.is_empty:
-            landed = ValueSet(
-                Interval(
-                    self.const_hull.lo + closure.lo,
-                    self.const_hull.hi + closure.hi,
-                )
+            landed = (
+                self.const_hull.lo + closure.lo,
+                self.const_hull.hi + closure.hi,
+                None,
             )
-            result = result.join(landed)
+            result = join(result, landed)
         return result
 
     def describe(self, var_name: str) -> str:
@@ -172,15 +171,13 @@ def _hull_join(a: Optional[Interval], b: Optional[Interval]) -> Optional[Interva
     return a.union_hull(b)
 
 
-def _shift_set(values: ValueSet, delta: Interval) -> ValueSet:
+def _shift_set(values: ValueRange, delta: Interval) -> ValueRange:
     """``{v + d : v in values, d in delta}`` (hole smears away unless
     the shift is exactly zero)."""
-    if delta.lo == 0 and delta.hi == 0:
+    lo, hi, _ = values
+    if delta.lo == 0 and delta.hi == 0 or lo > hi:
         return values
-    if values.is_empty:
-        return values
-    interval = values.interval
-    return ValueSet(Interval(interval.lo + delta.lo, interval.hi + delta.hi))
+    return (lo + delta.lo, hi + delta.hi, None)
 
 
 def _is_summarized_global(var: Variable) -> bool:
@@ -214,11 +211,13 @@ class IPSummaries:
     def transfer_for(self, callee: str, var: Variable) -> IPTransfer:
         return self.by_function.get(callee, {}).get(var, IPTransfer())
 
-    def call_image(self, callee: str, var: Variable, values: ValueSet) -> ValueSet:
+    def call_image(
+        self, callee: str, var: Variable, values: ValueRange
+    ) -> ValueRange:
         if not _is_summarized_global(var):
-            return ValueSet.top()
+            return TOP
         if callee not in self.by_function:
-            return ValueSet.top()  # unknown callee: conservative
+            return TOP  # unknown callee: conservative
         return self.transfer_for(callee, var).image(values)
 
     def preserves(self, callee: str, var: Variable, outcome: OutcomeSet) -> bool:

@@ -6,7 +6,8 @@ everything its direction implies and drops it when the direction
 contradicts the abstract state.  The correlation auditor also drops
 edges that overwrite its prediction; the feasible-path auditor drops
 only witnessed edges and relaxes the other infeasible ones.  Both seed
-at one edge through :func:`solve_from_edge`.  States are abstract environments (variable -> :class:`ValueSet`);
+at one edge through :func:`solve_from_edge`.  States are abstract
+environments (variable -> value range, :mod:`repro.staticcheck.domain`);
 widening after a bounded number of joins guarantees termination on
 loops that keep growing a value.
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .domain import Env, ValueSet, env_join, env_widen
+from .domain import Env, ValueRange, env_join, env_widen
 from .facts import BlockSummary, Term, edge_environment, transfer_block
 from .ipsummaries import IPSummaries
 
@@ -25,7 +26,7 @@ WIDEN_AFTER = 8
 #: What flows along one conditional edge: ``(summary, exit environment,
 #: load snapshots, direction)`` -> the edge's environment, or ``None``
 #: to drop the edge.
-EdgeRule = Callable[[BlockSummary, Env, Dict[Term, ValueSet], bool], Optional[Env]]
+EdgeRule = Callable[[BlockSummary, Env, Dict[Term, ValueRange], bool], Optional[Env]]
 
 
 def solve_range_mfp(

@@ -5,18 +5,20 @@ builder's edge tables (:func:`repro.analysis.feasible.edge_tables`, from
 :mod:`repro.analysis.branch_info`) and the auditor's
 ``BlockSummary.edge_values`` (:mod:`repro.staticcheck.facts`).  Every
 stored range must equal the one a visit used to rebuild from the
-outcome set: ``from_outcome(outcome_set(direction))``.
+outcome set: ``from_outcome(outcome_set(direction))``.  The builder's
+tables key each inferred variable on its slot in the function's
+numbering.
 """
 
 import pytest
 
+from repro.analysis import feasible
 from repro.analysis.alias import analyze_aliases
 from repro.analysis.branch_info import OutcomeSet, analyze_branches
 from repro.analysis.defs import DefinitionMap, analyze_definitions
-from repro.analysis.feasible import FeasRange, edge_tables
 from repro.analysis.purity import analyze_purity
 from repro.pipeline import compile_program_cached
-from repro.staticcheck.domain import ValueSet
+from repro.staticcheck import domain
 from repro.staticcheck.facts import summarize_function
 from repro.workloads import all_workloads
 
@@ -39,7 +41,8 @@ def test_builder_edge_tables_equal_fresh_outcome_ranges(opt_level):
         for fn, module, purity in _functions(workload, opt_level):
             def_map, _ = analyze_definitions(fn, module, purity)
             facts_by_pc = analyze_branches(fn, def_map)
-            tables = edge_tables(facts_by_pc)
+            slots = {}
+            tables = feasible.edge_tables(facts_by_pc, slots)
             assert set(tables) == {f.block_label for f in facts_by_pc.values()}
             for facts in facts_by_pc.values():
                 for taken in DIRECTIONS:
@@ -52,7 +55,7 @@ def test_builder_edge_tables_equal_fresh_outcome_ranges(opt_level):
                         )
                         assert check == (
                             facts.check.load_index,
-                            FeasRange.from_outcome(fresh),
+                            feasible.from_outcome(fresh),
                         )
                     expected = []
                     for inference in facts.inferences:
@@ -62,7 +65,7 @@ def test_builder_edge_tables_equal_fresh_outcome_ranges(opt_level):
                         assert inference.implied_set(taken) == fresh
                         if not fresh.is_trivial:
                             expected.append(
-                                (inference.var, FeasRange.from_outcome(fresh))
+                                (slots[inference.var], feasible.from_outcome(fresh))
                             )
                     assert implied == tuple(expected)
                     checked += 1
@@ -89,10 +92,10 @@ def test_auditor_edge_values_equal_fresh_outcome_ranges(opt_level):
                         )
                         assert check == (
                             summary.check.term,
-                            ValueSet.from_outcome(fresh),
+                            domain.from_outcome(fresh),
                         )
                     assert constraints == tuple(
-                        (var, ValueSet.from_outcome(outcome))
+                        (var, domain.from_outcome(outcome))
                         for var, outcome in summary.constraints[taken]
                     )
                     checked += 1

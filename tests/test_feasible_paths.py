@@ -5,8 +5,8 @@ Covers both sides of the derivation — the builder's
 infeasible conditional edges) and the auditor's witness-restricted
 re-proof (:mod:`repro.staticcheck.feasaudit`):
 
-* ``FeasRange`` lattice algebra (join / widen / outcome intersection /
-  affine images) as hypothesis properties;
+* the builder's ``(lo, hi, hole)`` range algebra (join / widen /
+  outcome intersection / affine images) as hypothesis properties;
 * the feasible-path MFP is pointwise at least as tight as the plain
   MFP on random loop-free programs, and identical when no edge is ever
   infeasible;
@@ -30,23 +30,29 @@ from repro.analysis.alias import analyze_aliases
 from repro.analysis.branch_info import OutcomeSet, analyze_branches
 from repro.analysis.defs import DefinitionMap, analyze_definitions
 from repro.analysis.feasible import (
-    FeasRange,
-    _canonical,
+    TOP,
     _edge_env,
+    _env_join,
+    _env_widen,
     _transfer,
+    affine_image,
     analyze_feasible,
+    canonical,
     edge_tables,
+    from_outcome,
+    intersect,
     propagate_from_edge,
     render_edge,
     summarize_blocks,
+    within_outcome,
 )
 from repro.analysis.purity import analyze_purity
-from repro.analysis.ranges import Interval
+from repro.analysis.ranges import NEG_INF, POS_INF, Interval
 from repro.correlation.provenance import REASON_FEASIBLE
 from repro.ir.instructions import RelOp
 from repro.pipeline import compile_program, compile_program_cached
 from repro.staticcheck import errors_in, run_passes
-from repro.staticcheck.domain import ValueSet
+from repro.staticcheck import domain
 from repro.staticcheck.facts import summarize_function
 from repro.staticcheck.feasaudit import _witness_rule, audit_feasible
 from repro.staticcheck.mfp import solve_range_mfp
@@ -363,7 +369,7 @@ def test_random_feasible_record_tampering_always_flagged(seed):
 
 
 # ----------------------------------------------------------------------
-# Hypothesis: FeasRange lattice algebra
+# Hypothesis: the builder's range algebra
 # ----------------------------------------------------------------------
 
 SAMPLES = st.integers(min_value=-12, max_value=12)
@@ -372,15 +378,29 @@ HOLES = st.none() | st.integers(min_value=-6, max_value=6)
 
 
 def _make_range(lo, hi, hole):
-    return _canonical(Interval(min(lo, hi), max(lo, hi)), hole)
+    return canonical(min(lo, hi), max(lo, hi), hole)
 
 
 FEAS_RANGES = st.one_of(
     st.builds(_make_range, BOUNDS, BOUNDS, HOLES),
-    st.builds(lambda b, hole: _canonical(Interval.at_least(b), hole), BOUNDS, HOLES),
-    st.builds(lambda b, hole: _canonical(Interval.at_most(b), hole), BOUNDS, HOLES),
-    st.builds(lambda hole: _canonical(Interval.top(), hole), HOLES),
+    st.builds(lambda b, hole: canonical(b, POS_INF, hole), BOUNDS, HOLES),
+    st.builds(lambda b, hole: canonical(NEG_INF, b, hole), BOUNDS, HOLES),
+    st.builds(lambda hole: canonical(NEG_INF, POS_INF, hole), HOLES),
 )
+
+
+def _contains(values, v):
+    lo, hi, hole = values
+    return lo <= v <= hi and v != hole
+
+
+def _join(a, b):
+    """The value join, as the builder's environment join does it."""
+    return _env_join({0: a}, {0: b}).get(0, TOP)
+
+
+def _widen(a, b):
+    return _env_widen({0: a}, {0: b}).get(0, TOP)
 
 OUTCOMES = st.builds(
     OutcomeSet.from_relop,
@@ -396,36 +416,36 @@ def test_join_is_an_upper_bound(a, b, v):
     # may keep either operand's hole when both are excluded by both
     # sides (e.g. [0,inf]\{1} vs [-inf,0]\{-1}).  Both orders must be
     # upper bounds with the same interval hull, and idempotence holds.
-    joined = a.join(b)
-    flipped = b.join(a)
-    assert joined.interval == flipped.interval
-    assert a.join(a) == a
-    if a.contains(v) or b.contains(v):
-        assert joined.contains(v)
-        assert flipped.contains(v)
+    joined = _join(a, b)
+    flipped = _join(b, a)
+    assert joined[:2] == flipped[:2]
+    assert _join(a, a) == a
+    if _contains(a, v) or _contains(b, v):
+        assert _contains(joined, v)
+        assert _contains(flipped, v)
 
 
 @given(a=FEAS_RANGES, b=FEAS_RANGES, v=SAMPLES)
 def test_widen_covers_both_operands(a, b, v):
-    widened = a.widen(b)
-    if a.contains(v) or b.contains(v):
-        assert widened.contains(v)
+    widened = _widen(a, b)
+    if _contains(a, v) or _contains(b, v):
+        assert _contains(widened, v)
 
 
 @given(a=FEAS_RANGES, outcome=OUTCOMES, v=SAMPLES)
 def test_intersect_outcome_is_sound_and_reducing(a, outcome, v):
-    refined = a.intersect(FeasRange.from_outcome(outcome))
-    if a.contains(v) and outcome.contains_value(v):
-        assert refined.contains(v)
+    refined = intersect(a, from_outcome(outcome))
+    if _contains(a, v) and outcome.contains_value(v):
+        assert _contains(refined, v)
     # The refinement can only shrink: one representable hole means the
     # outcome's hole may be dropped, but never anything outside `a`.
-    if refined.contains(v):
-        assert a.contains(v)
+    if _contains(refined, v):
+        assert _contains(a, v)
 
 
 @given(a=FEAS_RANGES, outcome=OUTCOMES, v=SAMPLES)
 def test_within_outcome_means_every_value_satisfies(a, outcome, v):
-    if a.within_outcome(outcome) and a.contains(v):
+    if within_outcome(a, outcome) and _contains(a, v):
         assert outcome.contains_value(v)
 
 
@@ -436,8 +456,8 @@ def test_within_outcome_means_every_value_satisfies(a, outcome, v):
     v=SAMPLES,
 )
 def test_affine_image_is_sound(a, sign, offset, v):
-    if a.contains(v):
-        assert a.affine_image(sign, offset).contains(sign * v + offset)
+    if _contains(a, v):
+        assert _contains(affine_image(a, sign, offset), sign * v + offset)
 
 
 # ----------------------------------------------------------------------
@@ -519,20 +539,21 @@ def _builder_context(source):
     fn = next(f for f in module.functions if f.name == "main")
     def_map, _ = analyze_definitions(fn, module, purity)
     facts_by_pc = analyze_branches(fn, def_map)
-    programs = summarize_blocks(fn, def_map)
-    return fn, def_map, facts_by_pc, programs, edge_tables(facts_by_pc)
+    slots = {}
+    programs = summarize_blocks(fn, def_map, slots)
+    return fn, def_map, facts_by_pc, programs, edge_tables(facts_by_pc, slots)
 
 
 def _range_subset(a, b):
-    """Is FeasRange/ValueSet ``a`` contained in ``b``?  (Both domains
-    expose the same interval-with-hole structure.)"""
-    if a.is_empty:
+    """Is range ``a`` contained in ``b``?  (Both sides keep a range as
+    the same ``(lo, hi, hole)`` interval-with-hole tuple.)"""
+    if a[0] > a[1]:
         return True
-    if b.is_empty:
+    if b[0] > b[1]:
         return False
-    if not a.interval.subsumes(b.interval):
+    if not Interval(a[0], a[1]).subsumes(Interval(b[0], b[1])):
         return False
-    return b.hole is None or not a.contains(b.hole)
+    return b[2] is None or not _contains(a, b[2])
 
 
 def _env_subset(tight, loose, top):
@@ -564,7 +585,7 @@ def test_pruned_mfp_is_at_least_as_tight_as_plain(source):
             assert set(pruned_states) <= set(plain_states)
             for label, env in pruned_states.items():
                 assert _env_subset(
-                    env, plain_states[label], FeasRange.top()
+                    env, plain_states[label], TOP
                 ), (block.label, taken, label)
             # Every claimed prune re-proves from the returned fixpoint.
             for label, direction in pruned_edges:
@@ -673,4 +694,4 @@ def test_witness_restricted_mfp_bounds_the_audit_mfp(source):
     relaxed = solve_range_mfp(summaries, {entry: {}}, _witness_rule(set()))
     assert set(strict) <= set(relaxed)
     for label, env in strict.items():
-        assert _env_subset(env, relaxed[label], ValueSet.top()), label
+        assert _env_subset(env, relaxed[label], domain.TOP), label

@@ -43,7 +43,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..analysis.branch_info import BranchFacts, analyze_branches
+from ..analysis.branch_info import (
+    BranchFacts,
+    InferenceInfo,
+    OutcomeSet,
+    analyze_branches,
+)
 from ..analysis.defs import DefinitionMap, ReachingDefinitions, analyze_definitions
 from ..analysis.feasible import FeasibleAnalysis, FeasibleFinding, analyze_feasible
 from ..analysis.purity import PurityResult, analyze_purity
@@ -86,6 +91,11 @@ class BuildStats:
     feasible_sets: int = 0
 
 
+#: A source branch's inference with its non-trivial directions:
+#: ``(bs_pc, facts, inference, ((taken, implied set), ...))``.
+_Inference = Tuple[int, BranchFacts, InferenceInfo, Tuple[Tuple[bool, OutcomeSet], ...]]
+
+
 def build_function_tables(
     fn: IRFunction,
     module: IRModule,
@@ -116,48 +126,58 @@ def build_function_tables(
     checked_pcs: Set[int] = set()
     conflicts = 0
 
+    # Each inference with its non-trivial directions, indexed by
+    # variable in (bs_pc, inference) order, so a check meets only its own
+    # variable's and the candidates keep their order.
+    inferences_of: Dict[Variable, List[_Inference]] = {}
+    for bs_pc, bs_facts in facts_by_pc.items():
+        for inference in bs_facts.inferences:
+            directions = tuple(
+                (taken, implied)
+                for taken, implied in (
+                    (True, inference.taken_set),
+                    (False, inference.nottaken_set),
+                )
+                if not implied.is_trivial
+            )
+            if directions:
+                inferences_of.setdefault(inference.var, []).append(
+                    (bs_pc, bs_facts, inference, directions)
+                )
+    # Blocks reachable from each edge, walked when a candidate needs it.
     reachable_from_edge: Dict[Tuple[int, bool], Set[str]] = {}
-    for block in fn.blocks:
-        if not block.ends_in_cond_branch():
-            continue
-        pc = block.terminator.address
-        for taken in (True, False):
-            edge = CondEdge(block.label, taken)
-            target = edge_target(fn, edge)
-            reachable_from_edge[(pc, taken)] = reachable_blocks(fn, target)
 
     for bl_pc, bl_facts in facts_by_pc.items():
         check = bl_facts.check
         if check is None:
             continue
-        for bs_pc, bs_facts in facts_by_pc.items():
-            for inference in bs_facts.inferences:
-                if inference.var != check.var:
+        for bs_pc, bs_facts, inference, directions in inferences_of.get(
+            check.var, ()
+        ):
+            if not _source_feeds_check(
+                fn, def_map, reaching, bs_facts, inference, bl_facts
+            ):
+                continue
+            for taken, implied in directions:
+                reachable = reachable_from_edge.get((bs_pc, taken))
+                if reachable is None:
+                    target = edge_target(fn, CondEdge(bs_facts.block_label, taken))
+                    reachable = reachable_blocks(fn, target)
+                    reachable_from_edge[(bs_pc, taken)] = reachable
+                if bl_facts.block_label not in reachable:
                     continue
-                if not _source_feeds_check(
-                    fn, def_map, reaching, bs_facts, inference, bl_facts
-                ):
+                if check.taken_set.superset_of_outcome(implied):
+                    action = BranchAction.SET_T
+                elif check.nottaken_set.superset_of_outcome(implied):
+                    action = BranchAction.SET_NT
+                else:
                     continue
-                for taken in (True, False):
-                    if bl_facts.block_label not in reachable_from_edge[
-                        (bs_pc, taken)
-                    ]:
-                        continue
-                    implied = inference.implied_set(taken)
-                    if implied.is_trivial:
-                        continue
-                    if check.taken_set.superset_of_outcome(implied):
-                        action = BranchAction.SET_T
-                    elif check.nottaken_set.superset_of_outcome(implied):
-                        action = BranchAction.SET_NT
-                    else:
-                        continue
-                    candidates.setdefault((bs_pc, taken), {}).setdefault(
-                        bl_pc, set()
-                    ).add(action)
-                    evidence.setdefault((bs_pc, taken), {}).setdefault(
-                        bl_pc, {}
-                    ).setdefault(action, inference)
+                candidates.setdefault((bs_pc, taken), {}).setdefault(
+                    bl_pc, set()
+                ).add(action)
+                evidence.setdefault((bs_pc, taken), {}).setdefault(
+                    bl_pc, {}
+                ).setdefault(action, inference)
 
     # Resolve candidates; contradictions (both SET_T and SET_NT implied)
     # mean the direction is statically infeasible — fall back to UNKNOWN.

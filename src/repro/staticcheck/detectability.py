@@ -80,8 +80,8 @@ from ..analysis.branch_info import BranchFacts, analyze_branches
 from ..analysis.defs import DefinitionMap
 from ..analysis.feasible import entry_reachability
 from ..analysis.purity import PurityResult
-from ..correlation.actions import BranchAction, BranchStatus
-from ..correlation.tables import FunctionTables
+from ..correlation.actions import BranchAction
+from ..correlation.tables import ActionEntry, FunctionTables
 from ..ir.builder import BUILTINS
 from ..ir.function import IRFunction
 from ..ir.instructions import (
@@ -115,9 +115,14 @@ PROVEN_UNDETECTED = "DET803"
 #: resume point of one activation when the corruption lands.
 SiteFrame = Tuple[str, str, int]
 
-#: Immutable BSV knowledge: sorted (slot, status value) pairs; absent
-#: slots are UNKNOWN.
-_BsvKey = Tuple[Tuple[int, str], ...]
+#: BSV knowledge as the paper's two bits per slot (§5.1): ``(known,
+#: taken)``, where bit ``s`` of ``known`` is set when slot ``s`` is
+#: definite and bit ``s`` of ``taken`` when it is TAKEN.  ``taken`` is
+#: always a subset of ``known``, so equal knowledge is an equal pair.
+Bsv = Tuple[int, int]
+
+#: A fresh frame: every slot UNKNOWN.
+_UNKNOWN: Bsv = (0, 0)
 
 
 # ----------------------------------------------------------------------
@@ -415,42 +420,62 @@ def _params_of(
 
 
 # ----------------------------------------------------------------------
+# BSV knowledge: the meet and the one branch step
+# ----------------------------------------------------------------------
+
+
+def _apply(bsv: Bsv, actions: Tuple[ActionEntry, ...]) -> Bsv:
+    """Fire one BAT list in order: a later write to a slot wins, and
+    ``NC`` writes nothing."""
+    known, taken = bsv
+    for slot, action in actions:
+        bit = 1 << slot
+        if action is BranchAction.SET_T:
+            known |= bit
+            taken |= bit
+        elif action is BranchAction.SET_NT:
+            known |= bit
+            taken &= ~bit
+        elif action is BranchAction.SET_UN:
+            known &= ~bit
+            taken &= ~bit
+    return known, taken
+
+
+def _meet(a: Bsv, b: Bsv) -> Bsv:
+    """Agree-or-UNKNOWN: a slot stays definite where both sides know
+    it and agree on its direction."""
+    known = a[0] & b[0] & ~(a[1] ^ b[1])
+    return known, a[1] & known
+
+
+def _branch_step(
+    tables: FunctionTables, pc: int, bsv: Bsv
+) -> Tuple[Optional[bool], Bsv, Bsv]:
+    """One committed branch as the runtime sees it: the direction a
+    checked branch's definite status expects (``None`` when unchecked
+    or UNKNOWN), then the knowledge after its taken and not-taken
+    actions fire."""
+    plan = tables.branch_plan(pc)
+    if plan is None:
+        return None, bsv, bsv
+    slot, checked, taken_actions, not_taken_actions = plan
+    expected: Optional[bool] = None
+    if checked and bsv[0] >> slot & 1:
+        expected = bool(bsv[1] >> slot & 1)
+    return expected, _apply(bsv, taken_actions), _apply(bsv, not_taken_actions)
+
+
+# ----------------------------------------------------------------------
 # Clean-prefix must dataflow: guaranteed BSV knowledge per block
 # ----------------------------------------------------------------------
 
 
-def _apply_actions(
-    state: Dict[int, BranchStatus],
-    actions: Tuple[Tuple[int, BranchAction], ...],
-) -> Dict[int, BranchStatus]:
-    if not actions:
-        return state
-    updated = dict(state)
-    for slot, action in actions:
-        if action is BranchAction.SET_T:
-            updated[slot] = BranchStatus.TAKEN
-        elif action is BranchAction.SET_NT:
-            updated[slot] = BranchStatus.NOT_TAKEN
-        elif action is BranchAction.SET_UN:
-            updated.pop(slot, None)
-    return updated
-
-
-def _meet(
-    a: Dict[int, BranchStatus], b: Dict[int, BranchStatus]
-) -> Dict[int, BranchStatus]:
-    return {
-        slot: status
-        for slot, status in a.items()
-        if b.get(slot) is status
-    }
-
-
 def must_bsv_states(
     fn: IRFunction,
-    tables: Optional[FunctionTables],
+    tables: FunctionTables,
     pruned_edges: FrozenSet[Tuple[str, bool]] = frozenset(),
-) -> Dict[str, Dict[int, BranchStatus]]:
+) -> Dict[str, Bsv]:
     """All-paths-guaranteed BSV state at every block entry.
 
     Forward dataflow from the function entry (a fresh frame is
@@ -467,51 +492,41 @@ def must_bsv_states(
     The walk that *starts* from these states prunes nothing: tampered
     runs exist to violate both assumptions.
     """
-    if tables is None:
-        return {block.label: {} for block in fn.blocks}
     entry = fn.entry.label
-    states: Dict[str, Dict[int, BranchStatus]] = {entry: {}}
+    states: Dict[str, Bsv] = {entry: _UNKNOWN}
     worklist: List[str] = [entry]
 
-    def merge(target: str, out_state: Dict[int, BranchStatus]) -> None:
-        if target not in states:
-            states[target] = dict(out_state)
+    def merge(target: str, out_state: Bsv) -> None:
+        current = states.get(target)
+        if current is None:
+            states[target] = out_state
             worklist.append(target)
             return
-        met = _meet(states[target], out_state)
-        if met != states[target]:
+        met = _meet(current, out_state)
+        if met != current:
             states[target] = met
             worklist.append(target)
 
     while worklist:
         label = worklist.pop()
-        state = states[label]
         terminator = fn.block(label).instructions[-1]
         if isinstance(terminator, Jump):
-            merge(terminator.target, state)
+            merge(terminator.target, states[label])
         elif isinstance(terminator, CondBranch):
-            plan = tables.branch_plan(terminator.address)
-            expected: Optional[BranchStatus] = None
-            if plan is not None and plan[1]:
-                expected = state.get(plan[0])
-            for direction in (True, False):
-                if expected is not None and (
-                    (expected is BranchStatus.TAKEN) != direction
-                ):
+            expected, after_taken, after_not_taken = _branch_step(
+                tables, terminator.address, states[label]
+            )
+            for direction, target, after in (
+                (True, terminator.taken, after_taken),
+                (False, terminator.fallthrough, after_not_taken),
+            ):
+                if expected is not None and expected != direction:
                     continue  # clean runs cannot alarm (zero-FP)
                 if (label, direction) in pruned_edges:
                     continue  # clean runs travel feasible edges only
-                actions = (
-                    ()
-                    if plan is None
-                    else (plan[2] if direction else plan[3])
-                )
-                merge(
-                    terminator.taken if direction else terminator.fallthrough,
-                    _apply_actions(state, actions),
-                )
+                merge(target, after)
     for block in fn.blocks:
-        states.setdefault(block.label, {})
+        states.setdefault(block.label, _UNKNOWN)
     return states
 
 
@@ -539,17 +554,7 @@ class WalkResult:
 
 
 #: Walk state: (block, index, BSV knowledge, forcing alive).
-_WalkState = Tuple[str, int, _BsvKey, bool]
-
-
-def _freeze(state: Mapping[int, BranchStatus]) -> _BsvKey:
-    return tuple(
-        sorted((slot, status.value) for slot, status in state.items())
-    )
-
-
-def _thaw(key: _BsvKey) -> Dict[int, BranchStatus]:
-    return {slot: BranchStatus(value) for slot, value in key}
+_WalkState = Tuple[str, int, Bsv, bool]
 
 
 @dataclass(frozen=True)
@@ -586,7 +591,7 @@ class WalkGraph:
     def __init__(
         self,
         fn: IRFunction,
-        tables: Optional[FunctionTables],
+        tables: FunctionTables,
         facts_by_pc: Mapping[int, BranchFacts],
         callee_facts: Mapping[str, CalleeFacts],
         var: Variable,
@@ -597,7 +602,7 @@ class WalkGraph:
         self._facts_by_pc = facts_by_pc
         self._callee_facts = callee_facts
         self._var = var
-        self._forced = forced_outcomes if tables is not None else None
+        self._forced = forced_outcomes
         self._expansions: Dict[_WalkState, _Expansion] = {}
 
     def expand(self, state: _WalkState) -> _Expansion:
@@ -608,9 +613,8 @@ class WalkGraph:
         return cached
 
     def _expand(self, state: _WalkState) -> _Expansion:
-        label, index, bsv_key, forcing = state
+        label, index, bsv, forcing = state
         var = self._var
-        tables = self._tables
         instructions = self._fn.block(label).instructions
         wrote = False
         cursor = index
@@ -651,7 +655,7 @@ class WalkGraph:
                     (
                         (
                             f"{label}:jump",
-                            (instruction.target, 0, bsv_key, forcing),
+                            (instruction.target, 0, bsv, forcing),
                         ),
                     ),
                     wrote,
@@ -659,11 +663,9 @@ class WalkGraph:
             elif cls is CondBranch:
                 assert isinstance(instruction, CondBranch)
                 pc = instruction.address
-                plan = None if tables is None else tables.branch_plan(pc)
-                state_map = _thaw(bsv_key)
-                expected: Optional[BranchStatus] = None
-                if plan is not None and plan[1]:
-                    expected = state_map.get(plan[0])
+                expected, after_taken, after_not_taken = _branch_step(
+                    self._tables, pc, bsv
+                )
                 forced: Optional[bool] = None
                 if forcing and self._forced is not None:
                     branch_facts = self._facts_by_pc.get(pc)
@@ -678,22 +680,21 @@ class WalkGraph:
                         and branch_facts.check.load_index >= index
                     ):
                         forced = self._forced[pc]
-                directions = (
-                    (forced,) if forced is not None else (True, False)
-                )
                 edges: List[Tuple[str, _WalkState]] = []
-                for direction in directions:
-                    assert direction is not None
+                for direction, target, after in (
+                    (True, instruction.taken, after_taken),
+                    (False, instruction.fallthrough, after_not_taken),
+                ):
+                    if forced is not None and direction != forced:
+                        continue
                     edge = f"{label}:{'T' if direction else 'NT'}"
-                    if expected is not None and (
-                        (expected is BranchStatus.TAKEN) != direction
-                    ):
+                    if expected is not None and expected != direction:
                         # The runtime verifies before updating: the
                         # definite expectation is contradicted ⇒ alarm.
                         alarm_state: _WalkState = (
                             f"<alarm:{label}:{direction}>",
                             -1,
-                            bsv_key,
+                            bsv,
                             forcing,
                         )
                         self._expansions.setdefault(
@@ -702,18 +703,7 @@ class WalkGraph:
                         )
                         edges.append((edge, alarm_state))
                         continue
-                    actions = (
-                        ()
-                        if plan is None
-                        else (plan[2] if direction else plan[3])
-                    )
-                    next_key = _freeze(_apply_actions(state_map, actions))
-                    target = (
-                        instruction.taken
-                        if direction
-                        else instruction.fallthrough
-                    )
-                    edges.append((edge, (target, 0, next_key, forcing)))
+                    edges.append((edge, (target, 0, after, forcing)))
                 return _Expansion(None, tuple(edges), wrote)
             cursor += 1
         # Unreachable for verified IR: blocks end in a terminator.
@@ -723,7 +713,7 @@ class WalkGraph:
         self,
         start_block: str,
         start_index: int,
-        initial: Mapping[int, BranchStatus],
+        initial: Bsv,
     ) -> WalkResult:
         """Decide :class:`WalkResult` for one tamper point, reusing
         expansions across walks.
@@ -740,7 +730,7 @@ class WalkGraph:
         start: _WalkState = (
             start_block,
             start_index,
-            _freeze(dict(initial)),
+            initial,
             self._forced is not None,
         )
         parents: Dict[_WalkState, Tuple[_WalkState, str]] = {}
@@ -909,7 +899,7 @@ class DetectabilityAnalysis:
         self._relevance = compute_branch_relevance(list(module.functions))
         self._def_maps: Dict[str, DefinitionMap] = {}
         self._facts: Dict[str, Dict[int, BranchFacts]] = {}
-        self._must: Dict[str, Dict[str, Dict[int, BranchStatus]]] = {}
+        self._must: Dict[str, Dict[str, Bsv]] = {}
         self._pruned: Dict[str, FrozenSet[Tuple[str, bool]]] = {}
         self._graphs: Dict[
             Tuple[str, str, int, Optional[Tuple[Tuple[int, bool], ...]]],
@@ -964,13 +954,11 @@ class DetectabilityAnalysis:
                 self._pruned[fn.name] = frozenset()
         return self._pruned[fn.name]
 
-    def must_states(
-        self, fn: IRFunction
-    ) -> Dict[str, Dict[int, BranchStatus]]:
+    def must_states(self, fn: IRFunction) -> Dict[str, Bsv]:
         if fn.name not in self._must:
             self._must[fn.name] = must_bsv_states(
                 fn,
-                self._tables.by_function.get(fn.name),
+                self._tables.tables_for(fn.name),
                 self._pruned_edges(fn),
             )
         return self._must[fn.name]
@@ -1027,14 +1015,14 @@ class DetectabilityAnalysis:
             if graph is None:
                 graph = self._graphs[graph_key] = WalkGraph(
                     fn,
-                    self._tables.by_function.get(fn_name),
+                    self._tables.tables_for(fn_name),
                     facts_by_pc,
                     self._callee_facts,
                     var,
                     forced,
                 )
             self._walks[cache_key] = graph.walk(
-                block, index, self.must_states(fn).get(block, {})
+                block, index, self.must_states(fn).get(block, _UNKNOWN)
             )
         return self._walks[cache_key]
 

@@ -2,14 +2,18 @@
 
 Small programs with hand-checkable continuations pin each layer: the
 value-region partition, callee totality, branch relevance, the
+``(known, taken)`` BSV bit algebra against per-slot statuses, the
 must-alarm walk semantics, point verdicts on the twin-check diamond,
 and the aggregated ``repro predict`` diagnostics.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.alias import analyze_aliases
 from repro.analysis.purity import analyze_purity
+from repro.correlation.actions import BranchAction, BranchStatus
 from repro.ir.instructions import RelOp
 from repro.pipeline import compile_program
 from repro.staticcheck import detectability, run_passes
@@ -154,6 +158,126 @@ def test_branch_relevance_crosses_call_boundaries():
     program = compile_program(source)
     relevance = compute_branch_relevance(program.module.functions)
     assert relevance.relevant(global_named(program, "g"))
+
+
+# ----------------------------------------------------------------------
+# BSV knowledge as (known, taken) bits, against the per-slot statuses
+# ----------------------------------------------------------------------
+
+# The reference: BSV knowledge as a map from slot to a definite
+# BranchStatus (absent slots are UNKNOWN), updated one BAT entry at a
+# time by BranchAction.apply, as the runtime's BSV is.
+
+SLOTS = st.one_of(st.integers(0, 3), st.integers(60, 70))
+KNOWLEDGE = st.dictionaries(
+    SLOTS, st.sampled_from([BranchStatus.TAKEN, BranchStatus.NOT_TAKEN])
+)
+ACTION = st.sampled_from(list(BranchAction))
+
+
+@st.composite
+def action_lists(draw):
+    """A BAT list with one slot written up to three more times, so
+    repeated writes (the last one wins) are common."""
+    actions = draw(st.lists(st.tuples(SLOTS, ACTION), max_size=5))
+    slot = draw(SLOTS)
+    for _ in range(draw(st.integers(0, 3))):
+        actions.insert(
+            draw(st.integers(0, len(actions))), (slot, draw(ACTION))
+        )
+    return tuple(actions)
+
+
+def as_bits(knowledge):
+    known = taken = 0
+    for slot, status in knowledge.items():
+        known |= 1 << slot
+        if status is BranchStatus.TAKEN:
+            taken |= 1 << slot
+    return known, taken
+
+
+def reference_apply(knowledge, actions):
+    updated = dict(knowledge)
+    for slot, action in actions:
+        updated[slot] = action.apply(
+            updated.get(slot, BranchStatus.UNKNOWN)
+        )
+    return {
+        slot: status
+        for slot, status in updated.items()
+        if status is not BranchStatus.UNKNOWN
+    }
+
+
+class OnePlan:
+    """Tables with a single branch: ``branch_plan`` of its PC."""
+
+    PC = 0x40
+
+    def __init__(self, plan):
+        self._plan = plan
+
+    def branch_plan(self, pc):
+        return self._plan if pc == self.PC else None
+
+
+@given(a=KNOWLEDGE, b=KNOWLEDGE)
+def test_meet_keeps_the_slots_both_sides_agree_on(a, b):
+    agreed = {
+        slot: status for slot, status in a.items() if b.get(slot) is status
+    }
+    assert detectability._meet(as_bits(a), as_bits(b)) == as_bits(agreed)
+
+
+@settings(max_examples=300)
+@given(
+    knowledge=KNOWLEDGE,
+    slot=SLOTS,
+    checked=st.booleans(),
+    taken_actions=action_lists(),
+    not_taken_actions=action_lists(),
+)
+@example(
+    knowledge={1: BranchStatus.TAKEN, 2: BranchStatus.NOT_TAKEN},
+    slot=1,
+    checked=True,
+    taken_actions=(
+        (2, BranchAction.SET_T),
+        (2, BranchAction.NC),
+        (1, BranchAction.SET_UN),
+        (2, BranchAction.SET_NT),
+        (64, BranchAction.SET_T),
+    ),
+    not_taken_actions=(
+        (1, BranchAction.SET_NT),
+        (1, BranchAction.SET_UN),
+        (1, BranchAction.SET_T),
+        (3, BranchAction.NC),
+    ),
+)
+def test_branch_step_verifies_then_applies(
+    knowledge, slot, checked, taken_actions, not_taken_actions
+):
+    status = knowledge.get(slot, BranchStatus.UNKNOWN)
+    expected = (
+        status is BranchStatus.TAKEN
+        if checked and status is not BranchStatus.UNKNOWN
+        else None
+    )
+    tables = OnePlan((slot, checked, taken_actions, not_taken_actions))
+    bits = as_bits(knowledge)
+    assert detectability._branch_step(tables, OnePlan.PC, bits) == (
+        expected,
+        as_bits(reference_apply(knowledge, taken_actions)),
+        as_bits(reference_apply(knowledge, not_taken_actions)),
+    )
+    # A PC the tables do not plan is unchecked and fires no action.
+    assert detectability._branch_step(tables, OnePlan.PC + 1, bits) == (
+        None,
+        bits,
+        bits,
+    )
 
 
 # ----------------------------------------------------------------------

@@ -192,7 +192,7 @@ def _check_edges(
         )
         return
     for succ in block.succs:
-        if block not in succ.preds:
+        if not any(pred is block for pred in succ.preds):
             sink.emit(
                 "IR113",
                 f"{succ.label} is a successor but does not list "

@@ -6,6 +6,8 @@ findings per run, call-graph checks, CFG edge agreement, and
 unreachability warnings.
 """
 
+import copy
+
 import pytest
 
 from repro.ir import (
@@ -107,6 +109,21 @@ def test_tampered_edge_lists_are_ir113():
             break
     codes = [d.code for d in verify_module_diagnostics(module)]
     assert "IR113" in codes
+
+
+def test_a_copy_of_the_predecessor_is_not_the_predecessor_ir113():
+    """Pred lists name blocks by identity: an equal copy of the block
+    (same label, same instruction list) is not an edge to it."""
+    module = lowered()
+    module.finalize()
+    main = module.function("main")
+    block = next(b for b in main.blocks if b.succs)
+    succ = block.succs[0]
+    succ.preds = [copy.copy(p) if p is block else p for p in succ.preds]
+    assert block in succ.preds  # dataclass equality still matches
+    diagnostics = verify_module_diagnostics(module)
+    [diag] = [d for d in diagnostics if d.code == "IR113"]
+    assert diag.span.block == block.label
 
 
 def test_compat_shim_raises_with_span_in_message():
